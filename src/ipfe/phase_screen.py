@@ -8,7 +8,10 @@ fluctuation.  Targets:
     N~(-a) = N~(a)*          (real position-domain fluctuation)
 
 Coefficients are drawn independently on a Hermitian half-lattice and
-mirrored; a fixed seed reproduces a screen bit for bit.  Seeding uses the
+mirrored; a fixed seed reproduces a screen bit for bit.  ``ScreenLattice``
+computes the variances, masks and mirror indices of a (model, grid, dz)
+once and draws any number of screens from them; a screen depends only on
+its seed, not on the block it is drawn in.  Seeding uses the
 counter-based Philox generator keyed through numpy SeedSequence, so screens
 for different (realization, slab) pairs can be generated in parallel.
 """
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import FrequencyGrid, Spectrum, to_position
+from .grid import FrequencyGrid
 from .spectrum import SpectrumKind, TurbulenceModel, psd_lattice
 
 
@@ -64,45 +67,94 @@ def _half_lattice_mask(n: int, dim: int):
     return canonical, self_conj
 
 
+class ScreenLattice:
+    """Screen amplitudes, half-lattice masks and mirror indices for one
+    (model, grid, dz), computed once and shared by every draw."""
+
+    def __init__(self, model: TurbulenceModel, grid: FrequencyGrid,
+                 dz: float) -> None:
+        if dz <= 0.0:
+            raise ValueError("dz must be positive")
+        if model.kind is SpectrumKind.KOLMOGOROV and model.cn2 != 0.0:
+            raise ValueError(
+                "Kolmogorov model rejected: divergent DC screen variance")
+        if (model.kind is SpectrumKind.VON_KARMAN
+                and model.outer_scale > 1.0 / grid.delta_a):
+            warnings.warn(
+                "outer scale exceeds grid support (L0 > 1/delta_a); screen "
+                "statistics will miss the largest eddies", stacklevel=2)
+        variance = psd_lattice(model, grid) * dz * grid.delta_weight
+        canonical, self_conj = _half_lattice_mask(grid.n, grid.dim)
+        self.grid = grid
+        self.variance = variance
+        self._amplitude = np.sqrt(variance / 2.0)
+        self._self_conj = self_conj
+        self._self_amplitude = np.sqrt(variance[self_conj])
+        self._keep = canonical | self_conj
+        self._mirror = (slice(None),) + _mirror_indices(grid.n, grid.dim)
+
+    def draw(self, seeds) -> np.ndarray:
+        """Coefficients of one screen per seed, shape (len(seeds),) + grid
+        shape; screen i is bit-identical to draw_screen(..., seeds[i])."""
+        normals = np.empty((len(seeds), 2) + self.grid.shape)
+        for out, seed in zip(normals, seeds):
+            rng = np.random.Generator(
+                np.random.Philox(np.random.SeedSequence(seed)))
+            # Fixed draw order: the real parts of all sites, then the
+            # imaginary parts; the mirror half is overwritten below.
+            rng.standard_normal(out=out)
+        re, im = normals[:, 0], normals[:, 1]
+        coeff = self._amplitude * (re + 1j * im)
+        coeff[:, self._self_conj] = (self._self_amplitude
+                                     * re[:, self._self_conj])
+        return np.where(self._keep, coeff, np.conj(coeff[self._mirror]))
+
+
+def draw_screens(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
+                 seeds) -> np.ndarray:
+    """Screen coefficients for each seed, stacked along a leading axis."""
+    return ScreenLattice(model, grid, dz).draw(seeds)
+
+
 def draw_screen(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
                 seed: int) -> ScreenRealization:
     """Draw one Gaussian slab screen; deterministic in (seed, grid, model, dz)."""
-    if dz <= 0.0:
-        raise ValueError("dz must be positive")
-    if model.kind is SpectrumKind.KOLMOGOROV and model.cn2 != 0.0:
-        raise ValueError(
-            "Kolmogorov model rejected: divergent DC screen variance")
-    if (model.kind is SpectrumKind.VON_KARMAN
-            and model.outer_scale > 1.0 / grid.delta_a):
-        warnings.warn(
-            "outer scale exceeds grid support (L0 > 1/delta_a); screen "
-            "statistics will miss the largest eddies", stacklevel=2)
-
-    variance = psd_lattice(model, grid) * dz * grid.delta_weight
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    # Fixed draw order: one real pair per lattice site, then Hermitianize.
-    re = rng.standard_normal(grid.shape)
-    im = rng.standard_normal(grid.shape)
-
-    canonical, self_conj = _half_lattice_mask(grid.n, grid.dim)
-    coeff = np.sqrt(variance / 2.0) * (re + 1j * im)
-    coeff[self_conj] = np.sqrt(variance[self_conj]) * re[self_conj]
-    mirror = _mirror_indices(grid.n, grid.dim)
-    keep = canonical | self_conj
-    coeff = np.where(keep, coeff, np.conj(coeff[mirror]))
+    coeff = draw_screens(model, grid, dz, [seed])[0]
     return ScreenRealization(grid, coeff, dz, seed)
+
+
+def screen_phases(coeffs: np.ndarray, grid: FrequencyGrid,
+                  k: float) -> np.ndarray:
+    """Position-domain phases k * n~_slab(x) of a block of screens.
+
+    ``coeffs`` stacks screen coefficients (DC-centred) along a leading
+    axis; the phases come back in DFT order (x = 0 first along each grid
+    axis).  Raises if any screen's position field has an imaginary residue
+    above 1e-12 of its RMS, i.e. if its coefficients are not Hermitian.
+    """
+    axes = tuple(range(1, grid.dim + 1))
+    field_x = np.fft.fftn(np.fft.ifftshift(coeffs, axes=axes),
+                          axes=axes) * grid.cell
+    rms = np.sqrt(np.mean(np.abs(field_x) ** 2, axis=axes))
+    imag_residue = np.max(np.abs(field_x.imag), axis=axes)
+    bad = (rms > 0) & (imag_residue > 1e-12 * rms)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"Hermitian-symmetry violation: imaginary residue "
+            f"{imag_residue[i]:.3e} exceeds 1e-12 of RMS {rms[i]:.3e}")
+    return k * field_x.real
 
 
 def phase_screen_position(screen: ScreenRealization, k: float) -> np.ndarray:
     """Position-domain phase phi(x) = k * n~_slab(x) in radians."""
-    field_x = to_position(Spectrum(screen.grid, screen.n_tilde_hat))
-    rms = np.sqrt(np.mean(np.abs(field_x) ** 2))
-    imag_residue = np.max(np.abs(field_x.imag)) if rms > 0 else 0.0
-    if rms > 0 and imag_residue > 1e-12 * rms:
-        raise ValueError(
-            f"Hermitian-symmetry violation: imaginary residue "
-            f"{imag_residue:.3e} exceeds 1e-12 of RMS {rms:.3e}")
-    return k * field_x.real
+    phi = screen_phases(screen.n_tilde_hat[None], screen.grid, k)[0]
+    return np.fft.fftshift(phi)
+
+
+# Screens drawn and reduced at a time by screen_statistics, which bounds its
+# memory whatever n_samples is.
+_STATISTICS_CHUNK = 1000
 
 
 @dataclass
@@ -125,7 +177,8 @@ def screen_statistics(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
     for a random sample of non-mirror site pairs."""
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
-    target = psd_lattice(model, grid) * dz * grid.delta_weight
+    lattice = ScreenLattice(model, grid, dz)
+    target = lattice.variance
 
     sum_sq = np.zeros(grid.shape)
     sum_quad = np.zeros(grid.shape)
@@ -144,18 +197,19 @@ def screen_statistics(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
     cross_sum = np.zeros(len(pairs_idx), dtype=np.complex128)
     cross_sq = np.zeros(len(pairs_idx))
 
-    child_seeds = np.random.SeedSequence(seed).spawn(n_samples)
-    for child in child_seeds:
-        sub = child.generate_state(1, np.uint64)[0]
-        coeff = draw_screen(model, grid, dz, int(sub)).n_tilde_hat
+    sites_a = [a for a, _ in pairs_idx]
+    sites_b = [b for _, b in pairs_idx]
+    child_seeds = [int(child.generate_state(1, np.uint64)[0])
+                   for child in np.random.SeedSequence(seed).spawn(n_samples)]
+    for start in range(0, n_samples, _STATISTICS_CHUNK):
+        coeff = lattice.draw(child_seeds[start:start + _STATISTICS_CHUNK])
         p = np.abs(coeff) ** 2
-        sum_sq += p
-        sum_quad += p ** 2
-        flat = coeff.ravel()
-        prods = flat[[a for a, _ in pairs_idx]] * np.conj(
-            flat[[b for _, b in pairs_idx]])
-        cross_sum += prods
-        cross_sq += np.abs(prods) ** 2
+        sum_sq += np.sum(p, axis=0)
+        sum_quad += np.sum(p ** 2, axis=0)
+        flat = coeff.reshape(len(coeff), flat_size)
+        prods = flat[:, sites_a] * np.conj(flat[:, sites_b])
+        cross_sum += np.sum(prods, axis=0)
+        cross_sq += np.sum(np.abs(prods) ** 2, axis=0)
 
     var = sum_sq / n_samples
     var_of_p = np.maximum(sum_quad / n_samples - var ** 2, 0.0)

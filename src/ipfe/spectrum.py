@@ -159,14 +159,6 @@ def lambda_total_1d(model: TurbulenceModel) -> float:
     return _radial_quadrature(model, lambda a: 2.0)
 
 
-def lambda_for_dim(model: TurbulenceModel, dim: int) -> float:
-    if dim == 1:
-        return lambda_total_1d(model)
-    if dim == 2:
-        return lambda_total(model)
-    raise ValueError(f"unsupported dimension {dim}")
-
-
 def psd_lattice(model: TurbulenceModel, grid) -> np.ndarray:
     """Phi_n(a, 0) sampled on the grid's frequency lattice (shape (n,)*D)."""
     _require_finite_lambda(model)

@@ -9,6 +9,23 @@ exp(i pi lambda dz |a|^2 / ...) and the screen is a position-domain
 multiplication by exp(-i k n~_slab(x)).  Both factors are unitary on the
 discrete norm.  Ensemble moments over independent screen sequences are the
 empirical counterparts of the first- and second-order moment kernels.
+
+One block engine propagates every realization: a ``(B, n^D)`` block of
+spectra is carried through all slabs in DFT order (zero frequency first, as
+numpy's FFT stores it), so a slab is two half-step multiplies, one screen
+multiply and a batched FFT pair over the grid axes, with no shifts.  The
+half-step phase and the screen lattice (variances, half-lattice masks,
+mirror indices) are computed, and the plan's guards checked, once per
+engine.  ``propagate`` is the same engine run on a block of one
+realization.
+
+Stream contract: the screen of realization r in slab s is drawn from its
+own Philox stream keyed by ``SeedSequence(master_seed, spawn_key=(r, s))``
+and is bit-identical to ``plan.slab_screen(r, s)`` whatever block it is
+drawn in.  ``ensemble_moments`` reduces blocks of ``BLOCK`` realizations
+with matrix products and adds the block partials in index order, so its
+moments are bit-reproducible and differ from a one-realization-at-a-time
+sum only by the rounding of the reduction.
 """
 
 from __future__ import annotations
@@ -18,8 +35,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import FrequencyGrid, Spectrum, to_frequency, to_position
-from .phase_screen import ScreenRealization, draw_screen, phase_screen_position
+from .phase_screen import (ScreenLattice, ScreenRealization, draw_screen,
+                           phase_screen_position, screen_phases)
 from .spectrum import TurbulenceModel, lambda_grid
+
+# Realizations per block of ensemble_moments.  It fixes the reduction
+# order, so the moments cannot depend on a caller's choice.
+BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -84,19 +106,46 @@ def apply_screen(s: Spectrum, screen: ScreenRealization) -> Spectrum:
     return to_frequency(s.grid, g)
 
 
+class _BlockEngine:
+    """Per-plan constants of the split-step propagation, in DFT order."""
+
+    def __init__(self, plan: PropagationPlan) -> None:
+        plan.check_guards()
+        grid = plan.grid
+        self.plan = plan
+        self.axes = tuple(range(1, grid.dim + 1))
+        half = plan.dz / 2.0
+        self.half_step = np.fft.ifftshift(np.exp(
+            1j * np.pi * grid.wavelength * half * grid.freq_sq()))
+        self.screens = (ScreenLattice(plan.model, grid, plan.dz)
+                        if plan.z_total > 0.0 else None)
+
+    def run(self, s0: Spectrum, realizations: range) -> np.ndarray:
+        """Output spectra of the given realizations, one flattened
+        DC-centred row each."""
+        plan, grid, axes = self.plan, self.plan.grid, self.axes
+        fields = np.repeat(np.fft.ifftshift(s0.values)[None],
+                           len(realizations), axis=0)
+        if self.screens is not None:
+            for slab in range(plan.n_slabs):
+                coeffs = self.screens.draw(
+                    [plan.screen_seed(r, slab) for r in realizations])
+                phi = screen_phases(coeffs, grid, grid.wavenumber)
+                fields *= self.half_step
+                g = np.fft.fftn(fields, axes=axes) * grid.cell
+                g *= np.exp(-1j * phi)
+                fields = np.fft.ifftn(g, axes=axes) * grid.delta_weight
+                fields *= self.half_step
+        return np.fft.fftshift(fields, axes=axes).reshape(
+            len(realizations), -1)
+
+
 def propagate(s0: Spectrum, plan: PropagationPlan,
               realization_index: int) -> Spectrum:
     """One realization: Strang composition over all slabs."""
-    plan.check_guards()
-    if plan.z_total == 0.0:
-        return s0.copy()
-    s = s0
-    half = plan.dz / 2.0
-    for slab in range(plan.n_slabs):
-        s = free_space_step(s, half)
-        s = apply_screen(s, plan.slab_screen(realization_index, slab))
-        s = free_space_step(s, half)
-    return s
+    row = _BlockEngine(plan).run(
+        s0, range(realization_index, realization_index + 1))
+    return Spectrum(plan.grid, row.reshape(plan.grid.shape))
 
 
 @dataclass
@@ -104,8 +153,8 @@ class EnsembleStats:
     """Monte-Carlo moments with per-element standard errors.
 
     second_moment[i, j] estimates <G(a_i) G*(a_j)> over flattened lattice
-    sites; it is exactly Hermitian because every per-realization outer
-    product is.  anomalous[i, j] estimates <G(a_i) G(a_j)>.
+    sites; it is bitwise Hermitian with a real diagonal.  anomalous[i, j]
+    estimates <G(a_i) G(a_j)>.
     """
 
     n_samples: int
@@ -118,60 +167,79 @@ class EnsembleStats:
     anomalous_se: np.ndarray = field(repr=False)
 
 
-def _pairwise_mean(partials: list[np.ndarray]) -> np.ndarray:
-    stacked = np.stack(partials)
-    return np.sum(stacked, axis=0)
-
-
-def ensemble_moments(s0: Spectrum, plan: PropagationPlan,
-                     batch: int = 64) -> EnsembleStats:
+def ensemble_moments(s0: Spectrum, plan: PropagationPlan) -> EnsembleStats:
     """Accumulate first/second moments over plan.n_realizations runs.
 
-    Realizations are processed in index order and reduced with numpy's
-    pairwise summation over fixed-size batches, so the result is
-    bit-reproducible and numerically stable.
+    Sums are taken about a fixed shift h, the first realization's field:
+    with D = F - h for a block F of BLOCK realizations (one flattened field
+    per row) and Q = |D|^2, each block is reduced with D^T D*, D^T D,
+    Q^T Q and Q^T D, and the block partials are added in index order, so
+    the result is bit-reproducible.  The shift keeps the variances behind
+    the standard errors free of cancellation: an ensemble of identical
+    realizations has standard errors of exactly zero.  The second and
+    anomalous moments share every accumulator; their fourth-order terms
+    agree because |d_i d_j|^2 = |d_i d_j*|^2.
     """
     if plan.n_realizations < 2:
         raise ValueError("n_realizations must be >= 2")
+    engine = _BlockEngine(plan)
+    n = plan.n_realizations
     size = plan.grid.n ** plan.grid.dim
 
-    sum_g: list[np.ndarray] = []
-    sum_g2: list[np.ndarray] = []
-    sum_gg_c: list[np.ndarray] = []
-    sum_gg_c2: list[np.ndarray] = []
-    sum_gg: list[np.ndarray] = []
-    sum_gg2: list[np.ndarray] = []
+    sum_g = np.zeros(size, dtype=np.complex128)
+    sum_d = np.zeros(size, dtype=np.complex128)
+    sum_q = np.zeros(size)
+    sum_dd_c = np.zeros((size, size), dtype=np.complex128)
+    sum_dd = np.zeros((size, size), dtype=np.complex128)
+    sum_qd = np.zeros((size, size), dtype=np.complex128)
+    sum_qq = np.zeros((size, size))
+    h = None
+    for start in range(0, n, BLOCK):
+        fields = engine.run(s0, range(start, min(start + BLOCK, n)))
+        if h is None:
+            h = fields[0].copy()
+        d = fields - h
+        q = np.abs(d) ** 2
+        sum_g += np.sum(fields, axis=0)
+        sum_d += np.sum(d, axis=0)
+        sum_q += np.sum(q, axis=0)
+        sum_dd_c += d.T @ np.conj(d)
+        sum_dd += d.T @ d
+        sum_qd += q.T @ d
+        sum_qq += q.T @ q
 
-    for start in range(0, plan.n_realizations, batch):
-        stop = min(start + batch, plan.n_realizations)
-        fields = np.empty((stop - start, size), dtype=np.complex128)
-        for r in range(start, stop):
-            fields[r - start] = propagate(s0, plan, r).values.ravel()
-        outer_c = fields[:, :, None] * np.conj(fields[:, None, :])
-        outer = fields[:, :, None] * fields[:, None, :]
-        sum_g.append(np.sum(fields, axis=0))
-        sum_g2.append(np.sum(np.abs(fields) ** 2, axis=0))
-        sum_gg_c.append(np.sum(outer_c, axis=0))
-        sum_gg_c2.append(np.sum(np.abs(outer_c) ** 2, axis=0))
-        sum_gg.append(np.sum(outer, axis=0))
-        sum_gg2.append(np.sum(np.abs(outer) ** 2, axis=0))
+    mean_d = sum_d / n
+    mean_q = sum_q / n
+    dd_c = sum_dd_c / n
+    dd = sum_dd / n
+    # Moments of y = g_i g_j* - h_i h_j* = h_i d_j* + d_i h_j* + d_i d_j*
+    # and y' = g_i g_j - h_i h_j = h_i d_j + d_i h_j + d_i d_j.  E|y|^2 and
+    # E|y'|^2 share |h_i|^2 E q_j + |h_j|^2 E q_i + E q_i q_j and the cross
+    # terms 2 Re(h_j* E[q_i d_j]) + (i <-> j); they differ only in the
+    # cross term of their two first-order parts.
+    y_c = np.outer(h, np.conj(mean_d)) + np.outer(mean_d, np.conj(h)) + dd_c
+    y_a = np.outer(h, mean_d) + np.outer(mean_d, h) + dd
+    h_sq = np.abs(h) ** 2
+    cross = np.real(np.conj(h)[None, :] * sum_qd / n)
+    y2_shared = (np.outer(h_sq, mean_q) + np.outer(mean_q, h_sq)
+                 + sum_qq / n + 2.0 * (cross + cross.T))
+    y2_c = y2_shared + 2.0 * np.real(np.outer(h, h) * np.conj(dd))
+    y2_a = y2_shared + 2.0 * np.real(np.outer(h, np.conj(h)) * dd_c.T)
 
-    n = plan.n_realizations
-    mean_g = _pairwise_mean(sum_g) / n
-    mean_g2 = _pairwise_mean(sum_g2) / n
-    moment_c = _pairwise_mean(sum_gg_c) / n
-    moment_c2 = _pairwise_mean(sum_gg_c2) / n
-    moment = _pairwise_mean(sum_gg) / n
-    moment2 = _pairwise_mean(sum_gg2) / n
+    moment_c = np.outer(h, np.conj(h)) + y_c
+    # Averaging with the conjugate transpose is exact in IEEE arithmetic:
+    # the result is bitwise Hermitian with a real diagonal.
+    moment_c = 0.5 * (moment_c + moment_c.conj().T)
+    moment = np.outer(h, h) + y_a
 
-    se_g = np.sqrt(np.maximum(mean_g2 - np.abs(mean_g) ** 2, 0.0) / n)
-    se_c = np.sqrt(np.maximum(moment_c2 - np.abs(moment_c) ** 2, 0.0) / n)
-    se_a = np.sqrt(np.maximum(moment2 - np.abs(moment) ** 2, 0.0) / n)
+    se_g = np.sqrt(np.maximum(mean_q - np.abs(mean_d) ** 2, 0.0) / n)
+    se_c = np.sqrt(np.maximum(y2_c - np.abs(y_c) ** 2, 0.0) / n)
+    se_a = np.sqrt(np.maximum(y2_a - np.abs(y_a) ** 2, 0.0) / n)
 
     return EnsembleStats(
         n_samples=n,
         grid=plan.grid,
-        mean_field=mean_g.reshape(plan.grid.shape),
+        mean_field=(sum_g / n).reshape(plan.grid.shape),
         mean_field_se=se_g.reshape(plan.grid.shape),
         second_moment=moment_c,
         second_moment_se=se_c,

@@ -169,17 +169,6 @@ def gaussian_drift(state: GaussianState, model: TurbulenceModel,
     return rhs, fourth
 
 
-def drift_residual_norm(state: GaussianState, model: TurbulenceModel) -> float:
-    """Norm of the second-order drift relative to k^2 Lambda ||A||."""
-    rhs, _ = gaussian_drift(state, model, n_probes=1)
-    k = state.grid.wavenumber
-    lam_d = lambda_grid(model, state.grid)
-    scale = k ** 2 * lam_d * np.max(np.abs(state.a_kernel))
-    if scale == 0.0:
-        return float(np.max(np.abs(rhs)))
-    return float(np.max(np.abs(rhs)) / scale)
-
-
 def shift_decay(beta0: Spectrum, eta0: Spectrum, model: TurbulenceModel,
                 z: float):
     """Closed-form decay of the Gaussian shift spectra.

@@ -15,7 +15,19 @@ from ipfe.validation import (REFERENCE, check_conservation, check_duality,
                              check_first_moment, check_free_space,
                              check_mutual_coherence, check_rhs_oracles,
                              check_screens, check_stationarity,
-                             check_wigner_formulas)
+                             check_wigner_formulas, run_validate)
+
+# Monte-Carlo values (measured, standard error) reported at the reference
+# configuration by the one-realization-at-a-time ensemble this package
+# started from.  The screens are the same, so only the reduction order of
+# the moments may move them.
+PINNED_MONTE_CARLO = {
+    "first-moment-decay/monte-carlo": (1.0231605675940267,
+                                       0.023796782497074665),
+    "mutual-coherence/monte-carlo": (1.932996200447912,
+                                     0.008367638227434766),
+    "mutual-coherence/relative-rms": (0.027280086510624874, None),
+}
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +95,23 @@ def test_phase_screen_statistics():
 
 def test_characteristic_transform_duality():
     report(check_duality())
+
+
+def test_monte_carlo_values_match_pinned_reference(reference_ensemble,
+                                                   coherence_run):
+    results = check_first_moment(stats=reference_ensemble)[1:]
+    results += coherence_run[0]
+    assert [r.name for r in results] == list(PINNED_MONTE_CARLO)
+    for r in results:
+        measured, se = PINNED_MONTE_CARLO[r.name]
+        assert r.measured == pytest.approx(measured, rel=1e-9), r.name
+        if se is not None:
+            assert r.standard_error == pytest.approx(se, rel=1e-9), r.name
+
+
+def test_run_validate_reports_ensemble_stage():
+    report = run_validate().to_json_dict()
+    assert report["passed"] is True
+    assert len(report["checks"]) == 16
+    assert set(report["stages"]) == {"ensemble_s"}
+    assert report["stages"]["ensemble_s"] > 0.0

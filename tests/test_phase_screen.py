@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ipfe.grid import FrequencyGrid
-from ipfe.phase_screen import (ScreenRealization, draw_screen,
-                               phase_screen_position, screen_statistics)
+from ipfe.phase_screen import (ScreenRealization, draw_screen, draw_screens,
+                               phase_screen_position, screen_phases,
+                               screen_statistics)
 from ipfe.spectrum import SpectrumKind, TurbulenceModel, psd_lattice
 
 GRID = FrequencyGrid(1, 32, 0.25, 1.55e-6)
@@ -123,3 +124,61 @@ def test_screen_statistics_contract():
     zero = TurbulenceModel(SpectrumKind.VON_KARMAN, 0.0, 1.0)
     stats0 = screen_statistics(zero, GRID, DZ, 400, 123)
     assert np.all(stats0.sample_variance == 0.0)
+
+
+def test_draw_screens_bit_identical_to_draw_screen():
+    seeds = [3, 2**63 + 5, 0, 77]
+    for dim, n in ((1, 32), (2, 8)):
+        grid = FrequencyGrid(dim, n, 0.25, 1.55e-6)
+        block = draw_screens(MODEL, grid, DZ, seeds)
+        assert block.shape == (len(seeds),) + grid.shape
+        for i, seed in enumerate(seeds):
+            assert np.array_equal(
+                block[i], draw_screen(MODEL, grid, DZ, seed).n_tilde_hat)
+
+
+def test_draw_screen_pinned_values():
+    # Coefficients drawn by the one-screen-at-a-time implementation this
+    # package started from, for the same seed: the stream is unchanged.
+    coeff = draw_screen(MODEL, GRID, DZ, 42).n_tilde_hat
+    assert coeff[20] == 3.139629221405833e-08 - 1.267448406352527e-08j
+    assert coeff[12] == 3.139629221405833e-08 + 1.267448406352527e-08j
+    assert coeff[16] == -1.3456157488064378e-08  # DC, self-conjugate
+    assert coeff[0] == -8.68481622674965e-09  # Nyquist, self-conjugate
+
+
+def test_screen_phases_block_matches_single_screens():
+    seeds = [11, 12, 13]
+    block = draw_screens(MODEL, GRID, DZ, seeds)
+    phases = screen_phases(block, GRID, GRID.wavenumber)
+    for i, seed in enumerate(seeds):
+        single = phase_screen_position(draw_screen(MODEL, GRID, DZ, seed),
+                                       GRID.wavenumber)
+        assert np.array_equal(np.fft.fftshift(phases[i]), single)
+    block[1, 20] += 1e-9  # breaks the Hermitian pairing of one screen
+    with pytest.raises(ValueError, match="Hermitian-symmetry violation"):
+        screen_phases(block, GRID, GRID.wavenumber)
+
+
+def test_screen_statistics_pinned_values():
+    # Values of the one-screen-at-a-time implementation this package
+    # started from; chunked block reduction changes only rounding.
+    stats = screen_statistics(MODEL, GRID, DZ, 400, 123)
+    assert stats.max_rel_deviation == pytest.approx(0.13065153558892817,
+                                                    rel=1e-12)
+    assert stats.max_cross_sigma == pytest.approx(2.3746005133383994,
+                                                  rel=1e-12)
+    assert stats.sample_variance[20] == pytest.approx(3.193712644410494e-15,
+                                                      rel=1e-12)
+    assert stats.variance_se[20] == pytest.approx(1.5051367722316113e-16,
+                                                  rel=1e-12)
+    a, b, mag, se = stats.cross_pairs[0]
+    assert (a, b) == (8, 28)
+    assert mag == pytest.approx(2.3105328445738313e-17, rel=1e-12)
+    assert se == pytest.approx(1.532411476572852e-17, rel=1e-12)
+    grid2 = FrequencyGrid(2, 8, 0.25, 1.55e-6)
+    stats2 = screen_statistics(MODEL, grid2, DZ, 1500, 7)  # two chunks
+    assert stats2.max_rel_deviation == pytest.approx(0.05876248783796756,
+                                                     rel=1e-12)
+    assert stats2.max_cross_sigma == pytest.approx(2.1059120744776574,
+                                                   rel=1e-12)

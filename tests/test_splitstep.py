@@ -1,5 +1,11 @@
 """Split-step propagator tests: unitarity, analytic and series oracles,
-splitting order, and Monte-Carlo scaling."""
+splitting order, Monte-Carlo scaling, and the block engine against a
+per-realization loop."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +13,8 @@ from scipy.special import jv
 
 from ipfe.grid import FrequencyGrid, Spectrum, to_frequency, to_position
 from ipfe.phase_screen import ScreenRealization
-from ipfe.splitstep import (PropagationPlan, apply_screen, ensemble_moments,
-                            free_space_step, propagate)
+from ipfe.splitstep import (BLOCK, PropagationPlan, apply_screen,
+                            ensemble_moments, free_space_step, propagate)
 from ipfe.spectrum import SpectrumKind, TurbulenceModel
 
 GRID = FrequencyGrid(1, 64, 0.25, 1.55e-6)
@@ -168,6 +174,10 @@ def test_ensemble_cn2_zero_moments_exact():
     assert np.allclose(stats.second_moment,
                        np.outer(fs, np.conj(fs)), rtol=1e-12, atol=1e-14)
     assert np.max(stats.second_moment_se) < 1e-14
+    # Identical realizations: every variance vanishes exactly.
+    for se in (stats.mean_field_se, stats.second_moment_se,
+               stats.anomalous_se):
+        assert np.all(se == 0.0)
 
 
 def test_ensemble_hermitian_and_se_scaling():
@@ -178,7 +188,8 @@ def test_ensemble_hermitian_and_se_scaling():
     stats_a = ensemble_moments(s, plan_a)
     stats_b = ensemble_moments(s, plan_b)
     sm = stats_a.second_moment
-    assert np.allclose(sm, sm.conj().T, atol=1e-14)
+    assert np.array_equal(sm, sm.conj().T)
+    assert np.all(np.imag(np.diagonal(sm)) == 0.0)
     diag = np.real(np.diagonal(sm))
     assert np.all(diag >= -1e-15)
     ratio = (np.median(stats_a.second_moment_se)
@@ -190,3 +201,84 @@ def test_ensemble_needs_two_realizations():
     with pytest.raises(ValueError, match="n_realizations"):
         ensemble_moments(gaussian(GRID),
                          PropagationPlan(GRID, MODEL, 1000.0, 32, 1, 0))
+
+
+def loop_propagate(s0, plan, r):
+    """Per-realization oracle built from the single-spectrum primitives."""
+    s = s0
+    for slab in range(plan.n_slabs):
+        s = free_space_step(s, plan.dz / 2.0)
+        s = apply_screen(s, plan.slab_screen(r, slab))
+        s = free_space_step(s, plan.dz / 2.0)
+    return s.values.ravel()
+
+
+@pytest.mark.parametrize("dim,n,sigma_a", [(1, 64, 1.5), (2, 8, 0.5)])
+def test_engine_matches_per_realization_loop(dim, n, sigma_a):
+    grid = FrequencyGrid(dim, n, 0.25, 1.55e-6)
+    s0 = gaussian(grid, sigma_a)
+    n_real = BLOCK + 6  # one full block and a partial one
+    plan = PropagationPlan(grid, MODEL, 1000.0, 32, n_real, 17)
+    fields = np.array([loop_propagate(s0, plan, r) for r in range(n_real)])
+
+    def close(got, want):
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    for r in (0, BLOCK - 1, n_real - 1):
+        close(propagate(s0, plan, r).values.ravel(), fields[r])
+
+    stats = ensemble_moments(s0, plan)
+    mean = fields.mean(axis=0)
+    second = np.einsum("ri,rj->ij", fields, np.conj(fields)) / n_real
+    anomalous = np.einsum("ri,rj->ij", fields, fields) / n_real
+    pair_power = np.einsum("ri,rj->ij", np.abs(fields) ** 2,
+                           np.abs(fields) ** 2) / n_real
+    mean_se = np.sqrt((np.mean(np.abs(fields) ** 2, axis=0)
+                       - np.abs(mean) ** 2) / n_real)
+    close(stats.mean_field.ravel(), mean)
+    close(stats.mean_field_se.ravel(), mean_se)
+    close(stats.second_moment, second)
+    close(stats.anomalous, anomalous)
+    close(stats.second_moment_se,
+          np.sqrt((pair_power - np.abs(second) ** 2) / n_real))
+    close(stats.anomalous_se,
+          np.sqrt((pair_power - np.abs(anomalous) ** 2) / n_real))
+    sm = stats.second_moment
+    assert np.array_equal(sm, sm.conj().T)
+    assert np.all(np.imag(np.diagonal(sm)) == 0.0)
+
+
+_MOMENTS_DIGEST = """
+import hashlib, sys
+import numpy as np
+from ipfe.grid import FrequencyGrid, Spectrum
+from ipfe.spectrum import SpectrumKind, TurbulenceModel
+from ipfe.splitstep import PropagationPlan, ensemble_moments
+# 2-D n=16: 256-site fields, so the matrix products are large enough for
+# OpenBLAS to split them between threads.
+grid = FrequencyGrid(2, 16, 0.25, 1.55e-6)
+model = TurbulenceModel(SpectrumKind.VON_KARMAN, 9.2e-15, 1.0)
+s0 = Spectrum(grid, np.exp(-grid.freq_sq() / 0.5).astype(complex))
+stats = ensemble_moments(s0, PropagationPlan(grid, model, 250.0, 16, 150, 3))
+digest = hashlib.sha256()
+for a in (stats.mean_field, stats.mean_field_se, stats.second_moment,
+          stats.second_moment_se, stats.anomalous, stats.anomalous_se):
+    digest.update(np.ascontiguousarray(a).tobytes())
+sys.stdout.write(digest.hexdigest())
+"""
+
+
+def test_ensemble_moments_independent_of_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _MOMENTS_DIGEST],
+                             env=env, capture_output=True, text=True,
+                             check=True, timeout=300)
+        digests.append(out.stdout)
+    assert len(digests[0]) == 64  # a SHA-256 hex digest
+    assert digests[0] == digests[1]
