@@ -1,139 +1,74 @@
-"""Hot kernels for the shifted-diffusion sums.
+"""The paired shifted sum behind every scattering term, and its oracle.
 
 Every diffusion term in the moment-kernel equations is a lattice sum
 
     out[..., i, ..., j, ...] = sum_s phi[s] * H[..., i+s, ..., j+sign*s, ...]
 
 over the grid's own frequency lattice (s is the integer offset of a0, phi
-is the PSD sampled there), with periodic index arithmetic.  Three
-interchangeable paths compute it:
-
-  * numba @njit loops (default when numba imports; 1-D grids),
-  * a pure-numpy roll loop (fallback; any dimension),
-  * an FFT diagonalization (used by the H_{1,1} integrator).
-
-Set IPFE_DISABLE_NUMBA=1 to force the numpy path.  All three agree to
-1e-12 and are covered by the same oracle tests; benchmarks/bench_accel.py
-compares their throughput.
+is the PSD sampled there), with periodic index arithmetic.  The paired
+circular shift is diagonal in the DFT basis of the tensor: its Fourier
+multiplier is c[(p_i + sign*p_j) mod n] with c = n^D * ifftn(ifftshift(phi)).
+``pair_multiplier`` builds that multiplier; the moment-kernel generator
+sums it over every index pair, and ``pair_shift_sum_fft`` applies it to one
+pair.  ``pair_shift_sum_loop`` evaluates the same sum by rolling the tensor
+once per offset and is kept as the test oracle only.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLE_ENV = "IPFE_DISABLE_NUMBA"
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-        return wrap if not (args and callable(args[0])) else args[0]
+def shift_coefficients(phi: np.ndarray) -> np.ndarray:
+    """c = n^D * ifftn(ifftshift(phi)): the Fourier symbol of one shift sum
+    (phi in centred order, one axis per grid dimension)."""
+    return phi.size * np.fft.ifftn(np.fft.ifftshift(phi))
 
 
-def numba_enabled() -> bool:
-    return HAVE_NUMBA and not os.environ.get(_DISABLE_ENV)
+def pair_multiplier(c: np.ndarray, ndim: int, axes_i, axes_j,
+                    sign: int) -> np.ndarray:
+    """Fourier multiplier c[(p_i + sign*p_j) mod n] of the paired shift sum
+    on an ndim-axis tensor, broadcastable to it (length n on axes_i and
+    axes_j, 1 elsewhere)."""
+    n = c.shape[0]
+
+    def along(axis):
+        shape = [1] * ndim
+        shape[axis] = n
+        return np.arange(n).reshape(shape)
+
+    return c[tuple((along(ai) + sign * along(aj)) % n
+                   for ai, aj in zip(axes_i, axes_j))]
 
 
-@njit(cache=True)
-def _pair_sum_jit(h, phi, sign, out):
-    """h, out: (n, n, r) complex128; phi: (n,) float64; sign: +1 or -1."""
-    n = h.shape[0]
-    r = h.shape[2]
-    half = n // 2
-    for i in range(n):
-        for j in range(n):
-            for t in range(n):
-                s = t - half
-                w = phi[t]
-                if w == 0.0:
-                    continue
-                ii = (i + s) % n
-                jj = (j + sign * s) % n
-                for q in range(r):
-                    out[i, j, q] += w * h[ii, jj, q]
+def pair_shift_sum_fft(values: np.ndarray, axes_i, axes_j,
+                       phi: np.ndarray, sign: int) -> np.ndarray:
+    """Paired shift sum (no delta_a^D weight applied), evaluated as one
+    multiply between a forward and an inverse FFT of the tensor."""
+    mult = pair_multiplier(shift_coefficients(phi), values.ndim, axes_i,
+                           axes_j, sign)
+    return np.fft.ifftn(mult * np.fft.fftn(values))
 
 
-def _as_front_pair(values: np.ndarray, axes_i, axes_j):
-    """Move the shifted axes to the front, flatten the rest."""
-    order = list(axes_i) + list(axes_j)
-    rest = [ax for ax in range(values.ndim) if ax not in order]
-    moved = np.transpose(values, order + rest)
-    lead = moved.shape[: len(order)]
-    flat = moved.reshape(lead + (-1,))
-    return np.ascontiguousarray(flat), rest, moved.shape
-
-
-def _restore(out_flat: np.ndarray, axes_i, axes_j, rest, moved_shape):
-    out = out_flat.reshape(moved_shape)
-    order = list(axes_i) + list(axes_j) + rest
-    inverse = np.argsort(order)
-    return np.transpose(out, inverse)
+# The same function under the generic name.
+pair_shift_sum = pair_shift_sum_fft
 
 
 def pair_shift_sum_loop(values: np.ndarray, axes_i, axes_j,
                         phi: np.ndarray, sign: int) -> np.ndarray:
-    """Naive roll-based evaluation (any dimension).  phi has one axis per
-    grid dimension; axes_i/axes_j list the tensor axes of the two shifted
-    kernel indices (one axis per grid dimension each)."""
-    n = values.shape[axes_i[0]]
-    half = n // 2
+    """Naive roll-based evaluation (any dimension), the oracle of the
+    spectral form: one roll of the whole tensor per lattice offset.  phi
+    has one axis per grid dimension; axes_i/axes_j list the tensor axes of
+    the two shifted kernel indices (one axis per grid dimension each)."""
+    half = values.shape[axes_i[0]] // 2
     out = np.zeros_like(values)
     for flat in np.ndindex(phi.shape):
         w = phi[flat]
         if w == 0.0:
             continue
-        shifted = values
-        for d, t in enumerate(flat):
-            s = t - half
-            shifted = np.roll(shifted, -s, axis=axes_i[d])
-            shifted = np.roll(shifted, -sign * s, axis=axes_j[d])
-        out += w * shifted
+        back = [half - t for t in flat]
+        shifted = np.roll(values, back + [sign * b for b in back],
+                          tuple(axes_i) + tuple(axes_j))
+        shifted *= w
+        out += shifted
     return out
-
-
-def pair_shift_sum_fft(values: np.ndarray, axes_i, axes_j,
-                       phi: np.ndarray, sign: int) -> np.ndarray:
-    """FFT diagonalization: the paired circular shift is diagonal in the
-    2D-axis Fourier basis with multiplier c[(p + sign*q) mod n] where
-    c = n^D * ifftn(ifftshift(phi))."""
-    n = values.shape[axes_i[0]]
-    ndim_grid = len(axes_i)
-    c = (n ** ndim_grid) * np.fft.ifftn(np.fft.ifftshift(phi))
-    spec = np.fft.fftn(values, axes=tuple(axes_i) + tuple(axes_j))
-
-    idx = [np.arange(n)] * ndim_grid
-    mesh_p = np.meshgrid(*idx, indexing="ij")
-    mesh_q = np.meshgrid(*idx, indexing="ij")
-    # Multiplier over (p-axes, q-axes), broadcast over remaining axes.
-    combo = tuple(
-        (np.expand_dims(p, tuple(range(ndim_grid, 2 * ndim_grid)))
-         + sign * np.expand_dims(q, tuple(range(ndim_grid)))) % n
-        for p, q in zip(mesh_p, mesh_q))
-    mult = c[combo]
-    # Broadcast the multiplier into the full tensor layout.
-    mult = mult.reshape(mult.shape + (1,) * (values.ndim - 2 * ndim_grid))
-    mult = np.moveaxis(mult, range(2 * ndim_grid),
-                       tuple(axes_i) + tuple(axes_j))
-    return np.fft.ifftn(spec * mult, axes=tuple(axes_i) + tuple(axes_j))
-
-
-def pair_shift_sum(values: np.ndarray, axes_i, axes_j,
-                   phi: np.ndarray, sign: int) -> np.ndarray:
-    """Backend-dispatched paired shift sum (no delta_a^D weight applied)."""
-    if numba_enabled() and len(axes_i) == 1:
-        flat, rest, moved_shape = _as_front_pair(
-            np.asarray(values, dtype=np.complex128), axes_i, axes_j)
-        out_flat = np.zeros_like(flat)
-        _pair_sum_jit(flat, np.asarray(phi, dtype=np.float64), sign, out_flat)
-        return _restore(out_flat, axes_i, axes_j, rest, moved_shape)
-    return pair_shift_sum_loop(
-        np.asarray(values, dtype=np.complex128), axes_i, axes_j,
-        np.asarray(phi, dtype=np.float64), sign)

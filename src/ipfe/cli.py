@@ -12,8 +12,7 @@ screens         with --validate: screen-statistics tables as CSV
 spectrum-table  CSV of the transverse PSD over a log-spaced range
 validate        full cross-validation suite; JSON + text report
 
-Common flags: --config <path>, --seed <u64>, --threads <n>, --out <dir>.
-IPFE_THREADS is the fallback for --threads.
+Common flags: --config <path>, --seed <u64>, --out <dir>.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 import warnings
@@ -208,31 +206,6 @@ def load_config(path) -> RunConfig:
     return cfg
 
 
-def resolve_threads(arg_value) -> int | None:
-    """--threads flag, falling back to the IPFE_THREADS environment
-    variable; applied to the numba threading layer when available."""
-    value = arg_value
-    if value is None:
-        env = os.environ.get("IPFE_THREADS")
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"IPFE_THREADS: expected an integer, got {env!r}") \
-                    from exc
-    if value is None:
-        return None
-    if value < 1:
-        raise ConfigError("threads must be >= 1")
-    try:
-        import numba
-        numba.set_num_threads(value)
-    except ImportError:
-        pass
-    return value
-
-
 def _out_dir(args, cfg: RunConfig | None) -> Path:
     if args.out is not None:
         path = Path(args.out)
@@ -262,7 +235,6 @@ def _write_csv(path, header, rows) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = _apply_seed(load_config(args.config), args)
-    threads = resolve_threads(args.threads)
     out = _out_dir(args, cfg)
     plan = cfg.plan()
     t0 = time.perf_counter()
@@ -284,7 +256,6 @@ def cmd_simulate(args) -> int:
         "n_realizations": cfg.n_realizations,
         "n_slabs": cfg.n_slabs,
         "z_total_m": cfg.z_total,
-        "threads": threads,
         "wall_time_s": wall,
         "guards": {
             "sampling": np.pi * cfg.grid.wavelength * plan.dz * a_max_sq,
@@ -304,7 +275,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_evolve_kernel(args) -> int:
     cfg = _apply_seed(load_config(args.config), args)
-    resolve_threads(args.threads)
     out = _out_dir(args, cfg)
     values, _ = read_array(args.input)
     m, n = (int(x) for x in args.orders.split(","))
@@ -337,7 +307,6 @@ def cmd_evolve_kernel(args) -> int:
 
 def cmd_states(args) -> int:
     cfg = _apply_seed(load_config(args.config), args)
-    resolve_threads(args.threads)
     out = _out_dir(args, cfg)
     grid = cfg.grid
 
@@ -373,7 +342,6 @@ def cmd_states(args) -> int:
 
 def cmd_screens(args) -> int:
     cfg = _apply_seed(load_config(args.config), args)
-    resolve_threads(args.threads)
     if not args.validate:
         print("nothing to do: pass --validate for the statistics tables",
               file=sys.stderr)
@@ -440,9 +408,8 @@ def cmd_validate(args) -> int:
         }
     elif args.seed is not None:
         overrides["master_seed"] = args.seed
-    threads = resolve_threads(args.threads)
     out = _out_dir(args, cfg)
-    report = validation.run_validate(overrides, threads=threads)
+    report = validation.run_validate(overrides)
     with open(out / "validation_report.json", "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -460,9 +427,6 @@ def _add_common(parser, config_required=True) -> None:
                         help="path to the JSON run configuration")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the master seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker thread count (default: IPFE_THREADS "
-                             "or library default)")
     parser.add_argument("--out", default=None,
                         help="output directory (default: config output_dir)")
 

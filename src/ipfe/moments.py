@@ -18,16 +18,25 @@ DFT-periodic split-step oracle all share one discrete realization exactly.
 A boundary-mass monitor warns when the kernel carries weight at the lattice
 edge, where the periodic wrap stops being a faithful stand-in for the
 continuum integral.
+
+Every pair term is diagonal in the DFT basis of the full tensor, so the
+whole right-hand side of any order and dimension is one operator,
+KernelGenerator: a site-local factor times H plus one Fourier multiplier
+applied between a forward and an inverse FFT.  evolve_kernel builds it
+once per integration and takes classic RK4 steps on it; h11_rhs,
+hierarchy_rhs and biphoton_rhs are single evaluations of it.  The
+roll-loop pair sum in _accel is the oracle the tests hold it to.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from ._accel import pair_shift_sum, pair_shift_sum_fft
+from ._accel import pair_multiplier, shift_coefficients
 from .grid import FrequencyGrid, Spectrum
 from .spectrum import (DivergentLambdaError, SpectrumKind, TurbulenceModel,
                        lambda_grid, psd_lattice)
@@ -75,9 +84,6 @@ class MomentKernel:
         perm = list(range(m * d, (m + n) * d)) + list(range(m * d))
         return MomentKernel((n, m), self.grid,
                             np.conj(np.transpose(self.values, perm)), self.z)
-
-    def copy(self) -> "MomentKernel":
-        return replace(self, values=self.values.copy())
 
 
 def delta_diagonal_kernel(grid: FrequencyGrid, value: float = 1.0,
@@ -151,69 +157,75 @@ def _drift_factor(kernel: MomentKernel) -> np.ndarray:
     return total
 
 
-def h11_rhs(kernel: MomentKernel, model: TurbulenceModel,
-            path: str = "fft") -> MomentKernel:
-    """Right-hand side of the single-photon (mutual-coherence) equation."""
-    if kernel.orders != (1, 1):
-        raise ValueError(f"h11_rhs needs orders (1, 1), got {kernel.orders}")
-    grid = kernel.grid
-    lam_d = lambda_grid(model, grid)
-    phi = psd_lattice(model, grid)
-    k = grid.wavenumber
-    drift = 1j * np.pi * grid.wavelength * _drift_factor(kernel)
-    if path == "fft":
-        shift = pair_shift_sum_fft(kernel.values, kernel.bra_axes(0),
-                                   kernel.ket_axes(0), phi, +1)
-    elif path == "loop":
-        shift = pair_shift_sum(kernel.values, kernel.bra_axes(0),
-                               kernel.ket_axes(0), phi, +1)
-    else:
-        raise ValueError(f"unknown path {path!r}")
-    rhs = (drift * kernel.values
-           - k ** 2 * lam_d * kernel.values
-           + k ** 2 * shift * grid.cell)
-    return MomentKernel((1, 1), grid, rhs, kernel.z)
+@dataclass(frozen=True)
+class KernelGenerator:
+    """The order-(m, n) right-hand side on one grid and model, built once:
+
+        dH/dz = diag * H + ifftn(scatter * fftn(H))
+
+    diag is the site-local factor i pi lambda (sum_bra |a|^2 - sum_ket
+    |a'|^2) - (1/2) k^2 Lambda (m+n).  scatter is the Fourier multiplier of
+    all pair sums, k^2 delta_a^D sum_pairs (+/-) c[(p_i +/- p_j) mod n]:
+    same-group pairs shift oppositely and enter with -, bra-ket pairs
+    co-move and enter with +.  Every pair term is diagonal in the DFT
+    basis of the full tensor, so one forward and one inverse FFT apply
+    them all.  scatter is None when nothing scatters (cn2 = 0, or fewer
+    than two indices).
+    """
+
+    diag: np.ndarray = field(repr=False)
+    scatter: np.ndarray | None = field(repr=False)
+
+    @classmethod
+    def build(cls, kernel: MomentKernel,
+              model: TurbulenceModel) -> "KernelGenerator":
+        m, n = kernel.orders
+        if m + n > 4:
+            raise ValueError(
+                "kernel order m+n > 4 exceeds the desk-scale bound")
+        if m + n >= 3 and kernel.grid.dim != 1:
+            raise ValueError(
+                "rank >= 3 kernels are supported on 1-D grids only")
+        grid = kernel.grid
+        k = grid.wavenumber
+        diag = (1j * np.pi * grid.wavelength * _drift_factor(kernel)
+                - 0.5 * k ** 2 * lambda_grid(model, grid) * (m + n))
+        phi = psd_lattice(model, grid)
+        pairs = list(combinations(range(m + n), 2))
+        if not pairs or not np.any(phi):
+            return cls(diag, None)
+        # Pair sums run over every distinct index pair: the pairings are
+        # distinct tensors even for symmetric kernels, so no multiplicity
+        # shortcut applies.
+        axes = ([kernel.bra_axes(i) for i in range(m)]
+                + [kernel.ket_axes(j) for j in range(n)])
+        c = shift_coefficients(phi)
+        scatter = np.zeros(kernel.values.shape, dtype=np.complex128)
+        for i, j in pairs:
+            sign = -1 if (i < m) == (j < m) else 1
+            scatter += sign * pair_multiplier(c, scatter.ndim, axes[i],
+                                              axes[j], sign)
+        scatter *= k ** 2 * grid.cell
+        return cls(diag, scatter)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        out = self.diag * values
+        if self.scatter is not None:
+            out += np.fft.ifftn(self.scatter * np.fft.fftn(values))
+        return out
 
 
 def hierarchy_rhs(kernel: MomentKernel, model: TurbulenceModel) -> MomentKernel:
-    """General-order right-hand side; specializes to h11_rhs at (1, 1)."""
-    m, n = kernel.orders
-    if m + n > 4:
-        raise ValueError("kernel order m+n > 4 exceeds the desk-scale bound")
-    if m + n >= 3 and kernel.grid.dim != 1:
-        raise ValueError("rank >= 3 kernels are supported on 1-D grids only")
-    if (m, n) == (1, 1):
-        return h11_rhs(kernel, model)
-    grid = kernel.grid
-    if m + n == 0:
-        return MomentKernel((0, 0), grid, np.zeros(()), kernel.z)
+    """Right-hand side of the order-(m, n) equation, any m + n <= 4."""
+    values = KernelGenerator.build(kernel, model)(kernel.values)
+    return MomentKernel(kernel.orders, kernel.grid, values, kernel.z)
 
-    lam_d = lambda_grid(model, grid)
-    phi = psd_lattice(model, grid)
-    k = grid.wavenumber
-    v = kernel.values
-    rhs = 1j * np.pi * grid.wavelength * _drift_factor(kernel) * v
-    rhs = rhs - 0.5 * k ** 2 * lam_d * (m + n) * v
-    # Pair sums run over every distinct index pair: the pairings are
-    # distinct tensors even for symmetric kernels, so no multiplicity
-    # shortcut applies.  Same-group pairs carry opposite shifts (sign -1),
-    # bra-ket pairs co-move (sign +1).
-    for i in range(m):
-        for j in range(i + 1, m):
-            bb = pair_shift_sum(v, kernel.bra_axes(i), kernel.bra_axes(j),
-                                phi, -1)
-            rhs = rhs - k ** 2 * bb * grid.cell
-    for i in range(n):
-        for j in range(i + 1, n):
-            kk = pair_shift_sum(v, kernel.ket_axes(i), kernel.ket_axes(j),
-                                phi, -1)
-            rhs = rhs - k ** 2 * kk * grid.cell
-    for i in range(m):
-        for j in range(n):
-            bk = pair_shift_sum(v, kernel.bra_axes(i), kernel.ket_axes(j),
-                                phi, +1)
-            rhs = rhs + k ** 2 * bk * grid.cell
-    return MomentKernel((m, n), grid, rhs, kernel.z)
+
+def h11_rhs(kernel: MomentKernel, model: TurbulenceModel) -> MomentKernel:
+    """Right-hand side of the single-photon (mutual-coherence) equation."""
+    if kernel.orders != (1, 1):
+        raise ValueError(f"h11_rhs needs orders (1, 1), got {kernel.orders}")
+    return hierarchy_rhs(kernel, model)
 
 
 def biphoton_rhs(kernel: MomentKernel, model: TurbulenceModel) -> MomentKernel:
@@ -264,23 +276,20 @@ def step_guard(grid: FrequencyGrid, model: TurbulenceModel, dz: float,
 
 def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,
                   z_total: float, n_steps: int) -> MomentKernel:
-    """Fixed-step classic RK4 integration of hierarchy_rhs."""
+    """Fixed-step classic RK4 integration of the kernel's generator,
+    built once for the whole integration."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     dz = z_total / n_steps
     if z_total > 0.0:
         step_guard(kernel.grid, model, dz)
-    v = kernel.values.copy()
-    current = kernel.copy()
+    rhs = KernelGenerator.build(kernel, model)
+    v = kernel.values
     for _ in range(n_steps):
-        current.values = v
-        k1 = hierarchy_rhs(current, model).values
-        current.values = v + 0.5 * dz * k1
-        k2 = hierarchy_rhs(current, model).values
-        current.values = v + 0.5 * dz * k2
-        k3 = hierarchy_rhs(current, model).values
-        current.values = v + dz * k3
-        k4 = hierarchy_rhs(current, model).values
+        k1 = rhs(v)
+        k2 = rhs(v + 0.5 * dz * k1)
+        k3 = rhs(v + 0.5 * dz * k2)
+        k4 = rhs(v + dz * k3)
         v = v + (dz / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     out = MomentKernel(kernel.orders, kernel.grid, v, kernel.z + z_total)
     # Without scattering the equation is site-local, so the periodic wrap

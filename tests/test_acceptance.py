@@ -5,6 +5,8 @@ tolerance and prints a single pass/fail line.  The Monte-Carlo ensemble is
 computed once and shared by the checks that consume it.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,10 +32,13 @@ PINNED_MONTE_CARLO = {
 }
 
 
-@pytest.fixture(scope="module")
-def reference_ensemble():
-    """Split-step ensemble at the reference configuration, computed once."""
-    p = REFERENCE
+# cn2 = 0: every realization is the same field, so the standard errors are
+# exactly 0 and the ensemble differs from the kernels by rounding only.
+DETERMINISTIC = dict(REFERENCE, cn2=0.0, n_realizations=8)
+
+
+def ensemble(p):
+    """Split-step ensemble of the Gaussian source under parameters p."""
     grid = FrequencyGrid(p["dim"], p["n"], p["delta_a"], p["wavelength"])
     model = TurbulenceModel(SpectrumKind.VON_KARMAN, p["cn2"],
                             p["outer_scale"], p["inner_scale"])
@@ -43,6 +48,12 @@ def reference_ensemble():
     plan = splitstep.PropagationPlan(grid, model, p["z_total"], p["n_slabs"],
                                      p["n_realizations"], p["master_seed"])
     return splitstep.ensemble_moments(source, plan)
+
+
+@pytest.fixture(scope="module")
+def reference_ensemble():
+    """Split-step ensemble at the reference configuration, computed once."""
+    return ensemble(REFERENCE)
 
 
 @pytest.fixture(scope="module")
@@ -114,4 +125,30 @@ def test_run_validate_reports_ensemble_stage():
     assert report["passed"] is True
     assert len(report["checks"]) == 16
     assert set(report["stages"]) == {"ensemble_s"}
+    assert not {"threads", "numba_enabled"} & set(report["environment"])
     assert report["stages"]["ensemble_s"] > 0.0
+
+
+def test_deterministic_ensemble_passes_monte_carlo_checks():
+    stats = ensemble(DETERMINISTIC)
+    assert not np.any(stats.mean_field_se)
+    assert not np.any(stats.second_moment_se)
+    report(check_first_moment(DETERMINISTIC, stats=stats)
+           + check_mutual_coherence(DETERMINISTIC, stats=stats)[0])
+
+
+def test_perturbed_deterministic_ensemble_fails_monte_carlo_checks():
+    # A 1e-10 relative error is far above rounding, so the standard-error
+    # floor of a deterministic ensemble must not hide it.
+    stats = ensemble(DETERMINISTIC)
+    mean = stats.mean_field.copy()
+    mean.flat[np.argmax(np.abs(mean))] *= 1.0 + 1e-10
+    second = stats.second_moment.copy()
+    second.flat[np.argmax(np.abs(second))] *= 1.0 + 1e-10
+    first = check_first_moment(
+        DETERMINISTIC, stats=replace(stats, mean_field=mean))[1]
+    coherence = check_mutual_coherence(
+        DETERMINISTIC, stats=replace(stats, second_moment=second))[0][0]
+    assert first.name == "first-moment-decay/monte-carlo"
+    assert coherence.name == "mutual-coherence/monte-carlo"
+    assert not first.passed and not coherence.passed

@@ -8,7 +8,7 @@ import pytest
 
 from ipfe import validation
 from ipfe.arrayio import read_array, write_array
-from ipfe.cli import ConfigError, load_config, main, resolve_threads
+from ipfe.cli import ConfigError, build_parser, load_config, main
 from ipfe.grid import FrequencyGrid
 
 
@@ -82,17 +82,13 @@ def test_load_config_outer_scale_warning(tmp_path):
         load_config(path)
 
 
-def test_resolve_threads(monkeypatch):
-    monkeypatch.delenv("IPFE_THREADS", raising=False)
-    assert resolve_threads(None) is None
-    assert resolve_threads(1) == 1
-    monkeypatch.setenv("IPFE_THREADS", "1")
-    assert resolve_threads(None) == 1
-    monkeypatch.setenv("IPFE_THREADS", "lots")
-    with pytest.raises(ConfigError, match="IPFE_THREADS"):
-        resolve_threads(None)
-    with pytest.raises(ConfigError, match=">= 1"):
-        resolve_threads(0)
+def test_parser_rejects_threads_flag(tmp_path):
+    # --threads only ever set numba's thread count; with numba gone the
+    # flag is refused rather than recorded as if it had an effect.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["simulate", "--config",
+                                   str(write_config(tmp_path)),
+                                   "--threads", "2"])
 
 
 def read_csv(path):
@@ -176,6 +172,7 @@ def test_simulate_command_and_determinism(tmp_path):
     assert second.shape == (8, 8)
     manifest = json.loads((out_a / "manifest.json").read_text())
     assert manifest["n_realizations"] == 8
+    assert "threads" not in manifest
     assert manifest["guards"]["weak_scattering"] < 0.1
     # a different seed changes the ensemble
     out_c = tmp_path / "run_c"
@@ -202,7 +199,7 @@ def test_validate_exit_codes(tmp_path, monkeypatch):
         def to_text(self):
             return "[PASS] fake"
 
-    def fake_run(overrides, threads=None):
+    def fake_run(overrides):
         fake_run.seen = overrides
         return report
 
