@@ -10,7 +10,8 @@ states          Fock-state Wigner/generating-function sweep (CSV), or the
                 Gaussian stationarity residual table with --stationarity
 screens         with --validate: screen-statistics tables as CSV
 spectrum-table  CSV of the transverse PSD over a log-spaced range
-validate        full cross-validation suite; JSON + text report
+validate        full cross-validation suite on the reference plan, or on
+                the plan and source of --config; JSON + text report
 
 Common flags: --config <path>, --seed <u64>, --out <dir>.
 """
@@ -23,7 +24,7 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +35,7 @@ from .grid import FrequencyGrid, Spectrum
 from .moments import (MomentKernel, boundary_mass_fraction, evolve_kernel,
                       hermiticity_residual, kernel_trace)
 from .phase_screen import screen_statistics
-from .spectrum import (SpectrumKind, TurbulenceModel, lambda_grid,
-                       psd_transverse)
+from .spectrum import SpectrumKind, TurbulenceModel, psd_transverse
 from .splitstep import PropagationPlan, ensemble_moments
 from .states import FockSpec, GaussianState, fock_generating, fock_wigner, \
     gaussian_drift
@@ -69,9 +69,7 @@ _SCHEMA = {
         "sigma_a": float,
         "amplitude": float,
     },
-    "task": str,
     "output_dir": str,
-    "tolerances": dict,
 }
 
 _REQUIRED = {
@@ -83,29 +81,19 @@ _REQUIRED = {
 _PLAN_DEFAULTS = {"n_slabs": 64, "n_realizations": 500, "master_seed": 0}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    grid: FrequencyGrid
-    model: TurbulenceModel
-    z_total: float
-    n_slabs: int
-    n_realizations: int
-    master_seed: int
+    """A loaded configuration: the guard-checked propagation plan, the
+    Gaussian source, and where outputs go."""
+
+    plan: PropagationPlan
     source_sigma_a: float
     source_amplitude: float
-    task: str | None = None
     output_dir: str = "."
-    tolerances: dict = field(default_factory=dict)
-
-    def plan(self) -> PropagationPlan:
-        return PropagationPlan(self.grid, self.model, self.z_total,
-                               self.n_slabs, self.n_realizations,
-                               self.master_seed)
 
     def source(self) -> Spectrum:
-        values = self.source_amplitude * np.exp(
-            -self.grid.freq_sq() / (2.0 * self.source_sigma_a ** 2))
-        return Spectrum(self.grid, values.astype(np.complex128))
+        return Spectrum.gaussian(self.plan.grid, self.source_sigma_a,
+                                 self.source_amplitude)
 
 
 def _check_type(value, expected, path):
@@ -160,6 +148,9 @@ def load_config(path) -> RunConfig:
     plan_raw.update(_check_section(raw["plan"], _SCHEMA["plan"], "plan"))
     source_raw = _check_section(raw.get("source", {}), _SCHEMA["source"],
                                 "source")
+    if source_raw.get("type", "gaussian") != "gaussian":
+        raise ConfigError(f"source.type: unknown type "
+                          f"{source_raw['type']!r}; expected 'gaussian'")
 
     try:
         grid = FrequencyGrid(grid_raw["dim"], grid_raw["n"],
@@ -185,25 +176,18 @@ def load_config(path) -> RunConfig:
         warnings.warn("outer scale exceeds grid support (L0 > 1/delta_a)",
                       stacklevel=2)
 
-    cfg = RunConfig(
-        grid=grid,
-        model=model,
-        z_total=plan_raw["z_total"],
-        n_slabs=plan_raw["n_slabs"],
-        n_realizations=plan_raw["n_realizations"],
-        master_seed=plan_raw["master_seed"],
+    try:
+        plan = PropagationPlan(grid, model, **plan_raw)
+        plan.check_guards()
+    except ValueError as exc:
+        raise ConfigError(f"plan: {exc}") from exc
+    return RunConfig(
+        plan=plan,
         source_sigma_a=source_raw.get("sigma_a",
                                       grid.n * grid.delta_a / 8.0),
         source_amplitude=source_raw.get("amplitude", 1.0),
-        task=raw.get("task"),
         output_dir=raw.get("output_dir", "."),
-        tolerances=raw.get("tolerances", {}),
     )
-    try:
-        cfg.plan().check_guards()
-    except ValueError as exc:
-        raise ConfigError(f"plan: {exc}") from exc
-    return cfg
 
 
 def _out_dir(args, cfg: RunConfig | None) -> Path:
@@ -218,9 +202,9 @@ def _out_dir(args, cfg: RunConfig | None) -> Path:
 
 
 def _apply_seed(cfg: RunConfig, args) -> RunConfig:
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-    return cfg
+    if args.seed is None:
+        return cfg
+    return replace(cfg, plan=replace(cfg.plan, master_seed=args.seed))
 
 
 def _write_csv(path, header, rows) -> None:
@@ -236,12 +220,12 @@ def _write_csv(path, header, rows) -> None:
 def cmd_simulate(args) -> int:
     cfg = _apply_seed(load_config(args.config), args)
     out = _out_dir(args, cfg)
-    plan = cfg.plan()
+    plan = cfg.plan
     t0 = time.perf_counter()
     stats = ensemble_moments(cfg.source(), plan)
     wall = time.perf_counter() - t0
 
-    meta = grid_metadata(cfg.grid, master_seed=cfg.master_seed)
+    meta = grid_metadata(plan.grid, master_seed=plan.master_seed)
     write_array(out / "mean_field.bin", stats.mean_field, meta)
     write_array(out / "mean_field_se.bin",
                 stats.mean_field_se.astype(np.complex128), meta)
@@ -250,25 +234,19 @@ def cmd_simulate(args) -> int:
                 stats.second_moment_se.astype(np.complex128), meta)
     write_array(out / "anomalous.bin", stats.anomalous, meta)
 
-    a_max_sq = float(np.max(cfg.grid.freq_sq()))
     manifest = {
-        "master_seed": cfg.master_seed,
-        "n_realizations": cfg.n_realizations,
-        "n_slabs": cfg.n_slabs,
-        "z_total_m": cfg.z_total,
+        "master_seed": plan.master_seed,
+        "n_realizations": plan.n_realizations,
+        "n_slabs": plan.n_slabs,
+        "z_total_m": plan.z_total,
         "wall_time_s": wall,
-        "guards": {
-            "sampling": np.pi * cfg.grid.wavelength * plan.dz * a_max_sq,
-            "weak_scattering": (cfg.grid.wavenumber ** 2
-                                * lambda_grid(cfg.model, cfg.grid)
-                                * plan.dz),
-        },
+        "guards": plan.guard_values(),
         "grid": meta["grid"],
     }
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote ensemble moments for {cfg.n_realizations} realizations "
+    print(f"wrote ensemble moments for {plan.n_realizations} realizations "
           f"to {out} ({wall:.1f} s)")
     return 0
 
@@ -276,9 +254,10 @@ def cmd_simulate(args) -> int:
 def cmd_evolve_kernel(args) -> int:
     cfg = _apply_seed(load_config(args.config), args)
     out = _out_dir(args, cfg)
+    plan = cfg.plan
     values, _ = read_array(args.input)
     m, n = (int(x) for x in args.orders.split(","))
-    kernel = MomentKernel((m, n), cfg.grid, values)
+    kernel = MomentKernel((m, n), plan.grid, values)
 
     z_values = sorted(float(z) for z in args.z_list.split(","))
     if z_values[0] < 0:
@@ -286,13 +265,13 @@ def cmd_evolve_kernel(args) -> int:
     rows = []
     current = kernel
     z_prev = 0.0
-    meta = grid_metadata(cfg.grid, orders=[m, n])
+    meta = grid_metadata(plan.grid, orders=[m, n])
     for z in z_values:
         span = z - z_prev
         if span > 0:
-            dz_cfg = cfg.z_total / cfg.n_slabs if cfg.z_total > 0 else span
+            dz_cfg = plan.dz if plan.z_total > 0 else span
             steps = max(1, int(np.ceil(span / dz_cfg)))
-            current = evolve_kernel(current, cfg.model, span, steps)
+            current = evolve_kernel(current, plan.model, span, steps)
         z_prev = z
         write_array(out / f"kernel_z{z:g}.bin", current.values, meta)
         trace = kernel_trace(current).real if m == n else float("nan")
@@ -308,13 +287,13 @@ def cmd_evolve_kernel(args) -> int:
 def cmd_states(args) -> int:
     cfg = _apply_seed(load_config(args.config), args)
     out = _out_dir(args, cfg)
-    grid = cfg.grid
+    grid = cfg.plan.grid
 
     if args.stationarity:
         rows = []
         for width in (2.0, 1.0, 3.0, 5.0):
             state = GaussianState.thermal(grid, width)
-            rhs, fourth = gaussian_drift(state, cfg.model)
+            rhs, fourth = gaussian_drift(state, cfg.plan.model)
             rows.append([width, float(np.max(np.abs(rhs))), fourth])
         _write_csv(out / "stationarity.csv",
                    ["kernel_width", "second_order_max_abs",
@@ -322,9 +301,7 @@ def cmd_states(args) -> int:
         print(f"wrote stationarity table to {out}")
         return 0
 
-    prof = np.exp(-grid.freq_sq()
-                  / (2.0 * cfg.source_sigma_a ** 2)).astype(np.complex128)
-    fock = FockSpec.normalized(grid, prof)
+    fock = FockSpec.normalized(grid, cfg.source().values)
     rows = []
     for r in np.linspace(0.0, 2.0, 101):
         alpha = Spectrum(grid, r * fock.profile)
@@ -347,17 +324,17 @@ def cmd_screens(args) -> int:
               file=sys.stderr)
         return 2
     out = _out_dir(args, cfg)
-    dz = cfg.z_total / cfg.n_slabs
-    stats = screen_statistics(cfg.model, cfg.grid, dz, args.samples,
-                              cfg.master_seed)
-    freqs = cfg.grid.axis_frequencies()
+    plan = cfg.plan
+    stats = screen_statistics(plan.model, plan.grid, plan.dz, args.samples,
+                              plan.master_seed)
+    freqs = plan.grid.axis_frequencies()
     target = stats.target_variance.ravel()
     sample = stats.sample_variance.ravel()
     se = stats.variance_se.ravel()
     rows = []
     for i in range(target.size):
         rel = sample[i] / target[i] - 1.0 if target[i] > 0 else 0.0
-        rows.append([i, freqs[i % cfg.grid.n], target[i], sample[i],
+        rows.append([i, freqs[i % plan.grid.n], target[i], sample[i],
                      se[i], rel])
     _write_csv(out / "screens_variance.csv",
                ["site", "frequency_cyc_per_m", "target_variance_m2",
@@ -376,11 +353,12 @@ def cmd_screens(args) -> int:
 def cmd_spectrum_table(args) -> int:
     cfg = _apply_seed(load_config(args.config), args)
     out = _out_dir(args, cfg)
-    a_lo = cfg.grid.delta_a / 10.0
-    a_hi = 10.0 * cfg.grid.n * cfg.grid.delta_a / 2.0
+    grid = cfg.plan.grid
+    a_lo = grid.delta_a / 10.0
+    a_hi = 10.0 * grid.n * grid.delta_a / 2.0
     rows = []
     for a in np.geomspace(a_lo, a_hi, args.points):
-        rows.append([a, psd_transverse(cfg.model, a)])
+        rows.append([a, psd_transverse(cfg.plan.model, a)])
     _write_csv(out / "spectrum_table.csv",
                ["a_cyc_per_m", "psd_transverse_m3"], rows)
     print(f"wrote {args.points}-point PSD table to {out}")
@@ -388,28 +366,15 @@ def cmd_spectrum_table(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    overrides = {}
-    cfg = None
     if args.config is not None:
         cfg = _apply_seed(load_config(args.config), args)
-        overrides = {
-            "wavelength": cfg.grid.wavelength,
-            "dim": cfg.grid.dim,
-            "n": cfg.grid.n,
-            "delta_a": cfg.grid.delta_a,
-            "cn2": cfg.model.cn2,
-            "outer_scale": cfg.model.outer_scale,
-            "inner_scale": cfg.model.inner_scale,
-            "z_total": cfg.z_total,
-            "n_slabs": cfg.n_slabs,
-            "n_realizations": cfg.n_realizations,
-            "master_seed": cfg.master_seed,
-            "source_sigma_a": cfg.source_sigma_a,
-        }
-    elif args.seed is not None:
-        overrides["master_seed"] = args.seed
+        plan, source = cfg.plan, cfg.source()
+    else:
+        cfg, source = None, None
+        plan = (validation.REFERENCE if args.seed is None
+                else replace(validation.REFERENCE, master_seed=args.seed))
     out = _out_dir(args, cfg)
-    report = validation.run_validate(overrides)
+    report = validation.run_validate(plan, source)
     with open(out / "validation_report.json", "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

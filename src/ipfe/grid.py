@@ -83,6 +83,13 @@ class Spectrum:
                 f"values shape {self.values.shape} does not match grid "
                 f"shape {self.grid.shape}")
 
+    @classmethod
+    def gaussian(cls, grid: FrequencyGrid, sigma_a: float,
+                 amplitude: float = 1.0) -> "Spectrum":
+        """amplitude * exp(-|a|^2 / (2 sigma_a^2)), centred on a = 0."""
+        return cls(grid, amplitude
+                   * np.exp(-grid.freq_sq() / (2.0 * sigma_a ** 2)))
+
     @property
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2) * self.grid.cell)

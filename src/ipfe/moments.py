@@ -228,10 +228,9 @@ def h11_rhs(kernel: MomentKernel, model: TurbulenceModel) -> MomentKernel:
     return hierarchy_rhs(kernel, model)
 
 
-def biphoton_rhs(kernel: MomentKernel, model: TurbulenceModel) -> MomentKernel:
-    """Bi-photon equation (2, 2), bra axes (0, 1) and ket axes (2, 3)."""
-    if kernel.orders != (2, 2):
-        raise ValueError("biphoton_rhs needs orders (2, 2)")
+def _check_biphoton(kernel: MomentKernel) -> None:
+    """Bounds of the (2, 2) kernel: a 1-D grid, n <= 16, and exchange
+    symmetry within the bra pair and within the ket pair."""
     if kernel.grid.dim != 1:
         raise ValueError("bi-photon kernel is supported on 1-D grids only")
     if kernel.grid.n > 16:
@@ -244,6 +243,13 @@ def biphoton_rhs(kernel: MomentKernel, model: TurbulenceModel) -> MomentKernel:
                    np.max(np.abs(v - v.transpose(0, 1, 3, 2))))
         if asym > 1e-8 * scale:
             raise ValueError("bi-photon kernel lacks exchange symmetry")
+
+
+def biphoton_rhs(kernel: MomentKernel, model: TurbulenceModel) -> MomentKernel:
+    """Bi-photon equation (2, 2), bra axes (0, 1) and ket axes (2, 3)."""
+    if kernel.orders != (2, 2):
+        raise ValueError("biphoton_rhs needs orders (2, 2)")
+    _check_biphoton(kernel)
     return hierarchy_rhs(kernel, model)
 
 
@@ -277,9 +283,12 @@ def step_guard(grid: FrequencyGrid, model: TurbulenceModel, dz: float,
 def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,
                   z_total: float, n_steps: int) -> MomentKernel:
     """Fixed-step classic RK4 integration of the kernel's generator,
-    built once for the whole integration."""
+    built once for the whole integration.  A (2, 2) kernel must meet the
+    bounds biphoton_rhs enforces."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if kernel.orders == (2, 2):
+        _check_biphoton(kernel)
     dz = z_total / n_steps
     if z_total > 0.0:
         step_guard(kernel.grid, model, dz)

@@ -63,22 +63,30 @@ class PropagationPlan:
     def dz(self) -> float:
         return self.z_total / self.n_slabs
 
+    def guard_values(self) -> dict:
+        """Per-slab sampling phase pi*lambda*dz*a_max^2 (bound pi/4) and
+        weak-scattering number k^2*Lambda*dz (bound 0.1)."""
+        a_max_sq = float(np.max(self.grid.freq_sq()))
+        return {
+            "sampling": np.pi * self.grid.wavelength * self.dz * a_max_sq,
+            "weak_scattering": (self.grid.wavenumber ** 2
+                                * lambda_grid(self.model, self.grid)
+                                * self.dz),
+        }
+
     def check_guards(self) -> None:
         """Per-slab sampling and weak-scattering guards."""
         if self.z_total == 0.0:
             return
-        a_max_sq = float(np.max(self.grid.freq_sq()))
-        phase = np.pi * self.grid.wavelength * self.dz * a_max_sq
-        if phase >= np.pi / 4.0:
+        guards = self.guard_values()
+        if guards["sampling"] >= np.pi / 4.0:
             raise ValueError(
                 f"sampling guard violated: pi*lambda*dz*a_max^2 = "
-                f"{phase:.3e} >= pi/4")
-        scatter = (self.grid.wavenumber ** 2
-                   * lambda_grid(self.model, self.grid) * self.dz)
-        if scatter >= 0.1:
+                f"{guards['sampling']:.3e} >= pi/4")
+        if guards["weak_scattering"] >= 0.1:
             raise ValueError(
                 f"weak-scattering guard violated: k^2*Lambda*dz = "
-                f"{scatter:.3e} >= 0.1")
+                f"{guards['weak_scattering']:.3e} >= 0.1")
 
     def screen_seed(self, realization_index: int, slab_index: int) -> int:
         seq = np.random.SeedSequence(

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import eval_laguerre
 
-from ._accel import pair_shift_sum_fft
 from .grid import FrequencyGrid, Spectrum, contract
+from .moments import MomentKernel, hierarchy_rhs
 from .spectrum import (SpectrumKind, TurbulenceModel, lambda_grid,
                        psd_lattice)
 
@@ -122,41 +122,29 @@ def gaussian_drift(state: GaussianState, model: TurbulenceModel,
     a_mat = state.a_kernel
     lam_d = lambda_grid(model, grid)
     phi = psd_lattice(model, grid)
-    k = grid.wavenumber
-
-    asq = grid.freq_sq().ravel()
-    drift = 1j * np.pi * grid.wavelength * (asq[:, None] - asq[None, :])
-    a_nd = a_mat.reshape(grid.shape * 2)
-    d = grid.dim
-    shift = pair_shift_sum_fft(a_nd, list(range(d)), list(range(d, 2 * d)),
-                               phi, +1).reshape(size, size)
-    rhs = drift * a_mat - k ** 2 * lam_d * a_mat + k ** 2 * shift * grid.cell
+    h11 = MomentKernel((1, 1), grid, a_mat.reshape(grid.shape * 2))
+    rhs = hierarchy_rhs(h11, model).values.reshape(size, size)
 
     # Fourth-order obstruction, contracted against random probe fields:
     # Q(a0) = alpha* . A(., .+a0) . alpha and R(a0) = alpha* . A(.+a0, .)
     # . alpha; the bracket Q(s)Q(-s) + R(s)R(-s) - 2 R(s)Q(s) cancels
-    # identically for delta-diagonal A.
+    # identically for delta-diagonal A.  Both are cyclic cross-correlations
+    # over the lattice, taken by FFT and stored DC-centred like phi.
+    def correlate(x, y):  # sum_j x[j + s] y[j] at site s + n/2
+        x, y = x.reshape(grid.shape), y.reshape(grid.shape)
+        return np.fft.fftshift(np.fft.ifftn(
+            np.fft.fftn(x) * np.conj(np.fft.fftn(np.conj(y)))))
+
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(probe_seed)))
     n = grid.n
+    d = grid.dim
     cell = grid.cell
-    a_tensor = a_mat.reshape(grid.shape * 2)
-    ket_axes = tuple(range(d, 2 * d))
-    bra_axes = tuple(range(d))
     residuals = []
     for _ in range(n_probes):
         av = (rng.standard_normal(size) + 1j * rng.standard_normal(size))
-        q = np.empty(grid.shape, dtype=np.complex128)
-        r = np.empty(grid.shape, dtype=np.complex128)
-        for t in np.ndindex(grid.shape):
-            shifts = tuple(ti - n // 2 for ti in t)
-            rolled_q = a_tensor
-            rolled_r = a_tensor
-            for ax in range(d):
-                rolled_q = np.roll(rolled_q, -shifts[ax], axis=ket_axes[ax])
-                rolled_r = np.roll(rolled_r, -shifts[ax], axis=bra_axes[ax])
-            q[t] = np.conj(av) @ rolled_q.reshape(size, size) @ av * cell ** 2
-            r[t] = np.conj(av) @ rolled_r.reshape(size, size) @ av * cell ** 2
+        q = correlate(np.conj(av) @ a_mat, av) * cell ** 2
+        r = correlate(a_mat @ av, np.conj(av)) * cell ** 2
         qn = float(np.abs(np.conj(av)) @ np.abs(a_mat) @ np.abs(av)
                    * cell ** 2)
         neg = np.ix_(*[(n - np.arange(n)) % n] * d)  # lattice site of -a0

@@ -2,16 +2,16 @@
 and the split-step Monte-Carlo propagator.
 
 Each check returns CheckResult records with a measured value and its
-tolerance; run_validate executes the full suite on a reference
-configuration (overridable) and aggregates a ValidationReport.  All checks
-are deterministic given the master seed.
+tolerance; run_validate executes the full suite on one propagation plan
+and source (the reference ones by default) and aggregates a
+ValidationReport.  All checks are deterministic given the master seed.
 """
 
 from __future__ import annotations
 
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,24 +19,19 @@ from . import moments, splitstep, states
 from .grid import FrequencyGrid, Spectrum
 from .phase_screen import screen_statistics
 from .spectrum import SpectrumKind, TurbulenceModel, lambda_grid, psd_lattice
+from .splitstep import PropagationPlan
 
 # Reference run: weak von Karman turbulence on a 1-D lattice, sized so the
 # per-slab guards hold with margin and the total first-moment decay
-# exp(-k^2 Lambda z / 2) is of order e^-1.2.
-REFERENCE = {
-    "wavelength": 1.55e-6,
-    "dim": 1,
-    "n": 64,
-    "delta_a": 0.25,
-    "cn2": 9.2e-15,
-    "outer_scale": 1.0,
-    "inner_scale": 0.0,
-    "z_total": 1000.0,
-    "n_slabs": 32,
-    "n_realizations": 1000,
-    "master_seed": 20240117,
-    "source_sigma_a": 1.5,
-}
+# exp(-k^2 Lambda z / 2) is of order e^-1.2.  configs/reference.json
+# describes the same plan and source.
+REFERENCE = PropagationPlan(
+    FrequencyGrid(dim=1, n=64, delta_a=0.25, wavelength=1.55e-6),
+    TurbulenceModel(SpectrumKind.VON_KARMAN, cn2=9.2e-15, outer_scale=1.0,
+                    inner_scale=0.0),
+    z_total=1000.0, n_slabs=32, n_realizations=1000, master_seed=20240117)
+# Width of the reference Gaussian source (cycles/m).
+REFERENCE_SOURCE_SIGMA_A = 1.5
 
 
 @dataclass
@@ -66,6 +61,8 @@ class ValidationReport:
     environment: dict = field(default_factory=dict)
     # Wall time of work shared by several checks, by stage name (seconds).
     stages: dict = field(default_factory=dict)
+    # The plan's per-slab guard values (PropagationPlan.guard_values).
+    guards: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -76,6 +73,7 @@ class ValidationReport:
             "passed": self.passed,
             "environment": self.environment,
             "stages": self.stages,
+            "guards": self.guards,
             "checks": [
                 {
                     "name": c.name,
@@ -112,20 +110,6 @@ def _bound(name, description, measured, tolerance, lower_bound=None,
         passed = lower_bound < measured < tolerance
     return CheckResult(name, description, float(measured), float(tolerance),
                        bool(passed), lower_bound, standard_error)
-
-
-def _reference_model(p) -> TurbulenceModel:
-    return TurbulenceModel(SpectrumKind.VON_KARMAN, p["cn2"],
-                           p["outer_scale"], p["inner_scale"])
-
-
-def _reference_grid(p) -> FrequencyGrid:
-    return FrequencyGrid(p["dim"], p["n"], p["delta_a"], p["wavelength"])
-
-
-def _gaussian_source(grid: FrequencyGrid, sigma_a: float) -> Spectrum:
-    values = np.exp(-grid.freq_sq() / (2.0 * sigma_a ** 2))
-    return Spectrum(grid, values.astype(np.complex128))
 
 
 def _random_hermitian(n: int, rng) -> np.ndarray:
@@ -225,14 +209,13 @@ def _naive_rank4_rhs(values, grid, model) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # individual checks
 
-def check_free_space(params=None) -> list[CheckResult]:
+def check_free_space(plan: PropagationPlan = REFERENCE) -> list[CheckResult]:
     """cn2 = 0 integration must reproduce the pure-phase closed form."""
-    p = dict(REFERENCE, **(params or {}))
     t0 = time.perf_counter()
-    grid = FrequencyGrid(1, 32, p["delta_a"], p["wavelength"])
-    model = TurbulenceModel(SpectrumKind.VON_KARMAN, 0.0, p["outer_scale"])
+    grid = FrequencyGrid(1, 32, plan.grid.delta_a, plan.grid.wavelength)
+    model = replace(plan.model, cn2=0.0)
     rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(p["master_seed"], spawn_key=(1,))))
+        np.random.SeedSequence(plan.master_seed, spawn_key=(1,))))
     h0 = moments.MomentKernel((1, 1), grid, _random_hermitian(32, rng))
     z = 100.0
     out = moments.evolve_h11(h0, model, z, 16)
@@ -246,18 +229,14 @@ def check_free_space(params=None) -> list[CheckResult]:
         err, 1e-10), t0)]
 
 
-def check_first_moment(params=None, stats=None) -> list[CheckResult]:
+def check_first_moment(plan: PropagationPlan, source: Spectrum,
+                       stats: splitstep.EnsembleStats) -> list[CheckResult]:
     """Closed-form first-moment decay vs direct integration and vs the
-    split-step ensemble mean."""
-    p = dict(REFERENCE, **(params or {}))
-    grid = _reference_grid(p)
-    model = _reference_model(p)
-    g0 = _gaussian_source(grid, p["source_sigma_a"])
-
+    split-step ensemble mean of source under plan."""
     t0 = time.perf_counter()
-    closed = moments.evolve_h10(g0, model, p["z_total"])
-    h10 = moments.MomentKernel((1, 0), grid, g0.values)
-    integrated = moments.evolve_kernel(h10, model, p["z_total"], 256)
+    closed = moments.evolve_h10(source, plan.model, plan.z_total)
+    h10 = moments.MomentKernel((1, 0), plan.grid, source.values)
+    integrated = moments.evolve_kernel(h10, plan.model, plan.z_total, 256)
     scale = float(np.max(np.abs(closed.values)))
     err_closed = float(np.max(np.abs(integrated.values - closed.values))
                        / scale)
@@ -268,11 +247,6 @@ def check_first_moment(params=None, stats=None) -> list[CheckResult]:
         err_closed, 1e-10), t0)]
 
     t0 = time.perf_counter()
-    if stats is None:
-        plan = splitstep.PropagationPlan(
-            grid, model, p["z_total"], p["n_slabs"], p["n_realizations"],
-            p["master_seed"])
-        stats = splitstep.ensemble_moments(g0, plan)
     diff = np.abs(stats.mean_field - closed.values)
     se = _rounding_floor(stats.mean_field_se, closed.values)
     max_sigma = float(np.max(diff / se))
@@ -293,35 +267,27 @@ def _core_sites(h_diag: np.ndarray, fraction: float = 0.99) -> np.ndarray:
     return np.sort(order[:count])
 
 
-def check_mutual_coherence(params=None, stats=None):
+def check_mutual_coherence(plan: PropagationPlan, source: Spectrum,
+                           stats: splitstep.EnsembleStats):
     """Second-moment ensemble vs kernel integration (the core oracle).
 
-    Returns (results, evolved_kernel, initial_kernel, stats) so conservation
-    checks can reuse the run.
+    Returns (results, evolved_kernel, initial_kernel) so the conservation
+    check can reuse the integration.
     """
-    p = dict(REFERENCE, **(params or {}))
-    grid = _reference_grid(p)
-    model = _reference_model(p)
-    g0 = _gaussian_source(grid, p["source_sigma_a"])
-
     t0 = time.perf_counter()
-    if stats is None:
-        plan = splitstep.PropagationPlan(
-            grid, model, p["z_total"], p["n_slabs"], p["n_realizations"],
-            p["master_seed"])
-        stats = splitstep.ensemble_moments(g0, plan)
-
     h0 = moments.MomentKernel(
-        (1, 1), grid, np.outer(g0.values, np.conj(g0.values)))
-    evolved = moments.evolve_h11(h0, model, p["z_total"], p["n_slabs"])
+        (1, 1), plan.grid,
+        np.multiply.outer(source.values, np.conj(source.values)))
+    evolved = moments.evolve_h11(h0, plan.model, plan.z_total, plan.n_slabs)
 
-    sites = _core_sites(np.diagonal(evolved.values))
+    # Compared over flattened sites, the layout of stats.second_moment.
+    h = evolved.values.reshape(stats.second_moment.shape)
+    sites = _core_sites(np.diagonal(h))
     sub = np.ix_(sites, sites)
-    diff = np.abs(stats.second_moment[sub] - evolved.values[sub])
-    se = _rounding_floor(stats.second_moment_se[sub], evolved.values[sub])
+    diff = np.abs(stats.second_moment[sub] - h[sub])
+    se = _rounding_floor(stats.second_moment_se[sub], h[sub])
     max_sigma = float(np.max(diff / se))
-    rel_rms = float(np.sqrt(np.sum(diff ** 2)
-                            / np.sum(np.abs(evolved.values[sub]) ** 2)))
+    rel_rms = float(np.sqrt(np.sum(diff ** 2) / np.sum(np.abs(h[sub]) ** 2)))
     results = [
         _bound("mutual-coherence/monte-carlo",
                "ensemble <G G*> vs kernel integration, max deviation in "
@@ -335,32 +301,25 @@ def check_mutual_coherence(params=None, stats=None):
     elapsed = time.perf_counter() - t0
     for r in results:
         r.elapsed_s = elapsed / len(results)
-    return results, evolved, h0, stats
+    return results, evolved, h0
 
 
-def check_conservation(params=None, evolved=None, initial=None):
-    """Trace conservation and Hermiticity over kernel integrations."""
-    p = dict(REFERENCE, **(params or {}))
-    grid = _reference_grid(p)
-    model = _reference_model(p)
+def check_conservation(plan: PropagationPlan, evolved: moments.MomentKernel,
+                       initial: moments.MomentKernel) -> list[CheckResult]:
+    """Trace conservation and Hermiticity over the (1,1) integration of
+    check_mutual_coherence and a (2,2) one under the same plan."""
     t0 = time.perf_counter()
-    if evolved is None or initial is None:
-        g0 = _gaussian_source(grid, p["source_sigma_a"])
-        initial = moments.MomentKernel(
-            (1, 1), grid, np.outer(g0.values, np.conj(g0.values)))
-        evolved = moments.evolve_h11(initial, model, p["z_total"],
-                                     p["n_slabs"])
     tr0 = moments.kernel_trace(initial)
     tr1 = moments.kernel_trace(evolved)
     drift11 = abs(tr1 - tr0) / abs(tr0)
     herm11 = moments.hermiticity_residual(evolved)
 
-    small = FrequencyGrid(1, 8, p["delta_a"], p["wavelength"])
-    prof = np.exp(-small.freq_sq() / (2.0 * 0.4 ** 2)).astype(np.complex128)
+    small = FrequencyGrid(1, 8, plan.grid.delta_a, plan.grid.wavelength)
+    prof = Spectrum.gaussian(small, 0.4).values
     pair = np.multiply.outer(prof, prof)
     f0 = moments.MomentKernel(
         (2, 2), small, np.multiply.outer(pair, np.conj(pair)))
-    f1 = moments.evolve_kernel(f0, model, p["z_total"], p["n_slabs"])
+    f1 = moments.evolve_kernel(f0, plan.model, plan.z_total, plan.n_slabs)
     drift22 = abs(moments.kernel_trace(f1) - moments.kernel_trace(f0)) \
         / abs(moments.kernel_trace(f0))
     herm22 = moments.hermiticity_residual(f1)
@@ -380,22 +339,26 @@ def check_conservation(params=None, evolved=None, initial=None):
     return results
 
 
-def check_stationarity(params=None) -> list[CheckResult]:
+def check_stationarity(plan: PropagationPlan = REFERENCE
+                       ) -> list[CheckResult]:
     """Delta-diagonal Gaussian kernels are exact stationary points; a small
     off-diagonal perturbation produces a first-order residual."""
-    p = dict(REFERENCE, **(params or {}))
-    grid = FrequencyGrid(1, 32, p["delta_a"], p["wavelength"])
-    model = _reference_model(p)
+    grid = FrequencyGrid(1, 32, plan.grid.delta_a, plan.grid.wavelength)
+    model = plan.model
     k = grid.wavenumber
     lam = lambda_grid(model, grid)
+
+    def residual(state):
+        # Drift in units of the scattering rate; the bare drift when
+        # nothing scatters (Lambda = 0).
+        rhs, fourth = states.gaussian_drift(state, model)
+        scale = k ** 2 * lam * float(np.max(np.abs(state.a_kernel)))
+        return max(float(np.max(np.abs(rhs))) / (scale or 1.0), fourth)
 
     t0 = time.perf_counter()
     worst = 0.0
     for width in (2.0, 1.0, 3.0, 5.0):
-        state = states.GaussianState.thermal(grid, width)
-        rhs, fourth = states.gaussian_drift(state, model)
-        scale = k ** 2 * lam * float(np.max(np.abs(state.a_kernel)))
-        worst = max(worst, float(np.max(np.abs(rhs))) / scale, fourth)
+        worst = max(worst, residual(states.GaussianState.thermal(grid, width)))
     results = [_timed(_bound(
         "stationarity/diagonal",
         "normalized drift of vacuum and three thermal widths",
@@ -407,23 +370,20 @@ def check_stationarity(params=None) -> list[CheckResult]:
     i, j = grid.n // 2 + 1, grid.n // 2 - 2
     state.a_kernel[i, j] += eps * grid.delta_weight
     state.a_kernel[j, i] += eps * grid.delta_weight
-    rhs, fourth = states.gaussian_drift(state, model)
-    scale = k ** 2 * lam * float(np.max(np.abs(state.a_kernel)))
-    residual = max(float(np.max(np.abs(rhs))) / scale, fourth)
     results.append(_timed(_bound(
         "stationarity/perturbed",
         "normalized drift under an off-diagonal 1e-3 perturbation",
-        residual, 1e-2, lower_bound=1e-4), t0))
+        residual(state), 1e-2, lower_bound=1e-4), t0))
     return results
 
 
-def check_rhs_oracles(params=None) -> list[CheckResult]:
+def check_rhs_oracles(plan: PropagationPlan = REFERENCE
+                      ) -> list[CheckResult]:
     """Spectral right-hand sides vs naive modular-index loops (n = 8)."""
-    p = dict(REFERENCE, **(params or {}))
-    grid = FrequencyGrid(1, 8, p["delta_a"], p["wavelength"])
-    model = _reference_model(p)
+    grid = FrequencyGrid(1, 8, plan.grid.delta_a, plan.grid.wavelength)
+    model = plan.model
     rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(p["master_seed"], spawn_key=(6,))))
+        np.random.SeedSequence(plan.master_seed, spawn_key=(6,))))
 
     t0 = time.perf_counter()
     h11 = moments.MomentKernel((1, 1), grid, _random_hermitian(8, rng))
@@ -452,10 +412,10 @@ def check_rhs_oracles(params=None) -> list[CheckResult]:
         err, 1e-12), t0)]
 
 
-def check_wigner_formulas(params=None) -> list[CheckResult]:
+def check_wigner_formulas(plan: PropagationPlan = REFERENCE
+                          ) -> list[CheckResult]:
     """Linear-process Wigner functional and Fock-state formulas."""
-    p = dict(REFERENCE, **(params or {}))
-    grid = FrequencyGrid(1, 8, p["delta_a"], p["wavelength"])
+    grid = FrequencyGrid(1, 8, plan.grid.delta_a, plan.grid.wavelength)
     size = 8
     results = []
 
@@ -473,7 +433,7 @@ def check_wigner_formulas(params=None) -> list[CheckResult]:
     err = max(err, float(np.max(np.abs(b_lin - expected))))
 
     rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(p["master_seed"], spawn_key=(7,))))
+        np.random.SeedSequence(plan.master_seed, spawn_key=(7,))))
     t_mat = _random_hermitian(size, rng) * 0.2 * grid.delta_weight
     proc = states.LinearProcess(grid, t_mat)
     top = proc.operator()
@@ -523,15 +483,12 @@ def check_wigner_formulas(params=None) -> list[CheckResult]:
     return results
 
 
-def check_screens(params=None) -> list[CheckResult]:
+def check_screens(plan: PropagationPlan = REFERENCE) -> list[CheckResult]:
     """Per-mode screen variance and cross-mode decorrelation."""
-    p = dict(REFERENCE, **(params or {}))
-    grid = FrequencyGrid(1, 32, p["delta_a"], p["wavelength"])
-    model = _reference_model(p)
-    dz = p["z_total"] / p["n_slabs"]
+    grid = FrequencyGrid(1, 32, plan.grid.delta_a, plan.grid.wavelength)
     t0 = time.perf_counter()
-    stats = screen_statistics(model, grid, dz, 10000,
-                              p["master_seed"] + 8)
+    stats = screen_statistics(plan.model, grid, plan.dz, 10000,
+                              plan.master_seed + 8)
     elapsed = time.perf_counter() - t0
     results = [
         _bound("screens/variance",
@@ -548,11 +505,10 @@ def check_screens(params=None) -> list[CheckResult]:
     return results
 
 
-def check_duality(params=None) -> list[CheckResult]:
+def check_duality(plan: PropagationPlan = REFERENCE) -> list[CheckResult]:
     """Vacuum self-duality and thermal width mapping of the
     characteristic-functional transform."""
-    p = dict(REFERENCE, **(params or {}))
-    grid = FrequencyGrid(1, 16, p["delta_a"], p["wavelength"])
+    grid = FrequencyGrid(1, 16, plan.grid.delta_a, plan.grid.wavelength)
     t0 = time.perf_counter()
     vac = states.GaussianState.vacuum(grid)
     dual, log_norm = states.characteristic_of_gaussian(vac)
@@ -581,7 +537,7 @@ def check_duality(params=None) -> list[CheckResult]:
 
 # ---------------------------------------------------------------------------
 
-def environment_manifest(p) -> dict:
+def environment_manifest(plan: PropagationPlan) -> dict:
     try:
         from importlib.metadata import version
         pkg_version = version("ipfe")
@@ -591,34 +547,33 @@ def environment_manifest(p) -> dict:
         "package_version": pkg_version,
         "numpy_version": np.__version__,
         "platform": platform.platform(),
-        "master_seed": p["master_seed"],
+        "master_seed": plan.master_seed,
     }
 
 
-def run_validate(overrides=None) -> ValidationReport:
-    """Execute the full cross-validation suite on the reference
-    configuration (optionally overridden) and return the report."""
-    p = dict(REFERENCE, **(overrides or {}))
+def run_validate(plan: PropagationPlan = REFERENCE,
+                 source: Spectrum | None = None) -> ValidationReport:
+    """Execute the full cross-validation suite on plan with the given
+    source (default: the reference Gaussian on plan's grid) and return the
+    report."""
+    if source is None:
+        source = Spectrum.gaussian(plan.grid, REFERENCE_SOURCE_SIGMA_A)
     checks: list[CheckResult] = []
-    checks += check_free_space(p)
+    checks += check_free_space(plan)
 
-    grid = _reference_grid(p)
-    model = _reference_model(p)
-    g0 = _gaussian_source(grid, p["source_sigma_a"])
-    plan = splitstep.PropagationPlan(
-        grid, model, p["z_total"], p["n_slabs"], p["n_realizations"],
-        p["master_seed"])
     t0 = time.perf_counter()
-    stats = splitstep.ensemble_moments(g0, plan)
+    stats = splitstep.ensemble_moments(source, plan)
     stages = {"ensemble_s": time.perf_counter() - t0}
 
-    checks += check_first_moment(p, stats=stats)
-    mc_results, evolved, initial, _ = check_mutual_coherence(p, stats=stats)
+    checks += check_first_moment(plan, source, stats)
+    mc_results, evolved, initial = check_mutual_coherence(plan, source,
+                                                          stats)
     checks += mc_results
-    checks += check_conservation(p, evolved=evolved, initial=initial)
-    checks += check_stationarity(p)
-    checks += check_rhs_oracles(p)
-    checks += check_wigner_formulas(p)
-    checks += check_screens(p)
-    checks += check_duality(p)
-    return ValidationReport(checks, environment_manifest(p), stages)
+    checks += check_conservation(plan, evolved, initial)
+    checks += check_stationarity(plan)
+    checks += check_rhs_oracles(plan)
+    checks += check_wigner_formulas(plan)
+    checks += check_screens(plan)
+    checks += check_duality(plan)
+    return ValidationReport(checks, environment_manifest(plan), stages,
+                            plan.guard_values())

@@ -12,8 +12,8 @@ import pytest
 
 from ipfe import splitstep
 from ipfe.grid import FrequencyGrid, Spectrum
-from ipfe.spectrum import SpectrumKind, TurbulenceModel
-from ipfe.validation import (REFERENCE, check_conservation, check_duality,
+from ipfe.validation import (REFERENCE, REFERENCE_SOURCE_SIGMA_A,
+                             check_conservation, check_duality,
                              check_first_moment, check_free_space,
                              check_mutual_coherence, check_rhs_oracles,
                              check_screens, check_stationarity,
@@ -32,22 +32,29 @@ PINNED_MONTE_CARLO = {
 }
 
 
+# The suite's checks, in report order.
+CHECK_NAMES = [
+    "free-space-exactness", "first-moment-decay/closed-form",
+    "first-moment-decay/monte-carlo", "mutual-coherence/monte-carlo",
+    "mutual-coherence/relative-rms", "conservation/trace",
+    "conservation/hermiticity", "stationarity/diagonal",
+    "stationarity/perturbed", "rhs-oracles", "wigner/linear-process",
+    "wigner/fock-generating", "wigner/fock-central-negativity",
+    "screens/variance", "screens/cross-correlation", "duality",
+]
+
+# The reference source; every plan below but the 2-D one shares its grid.
+SOURCE = Spectrum.gaussian(REFERENCE.grid, REFERENCE_SOURCE_SIGMA_A)
+
 # cn2 = 0: every realization is the same field, so the standard errors are
 # exactly 0 and the ensemble differs from the kernels by rounding only.
-DETERMINISTIC = dict(REFERENCE, cn2=0.0, n_realizations=8)
+DETERMINISTIC = replace(REFERENCE, model=replace(REFERENCE.model, cn2=0.0),
+                        n_realizations=8)
 
 
-def ensemble(p):
-    """Split-step ensemble of the Gaussian source under parameters p."""
-    grid = FrequencyGrid(p["dim"], p["n"], p["delta_a"], p["wavelength"])
-    model = TurbulenceModel(SpectrumKind.VON_KARMAN, p["cn2"],
-                            p["outer_scale"], p["inner_scale"])
-    source = Spectrum(grid, np.exp(
-        -grid.freq_sq() / (2.0 * p["source_sigma_a"] ** 2))
-        .astype(np.complex128))
-    plan = splitstep.PropagationPlan(grid, model, p["z_total"], p["n_slabs"],
-                                     p["n_realizations"], p["master_seed"])
-    return splitstep.ensemble_moments(source, plan)
+def ensemble(plan):
+    """Split-step ensemble of the reference source under plan."""
+    return splitstep.ensemble_moments(SOURCE, plan)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +66,7 @@ def reference_ensemble():
 @pytest.fixture(scope="module")
 def coherence_run(reference_ensemble):
     """Kernel integration matched against the shared ensemble."""
-    return check_mutual_coherence(stats=reference_ensemble)
+    return check_mutual_coherence(REFERENCE, SOURCE, reference_ensemble)
 
 
 def report(results):
@@ -75,17 +82,17 @@ def test_free_space_integration_is_exact():
 
 def test_first_moment_decay_matches_closed_form_and_ensemble(
         reference_ensemble):
-    report(check_first_moment(stats=reference_ensemble))
+    report(check_first_moment(REFERENCE, SOURCE, reference_ensemble))
 
 
 def test_mutual_coherence_matches_ensemble(coherence_run):
-    results, _, _, _ = coherence_run
+    results, _, _ = coherence_run
     report(results)
 
 
 def test_trace_and_hermiticity_conserved(coherence_run):
-    _, evolved, initial, _ = coherence_run
-    report(check_conservation(evolved=evolved, initial=initial))
+    _, evolved, initial = coherence_run
+    report(check_conservation(REFERENCE, evolved, initial))
 
 
 def test_thermal_kernels_are_stationary_points():
@@ -110,7 +117,7 @@ def test_characteristic_transform_duality():
 
 def test_monte_carlo_values_match_pinned_reference(reference_ensemble,
                                                    coherence_run):
-    results = check_first_moment(stats=reference_ensemble)[1:]
+    results = check_first_moment(REFERENCE, SOURCE, reference_ensemble)[1:]
     results += coherence_run[0]
     assert [r.name for r in results] == list(PINNED_MONTE_CARLO)
     for r in results:
@@ -123,18 +130,31 @@ def test_monte_carlo_values_match_pinned_reference(reference_ensemble,
 def test_run_validate_reports_ensemble_stage():
     report = run_validate().to_json_dict()
     assert report["passed"] is True
-    assert len(report["checks"]) == 16
+    assert [c["name"] for c in report["checks"]] == CHECK_NAMES
     assert set(report["stages"]) == {"ensemble_s"}
     assert not {"threads", "numba_enabled"} & set(report["environment"])
     assert report["stages"]["ensemble_s"] > 0.0
+    assert report["guards"] == REFERENCE.guard_values()
+    assert 0.0 < report["guards"]["weak_scattering"] < 0.1
+
+
+def test_run_validate_on_2d_plan():
+    # 64 realizations are too few for the 3-sigma Monte-Carlo bounds on
+    # this grid, so only the shape of the report is asserted.
+    grid = FrequencyGrid(2, 8, REFERENCE.grid.delta_a,
+                         REFERENCE.grid.wavelength)
+    plan = replace(REFERENCE, grid=grid, n_realizations=64)
+    checks = run_validate(plan, Spectrum.gaussian(grid, 0.5)).checks
+    assert [c.name for c in checks] == CHECK_NAMES
+    assert all(np.isfinite(c.measured) for c in checks)
 
 
 def test_deterministic_ensemble_passes_monte_carlo_checks():
     stats = ensemble(DETERMINISTIC)
     assert not np.any(stats.mean_field_se)
     assert not np.any(stats.second_moment_se)
-    report(check_first_moment(DETERMINISTIC, stats=stats)
-           + check_mutual_coherence(DETERMINISTIC, stats=stats)[0])
+    report(check_first_moment(DETERMINISTIC, SOURCE, stats)
+           + check_mutual_coherence(DETERMINISTIC, SOURCE, stats)[0])
 
 
 def test_perturbed_deterministic_ensemble_fails_monte_carlo_checks():
@@ -146,9 +166,9 @@ def test_perturbed_deterministic_ensemble_fails_monte_carlo_checks():
     second = stats.second_moment.copy()
     second.flat[np.argmax(np.abs(second))] *= 1.0 + 1e-10
     first = check_first_moment(
-        DETERMINISTIC, stats=replace(stats, mean_field=mean))[1]
+        DETERMINISTIC, SOURCE, replace(stats, mean_field=mean))[1]
     coherence = check_mutual_coherence(
-        DETERMINISTIC, stats=replace(stats, second_moment=second))[0][0]
+        DETERMINISTIC, SOURCE, replace(stats, second_moment=second))[0][0]
     assert first.name == "first-moment-decay/monte-carlo"
     assert coherence.name == "mutual-coherence/monte-carlo"
     assert not first.passed and not coherence.passed

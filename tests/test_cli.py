@@ -2,6 +2,8 @@
 
 import csv
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,10 @@ import pytest
 from ipfe import validation
 from ipfe.arrayio import read_array, write_array
 from ipfe.cli import ConfigError, build_parser, load_config, main
-from ipfe.grid import FrequencyGrid
+from ipfe.grid import FrequencyGrid, Spectrum
+
+REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" \
+    / "reference.json"
 
 
 def write_config(tmp_path, **overrides):
@@ -39,11 +44,19 @@ def test_load_config_minimal_defaults(tmp_path):
         "plan": {"z_total": 100.0},
     }))
     cfg = load_config(path)
-    assert cfg.n_slabs == 64
-    assert cfg.n_realizations == 500
-    assert cfg.master_seed == 0
+    assert cfg.plan.n_slabs == 64
+    assert cfg.plan.n_realizations == 500
+    assert cfg.plan.master_seed == 0
     assert cfg.output_dir == "."
     assert cfg.source_sigma_a == pytest.approx(8 * 0.25 / 8.0)
+
+
+def test_reference_config_is_the_validation_reference():
+    cfg = load_config(REFERENCE_CONFIG)
+    assert cfg.plan == validation.REFERENCE
+    source = Spectrum.gaussian(validation.REFERENCE.grid,
+                               validation.REFERENCE_SOURCE_SIGMA_A)
+    assert np.array_equal(cfg.source().values, source.values)
 
 
 def test_load_config_rejects_unknown_and_bad_fields(tmp_path):
@@ -53,6 +66,16 @@ def test_load_config_rejects_unknown_and_bad_fields(tmp_path):
         load_config(write_config(tmp_path, model={"cn2": -1.0}))
     with pytest.raises(ConfigError, match="grid.n: expected an integer"):
         load_config(write_config(tmp_path, grid={"n": 8.5}))
+    # task and tolerances were never read, so they are refused.
+    with pytest.raises(ConfigError, match="task: unknown field"):
+        load_config(write_config(tmp_path, task="simulate"))
+    with pytest.raises(ConfigError, match="tolerances: unknown field"):
+        load_config(write_config(
+            tmp_path, tolerances={"mutual-coherence/monte-carlo": 0.001}))
+    with pytest.raises(ConfigError, match="source.type"):
+        load_config(write_config(tmp_path, source={"type": "flat"}))
+    assert load_config(write_config(
+        tmp_path, source={"type": "gaussian"})).source_sigma_a == 0.5
     no_z = tmp_path / "no_z.json"
     no_z.write_text(json.dumps({
         "grid": {"dim": 1, "n": 8, "delta_a": 0.25, "wavelength": 1.55e-6},
@@ -199,17 +222,38 @@ def test_validate_exit_codes(tmp_path, monkeypatch):
         def to_text(self):
             return "[PASS] fake"
 
-    def fake_run(overrides):
-        fake_run.seen = overrides
+    def fake_run(plan, source=None):
+        fake_run.seen = plan, source
         return report
 
     report = FakeReport()
     monkeypatch.setattr(validation, "run_validate", fake_run)
     out = tmp_path / "val"
     assert main(["validate", "--out", str(out), "--seed", "123"]) == 0
-    assert fake_run.seen == {"master_seed": 123}
+    assert fake_run.seen == (replace(validation.REFERENCE, master_seed=123),
+                             None)
     assert json.loads((out / "validation_report.json").read_text()) \
         == {"passed": True}
     assert "[PASS]" in (out / "validation_report.txt").read_text()
     report.passed = False
     assert main(["validate", "--out", str(out)]) == 1
+
+
+def test_validate_config_runs_its_own_plan(tmp_path):
+    # A Kolmogorov model is valid at cn2 = 0; the suite runs on the file's
+    # model and reports on it (the bare drift fails the perturbed
+    # stationarity window, so the exit code may be 1).
+    cfg = write_config(tmp_path, grid={"n": 16},
+                       model={"kind": "kolmogorov", "cn2": 0.0},
+                       plan={"n_slabs": 8})
+    raw = json.loads(cfg.read_text())
+    del raw["model"]["outer_scale"]
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "val"
+    code = main(["validate", "--config", str(cfg), "--out", str(out)])
+    assert code in (0, 1)
+    report = json.loads((out / "validation_report.json").read_text())
+    assert report["environment"]["master_seed"] == 7
+    checks = {c["name"]: c for c in report["checks"]}
+    assert len(checks) == 16
+    assert checks["mutual-coherence/relative-rms"]["passed"] is True

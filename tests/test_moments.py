@@ -142,8 +142,11 @@ def test_biphoton_loop_oracle_and_symmetry_guard():
     rhs = biphoton_rhs(f, MODEL)
     oracle = loop_rhs(sym, GRID8, MODEL, (2, 2))
     assert np.max(np.abs(rhs.values - oracle)) < 1e-12
+    asymmetric = MomentKernel((2, 2), GRID8, raw)
     with pytest.raises(ValueError, match="exchange symmetry"):
-        biphoton_rhs(MomentKernel((2, 2), GRID8, raw), MODEL)
+        biphoton_rhs(asymmetric, MODEL)
+    with pytest.raises(ValueError, match="exchange symmetry"):
+        evolve_kernel(asymmetric, MODEL, 100.0, 4)
 
 
 def test_biphoton_product_delta_kernel_stationary():
@@ -158,9 +161,11 @@ def test_biphoton_product_delta_kernel_stationary():
 
 def test_biphoton_memory_bound():
     big = FrequencyGrid(1, 32, 0.25, 1.55e-6)
+    kernel = MomentKernel((2, 2), big, np.zeros((32,) * 4))
     with pytest.raises(ValueError, match="n <= 16"):
-        biphoton_rhs(
-            MomentKernel((2, 2), big, np.zeros((32,) * 4)), MODEL)
+        biphoton_rhs(kernel, MODEL)
+    with pytest.raises(ValueError, match="n <= 16"):
+        evolve_kernel(kernel, MODEL, 100.0, 4)
 
 
 def roll_loop_rhs(values, grid, model, orders):

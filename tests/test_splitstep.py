@@ -21,11 +21,6 @@ GRID = FrequencyGrid(1, 64, 0.25, 1.55e-6)
 MODEL = TurbulenceModel(SpectrumKind.VON_KARMAN, 9.2e-15, 1.0)
 
 
-def gaussian(grid, sigma_a=1.5):
-    return Spectrum(grid, np.exp(-grid.freq_sq() / (2.0 * sigma_a ** 2))
-                    .astype(complex))
-
-
 def test_free_space_multiplier_values():
     s = Spectrum(GRID, np.ones(64, dtype=complex))
     dz = 10.0
@@ -51,8 +46,7 @@ def test_fresnel_gaussian_oracle():
     """Position-domain field after a free-space step vs the analytic
     Fresnel integral of a Gaussian spectrum."""
     sigma = 1.0
-    s = Spectrum(GRID, np.exp(-GRID.freq_sq() / (2.0 * sigma ** 2))
-                 .astype(complex))
+    s = Spectrum.gaussian(GRID, sigma)
     dz = 50.0
     g = to_position(free_space_step(s, dz))
     x = GRID.axis_positions()
@@ -103,11 +97,11 @@ def test_apply_screen_grid_mismatch():
     other = FrequencyGrid(1, 32, 0.25, 1.55e-6)
     screen = ScreenRealization(other, np.zeros(32, dtype=complex), 1.0, 0)
     with pytest.raises(ValueError, match="mismatch"):
-        apply_screen(gaussian(GRID), screen)
+        apply_screen(Spectrum.gaussian(GRID, 1.5), screen)
 
 
 def test_propagate_free_space_and_zero_distance():
-    s = gaussian(GRID)
+    s = Spectrum.gaussian(GRID, 1.5)
     zero_model = TurbulenceModel(SpectrumKind.VON_KARMAN, 0.0, 1.0)
     plan = PropagationPlan(GRID, zero_model, 1000.0, 32, 2, 0)
     out = propagate(s, plan, 0)
@@ -118,7 +112,7 @@ def test_propagate_free_space_and_zero_distance():
 
 
 def test_propagate_norm_and_determinism():
-    s = gaussian(GRID)
+    s = Spectrum.gaussian(GRID, 1.5)
     plan = PropagationPlan(GRID, MODEL, 1000.0, 32, 2, 99)
     a = propagate(s, plan, 3)
     b = propagate(s, plan, 3)
@@ -141,7 +135,7 @@ def test_guards():
 def test_strang_splitting_second_order():
     """Deterministic z-independent index profile: the split-step error
     decays quadratically in the slab thickness."""
-    s = gaussian(GRID)
+    s = Spectrum.gaussian(GRID, 1.5)
     x = GRID.axis_positions()
     profile = 2e-10 * np.cos(2.0 * np.pi * 1.5 * x)  # real, smooth
     z = 200.0
@@ -165,7 +159,7 @@ def test_strang_splitting_second_order():
 
 
 def test_ensemble_cn2_zero_moments_exact():
-    s = gaussian(GRID)
+    s = Spectrum.gaussian(GRID, 1.5)
     zero_model = TurbulenceModel(SpectrumKind.VON_KARMAN, 0.0, 1.0)
     plan = PropagationPlan(GRID, zero_model, 1000.0, 32, 4, 0)
     stats = ensemble_moments(s, plan)
@@ -182,7 +176,7 @@ def test_ensemble_cn2_zero_moments_exact():
 
 def test_ensemble_hermitian_and_se_scaling():
     small = FrequencyGrid(1, 16, 0.25, 1.55e-6)
-    s = gaussian(small, sigma_a=0.8)
+    s = Spectrum.gaussian(small, 0.8)
     plan_a = PropagationPlan(small, MODEL, 1000.0, 32, 200, 5)
     plan_b = PropagationPlan(small, MODEL, 1000.0, 32, 800, 5)
     stats_a = ensemble_moments(s, plan_a)
@@ -199,7 +193,7 @@ def test_ensemble_hermitian_and_se_scaling():
 
 def test_ensemble_needs_two_realizations():
     with pytest.raises(ValueError, match="n_realizations"):
-        ensemble_moments(gaussian(GRID),
+        ensemble_moments(Spectrum.gaussian(GRID, 1.5),
                          PropagationPlan(GRID, MODEL, 1000.0, 32, 1, 0))
 
 
@@ -216,7 +210,7 @@ def loop_propagate(s0, plan, r):
 @pytest.mark.parametrize("dim,n,sigma_a", [(1, 64, 1.5), (2, 8, 0.5)])
 def test_engine_matches_per_realization_loop(dim, n, sigma_a):
     grid = FrequencyGrid(dim, n, 0.25, 1.55e-6)
-    s0 = gaussian(grid, sigma_a)
+    s0 = Spectrum.gaussian(grid, sigma_a)
     n_real = BLOCK + 6  # one full block and a partial one
     plan = PropagationPlan(grid, MODEL, 1000.0, 32, n_real, 17)
     fields = np.array([loop_propagate(s0, plan, r) for r in range(n_real)])
@@ -259,7 +253,7 @@ from ipfe.splitstep import PropagationPlan, ensemble_moments
 # OpenBLAS to split them between threads.
 grid = FrequencyGrid(2, 16, 0.25, 1.55e-6)
 model = TurbulenceModel(SpectrumKind.VON_KARMAN, 9.2e-15, 1.0)
-s0 = Spectrum(grid, np.exp(-grid.freq_sq() / 0.5).astype(complex))
+s0 = Spectrum.gaussian(grid, 0.5)
 stats = ensemble_moments(s0, PropagationPlan(grid, model, 250.0, 16, 150, 3))
 digest = hashlib.sha256()
 for a in (stats.mean_field, stats.mean_field_se, stats.second_moment,
