@@ -126,6 +126,14 @@ def kernel_trace(kernel: MomentKernel) -> complex:
     return complex(value * kernel.grid.cell ** m)
 
 
+def monitored_boundary_mass(kernel: MomentKernel,
+                            model: TurbulenceModel) -> float:
+    """The boundary-mass fraction evolve_kernel warns on.  Without
+    scattering the equation is site-local, so the periodic wrap is exact
+    and the fraction is 0 whatever the edge weight."""
+    return boundary_mass_fraction(kernel) if model.cn2 != 0.0 else 0.0
+
+
 def boundary_mass_fraction(kernel: MomentKernel) -> float:
     """|values| mass on the outermost lattice ring relative to the total."""
     total = float(np.sum(np.abs(kernel.values)))
@@ -269,11 +277,24 @@ def evolve_h10(b10: Spectrum, model: TurbulenceModel, z: float) -> Spectrum:
     return Spectrum(grid, b10.values * phase * decay)
 
 
+def step_guard_values(grid: FrequencyGrid, model: TurbulenceModel,
+                      dz: float) -> dict:
+    """Per-step sampling phase pi*lambda*dz*a_max^2 and weak-scattering
+    number k^2*Lambda*dz of a step dz on grid.  The split-step plan
+    (PropagationPlan.guard_values) and the kernel integrator (step_guard)
+    bound the same two numbers, each with its own bounds."""
+    a_max_sq = float(np.max(grid.freq_sq()))
+    return {
+        "sampling": np.pi * grid.wavelength * dz * a_max_sq,
+        "weak_scattering": (grid.wavenumber ** 2 * lambda_grid(model, grid)
+                            * dz),
+    }
+
+
 def step_guard(grid: FrequencyGrid, model: TurbulenceModel, dz: float,
                bound: float = 0.1) -> None:
-    a_max_sq = float(np.max(grid.freq_sq()))
-    phase = np.pi * grid.wavelength * dz * a_max_sq
-    scatter = grid.wavenumber ** 2 * lambda_grid(model, grid) * dz
+    guards = step_guard_values(grid, model, dz)
+    phase, scatter = guards["sampling"], guards["weak_scattering"]
     if max(phase, scatter) >= bound:
         raise ValueError(
             f"step guard violated: max(pi*lambda*dz*a_max^2={phase:.3e}, "
@@ -301,9 +322,7 @@ def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,
         k4 = rhs(v + dz * k3)
         v = v + (dz / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     out = MomentKernel(kernel.orders, kernel.grid, v, kernel.z + z_total)
-    # Without scattering the equation is site-local, so the periodic wrap
-    # is exact and boundary mass needs no monitoring.
-    frac = boundary_mass_fraction(out) if model.cn2 != 0.0 else 0.0
+    frac = monitored_boundary_mass(out, model)
     if frac > BOUNDARY_MASS_TOLERANCE:
         warnings.warn(
             f"kernel boundary mass fraction {frac:.2e} exceeds "

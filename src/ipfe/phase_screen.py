@@ -11,13 +11,23 @@ Coefficients are drawn independently on a Hermitian half-lattice and
 mirrored; a fixed seed reproduces a screen bit for bit.  ``ScreenLattice``
 computes the variances, masks and mirror indices of a (model, grid, dz)
 once and draws any number of screens from them; a screen depends only on
-its seed, not on the block it is drawn in.  Seeding uses the
-counter-based Philox generator keyed through numpy SeedSequence, so screens
-for different (realization, slab) pairs can be generated in parallel.
+its seed, not on the block it is drawn in.
+
+Stream contract: the screen of a 64-bit seed is drawn from the Philox
+generator ``np.random.Philox(np.random.SeedSequence(seed))``, so screens
+for different seeds can be generated in any order or in parallel.  numpy
+documents the SeedSequence hash as stable, so ``_generate_state`` computes
+it in uint32 arithmetic for whole arrays of keys at once: ``philox_keys``
+maps seeds to their Philox keys and ``spawn_seeds`` derives the seeds of
+spawned children.  ``ScreenLattice.draw`` resets one Philox generator to
+each key at counter 0, the state a new generator starts from, instead of
+building a generator per screen.  The tests compare every derived value
+with numpy's own SeedSequence bit for bit.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -25,6 +35,115 @@ import numpy as np
 
 from .grid import FrequencyGrid
 from .spectrum import SpectrumKind, TurbulenceModel, psd_lattice
+
+# Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _int_words(value: int) -> list[int]:
+    """Little-endian uint32 words of a non-negative int, as SeedSequence
+    splits its entropy (0 is one word)."""
+    if value < 0:
+        raise ValueError("seed entropy must be a non-negative integer")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _generate_state(entropy, spawn_key=(), n_words: int = 1) -> np.ndarray:
+    """``SeedSequence(entropy, spawn_key=k).generate_state(n_words,
+    np.uint64)`` for every key k at once.
+
+    ``entropy`` is a Python int shared by every key, or an array of uint64
+    values, one per key.  ``spawn_key`` is a tuple of integer arrays (or
+    ints) that broadcast together; each element must lie in [0, 2^32),
+    where SeedSequence turns it into one uint32 word.  Returns uint64 of
+    shape broadcast + (n_words,).  Every operand is a uint32 array of at
+    least one dimension and every constant a Python int below 2^32, so
+    products wrap modulo 2^32 as numpy's C code does, without overflow
+    warnings.
+    """
+    if isinstance(entropy, np.ndarray):
+        # SeedSequence splits a 64-bit value into one word when it is below
+        # 2^32; a zero high word hashes the same as the pool's zero filling.
+        words = [(entropy & _MASK32).astype(np.uint32),
+                 (entropy >> 32).astype(np.uint32)]
+    else:
+        words = [np.array([w], dtype=np.uint32) for w in _int_words(entropy)]
+    if spawn_key:
+        # SeedSequence pads the run entropy to the pool size only when a
+        # spawn key follows it.
+        words += [np.zeros(1, dtype=np.uint32)] * (_POOL_SIZE - len(words))
+        for index in np.broadcast_arrays(*map(np.atleast_1d, spawn_key)):
+            if (index.dtype.kind not in "iu" or np.any(index < 0)
+                    or np.any(index > _MASK32)):
+                raise ValueError("spawn key entries must be integers in "
+                                 "[0, 2^32)")
+            words.append(index.astype(np.uint32))
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    # SeedSequence.mix_entropy: hash the first pool-size words into the
+    # pool, mix every pool word into every other, then mix each remaining
+    # entropy word into every pool word.
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(words[i] if i < len(words) else zero)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # SeedSequence.generate_state: cycle the pool through a second hash;
+    # word pairs form uint64 values, low word first.  Mixing has given
+    # every pool word the same shape.
+    hash_const = _INIT_B
+    state = []
+    for i in range(2 * n_words):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack([lo | (hi << 32)
+                     for lo, hi in zip(state[0::2], state[1::2])], axis=-1)
+
+
+def spawn_seeds(entropy: int, *spawn_key) -> np.ndarray:
+    """64-bit seeds ``SeedSequence(entropy, spawn_key=k).generate_state(1,
+    np.uint64)[0]`` for every key k of the broadcast index arrays."""
+    return _generate_state(entropy, spawn_key)[..., 0]
+
+
+def philox_keys(seeds) -> np.ndarray:
+    """Philox keys of 64-bit seeds, shape seeds.shape + (2,): the key of
+    ``np.random.Philox(np.random.SeedSequence(seed))``."""
+    if not isinstance(seeds, np.ndarray):
+        # Python ints convert to uint64 exactly or raise; floats would not.
+        seeds = np.array([operator.index(s) for s in seeds], dtype=np.uint64)
+    if seeds.dtype.kind not in "iu" or np.any(seeds < 0):
+        raise ValueError("seeds must be integers in [0, 2^64)")
+    return _generate_state(seeds.astype(np.uint64), n_words=2)
 
 
 @dataclass
@@ -93,13 +212,17 @@ class ScreenLattice:
         self._keep = canonical | self_conj
         self._mirror = (slice(None),) + _mirror_indices(grid.n, grid.dim)
 
-    def draw(self, seeds) -> np.ndarray:
-        """Coefficients of one screen per seed, shape (len(seeds),) + grid
-        shape; screen i is bit-identical to draw_screen(..., seeds[i])."""
-        normals = np.empty((len(seeds), 2) + self.grid.shape)
-        for out, seed in zip(normals, seeds):
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(seed)))
+    def draw(self, keys) -> np.ndarray:
+        """Coefficients of one screen per Philox key (``philox_keys`` of
+        the seeds), shape (len(keys),) + grid shape; screen i is
+        bit-identical to draw_screen(..., seed) for the seed of keys[i]."""
+        normals = np.empty((len(keys), 2) + self.grid.shape)
+        bitgen = np.random.Philox(key=0)
+        rng = np.random.Generator(bitgen)
+        fresh = bitgen.state  # counter 0, empty buffer, no spare uint32
+        for out, key in zip(normals, np.asarray(keys).tolist()):
+            fresh["state"]["key"] = key
+            bitgen.state = fresh
             # Fixed draw order: the real parts of all sites, then the
             # imaginary parts; the mirror half is overwritten below.
             rng.standard_normal(out=out)
@@ -113,7 +236,7 @@ class ScreenLattice:
 def draw_screens(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
                  seeds) -> np.ndarray:
     """Screen coefficients for each seed, stacked along a leading axis."""
-    return ScreenLattice(model, grid, dz).draw(seeds)
+    return ScreenLattice(model, grid, dz).draw(philox_keys(seeds))
 
 
 def draw_screen(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
@@ -183,7 +306,8 @@ def screen_statistics(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
     sum_sq = np.zeros(grid.shape)
     sum_quad = np.zeros(grid.shape)
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = np.random.Generator(
+        np.random.Philox(key=_generate_state(seed, n_words=2)[0]))
     flat_size = grid.n ** grid.dim
     pairs_idx = []
     mirror = _mirror_indices(grid.n, grid.dim)
@@ -199,10 +323,10 @@ def screen_statistics(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
 
     sites_a = [a for a, _ in pairs_idx]
     sites_b = [b for _, b in pairs_idx]
-    child_seeds = [int(child.generate_state(1, np.uint64)[0])
-                   for child in np.random.SeedSequence(seed).spawn(n_samples)]
+    # The seeds of SeedSequence(seed).spawn(n_samples), child i keyed (i,).
+    keys = philox_keys(spawn_seeds(seed, np.arange(n_samples)))
     for start in range(0, n_samples, _STATISTICS_CHUNK):
-        coeff = lattice.draw(child_seeds[start:start + _STATISTICS_CHUNK])
+        coeff = lattice.draw(keys[start:start + _STATISTICS_CHUNK])
         p = np.abs(coeff) ** 2
         sum_sq += np.sum(p, axis=0)
         sum_quad += np.sum(p ** 2, axis=0)

@@ -19,13 +19,18 @@ mirror indices) are computed, and the plan's guards checked, once per
 engine.  ``propagate`` is the same engine run on a block of one
 realization.
 
-Stream contract: the screen of realization r in slab s is drawn from its
-own Philox stream keyed by ``SeedSequence(master_seed, spawn_key=(r, s))``
-and is bit-identical to ``plan.slab_screen(r, s)`` whatever block it is
-drawn in.  ``ensemble_moments`` reduces blocks of ``BLOCK`` realizations
-with matrix products and adds the block partials in index order, so its
-moments are bit-reproducible and differ from a one-realization-at-a-time
-sum only by the rounding of the reduction.
+Stream contract: the screen of realization r in slab s has the seed
+``SeedSequence(master_seed, spawn_key=(r, s)).generate_state(1,
+np.uint64)[0]`` and is drawn from the Philox stream of that seed (see
+``ipfe.phase_screen``); it is bit-identical to ``plan.slab_screen(r, s)``
+whatever block it is drawn in.  The engine derives the seeds and Philox
+keys of a block's realizations in all slabs with one vectorized hash
+(``PropagationPlan.screen_seeds``), not with a SeedSequence per screen.
+``ensemble_moments`` reduces blocks of ``BLOCK`` realizations with matrix
+products and adds the block partials in index order, so its moments are
+bit-reproducible and differ from a one-realization-at-a-time sum only by
+the rounding of the reduction.  It refuses, before allocating, a grid
+whose (n^D)^2 moments it estimates above ``MAX_ENSEMBLE_BYTES``.
 """
 
 from __future__ import annotations
@@ -36,12 +41,22 @@ import numpy as np
 
 from .grid import FrequencyGrid, Spectrum, to_frequency, to_position
 from .phase_screen import (ScreenLattice, ScreenRealization, draw_screen,
-                           phase_screen_position, screen_phases)
-from .spectrum import TurbulenceModel, lambda_grid
+                           phase_screen_position, philox_keys, screen_phases,
+                           spawn_seeds)
+from .moments import step_guard_values
+from .spectrum import TurbulenceModel
 
 # Realizations per block of ensemble_moments.  It fixes the reduction
 # order, so the moments cannot depend on a caller's choice.
 BLOCK = 64
+
+# Largest working set ensemble_moments may estimate for itself (bytes).  Per
+# element of an (n^D)^2 moment it holds 56 B of accumulators (three complex,
+# one real) and about ten complex temporaries while finishing the moments:
+# 216 B, the peak tracemalloc reports at 2-D n=32 (216 MiB).  The limit
+# admits 2-D n=32 and refuses 2-D n=64 (3.4 GiB).
+MAX_ENSEMBLE_BYTES = 2 ** 30
+_ENSEMBLE_BYTES_PER_ELEMENT = 56 + 10 * 16
 
 
 @dataclass(frozen=True)
@@ -66,13 +81,7 @@ class PropagationPlan:
     def guard_values(self) -> dict:
         """Per-slab sampling phase pi*lambda*dz*a_max^2 (bound pi/4) and
         weak-scattering number k^2*Lambda*dz (bound 0.1)."""
-        a_max_sq = float(np.max(self.grid.freq_sq()))
-        return {
-            "sampling": np.pi * self.grid.wavelength * self.dz * a_max_sq,
-            "weak_scattering": (self.grid.wavenumber ** 2
-                                * lambda_grid(self.model, self.grid)
-                                * self.dz),
-        }
+        return step_guard_values(self.grid, self.model, self.dz)
 
     def check_guards(self) -> None:
         """Per-slab sampling and weak-scattering guards."""
@@ -88,10 +97,15 @@ class PropagationPlan:
                 f"weak-scattering guard violated: k^2*Lambda*dz = "
                 f"{guards['weak_scattering']:.3e} >= 0.1")
 
+    def screen_seeds(self, realizations) -> np.ndarray:
+        """Screen seeds of the given realizations in every slab, shape
+        (len(realizations), n_slabs), derived in one vectorized pass."""
+        return spawn_seeds(self.master_seed,
+                           np.asarray(realizations)[:, None],
+                           np.arange(self.n_slabs))
+
     def screen_seed(self, realization_index: int, slab_index: int) -> int:
-        seq = np.random.SeedSequence(
-            self.master_seed, spawn_key=(realization_index, slab_index))
-        return int(seq.generate_state(1, np.uint64)[0])
+        return int(self.screen_seeds([realization_index])[0, slab_index])
 
     def slab_screen(self, realization_index: int,
                     slab_index: int) -> ScreenRealization:
@@ -135,9 +149,10 @@ class _BlockEngine:
         fields = np.repeat(np.fft.ifftshift(s0.values)[None],
                            len(realizations), axis=0)
         if self.screens is not None:
+            # One hash for the whole block: its cost is per call, not per key.
+            keys = philox_keys(plan.screen_seeds(realizations))
             for slab in range(plan.n_slabs):
-                coeffs = self.screens.draw(
-                    [plan.screen_seed(r, slab) for r in realizations])
+                coeffs = self.screens.draw(keys[:, slab])
                 phi = screen_phases(coeffs, grid, grid.wavenumber)
                 fields *= self.half_step
                 g = np.fft.fftn(fields, axes=axes) * grid.cell
@@ -190,9 +205,15 @@ def ensemble_moments(s0: Spectrum, plan: PropagationPlan) -> EnsembleStats:
     """
     if plan.n_realizations < 2:
         raise ValueError("n_realizations must be >= 2")
+    size = plan.grid.n ** plan.grid.dim
+    estimate = _ENSEMBLE_BYTES_PER_ELEMENT * size ** 2
+    if estimate > MAX_ENSEMBLE_BYTES:
+        raise ValueError(
+            f"ensemble moments on {size} sites need about "
+            f"{estimate / 2 ** 30:.1f} GiB, above the "
+            f"{MAX_ENSEMBLE_BYTES / 2 ** 30:.0f} GiB limit")
     engine = _BlockEngine(plan)
     n = plan.n_realizations
-    size = plan.grid.n ** plan.grid.dim
 
     sum_g = np.zeros(size, dtype=np.complex128)
     sum_d = np.zeros(size, dtype=np.complex128)

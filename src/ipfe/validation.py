@@ -44,6 +44,9 @@ class CheckResult:
     lower_bound: float | None = None
     standard_error: float | None = None
     elapsed_s: float = 0.0
+    # Boundary-mass fraction (moments.monitored_boundary_mass) of the
+    # evolved kernels the measurement rests on; None if it evolves none.
+    boundary_mass: float | None = None
 
     def line(self) -> str:
         state = "PASS" if self.passed else "FAIL"
@@ -68,12 +71,19 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    @property
+    def boundary_mass(self) -> dict:
+        """Boundary-mass fraction of the evolved kernels, by check name."""
+        return {c.name: c.boundary_mass for c in self.checks
+                if c.boundary_mass is not None}
+
     def to_json_dict(self) -> dict:
         return {
             "passed": self.passed,
             "environment": self.environment,
             "stages": self.stages,
             "guards": self.guards,
+            "boundary_mass": self.boundary_mass,
             "checks": [
                 {
                     "name": c.name,
@@ -93,6 +103,8 @@ class ValidationReport:
         lines = [c.line() for c in self.checks]
         lines += [f"[stage] {name}: {seconds:.2f} s"
                   for name, seconds in self.stages.items()]
+        lines += [f"[boundary-mass] {name}: {fraction:.2e}"
+                  for name, fraction in self.boundary_mass.items()]
         lines.append("overall: " + ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines)
 
@@ -223,10 +235,12 @@ def check_free_space(plan: PropagationPlan = REFERENCE) -> list[CheckResult]:
     phase = np.exp(1j * np.pi * grid.wavelength * z
                    * (asq[:, None] - asq[None, :]))
     err = float(np.max(np.abs(out.values - h0.values * phase)))
-    return [_timed(_bound(
+    result = _bound(
         "free-space-exactness",
         "zero-turbulence kernel integration vs closed-form phase factor",
-        err, 1e-10), t0)]
+        err, 1e-10)
+    result.boundary_mass = moments.monitored_boundary_mass(out, model)
+    return [_timed(result, t0)]
 
 
 def check_first_moment(plan: PropagationPlan, source: Spectrum,
@@ -245,6 +259,8 @@ def check_first_moment(plan: PropagationPlan, source: Spectrum,
         "closed-form decay exp(-k^2 Lambda z / 2) vs direct integration "
         "of the (1,0) equation",
         err_closed, 1e-10), t0)]
+    results[0].boundary_mass = moments.monitored_boundary_mass(integrated,
+                                                               plan.model)
 
     t0 = time.perf_counter()
     diff = np.abs(stats.mean_field - closed.values)
@@ -298,9 +314,11 @@ def check_mutual_coherence(plan: PropagationPlan, source: Spectrum,
                "relative RMS discrepancy on the 99%-trace sites",
                rel_rms, 0.05),
     ]
+    frac = moments.monitored_boundary_mass(evolved, plan.model)
     elapsed = time.perf_counter() - t0
     for r in results:
         r.elapsed_s = elapsed / len(results)
+        r.boundary_mass = frac
     return results, evolved, h0
 
 
@@ -323,6 +341,8 @@ def check_conservation(plan: PropagationPlan, evolved: moments.MomentKernel,
     drift22 = abs(moments.kernel_trace(f1) - moments.kernel_trace(f0)) \
         / abs(moments.kernel_trace(f0))
     herm22 = moments.hermiticity_residual(f1)
+    frac = max(moments.monitored_boundary_mass(evolved, plan.model),
+               moments.monitored_boundary_mass(f1, plan.model))
 
     elapsed = time.perf_counter() - t0
     results = [
@@ -336,6 +356,7 @@ def check_conservation(plan: PropagationPlan, evolved: moments.MomentKernel,
     ]
     for r in results:
         r.elapsed_s = elapsed / len(results)
+        r.boundary_mass = frac
     return results
 
 

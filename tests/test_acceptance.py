@@ -128,14 +128,32 @@ def test_monte_carlo_values_match_pinned_reference(reference_ensemble,
 
 
 def test_run_validate_reports_ensemble_stage():
-    report = run_validate().to_json_dict()
+    result = run_validate()
+    report = result.to_json_dict()
     assert report["passed"] is True
     assert [c["name"] for c in report["checks"]] == CHECK_NAMES
     assert set(report["stages"]) == {"ensemble_s"}
     assert not {"threads", "numba_enabled"} & set(report["environment"])
     assert report["stages"]["ensemble_s"] > 0.0
     assert report["guards"] == REFERENCE.guard_values()
-    assert 0.0 < report["guards"]["weak_scattering"] < 0.1
+    # The values the plan computed before the guard formulas moved to
+    # moments.step_guard_values.
+    assert report["guards"] == {"sampling": 0.009738937226128359,
+                                "weak_scattering": 0.07690749874548576}
+    # Boundary mass of every evolved kernel, by the checks resting on it;
+    # the cn2 = 0 integration has none to monitor.
+    mass = report["boundary_mass"]
+    assert list(mass) == [
+        "free-space-exactness", "first-moment-decay/closed-form",
+        "mutual-coherence/monte-carlo", "mutual-coherence/relative-rms",
+        "conservation/trace", "conservation/hermiticity"]
+    assert mass["free-space-exactness"] == 0.0
+    assert all(0.0 < mass[name] < 1.0 for name in list(mass)[1:])
+    assert (mass["mutual-coherence/monte-carlo"]
+            <= mass["conservation/trace"])
+    text = result.to_text()
+    assert (f"[boundary-mass] mutual-coherence/monte-carlo: "
+            f"{mass['mutual-coherence/monte-carlo']:.2e}") in text
 
 
 def test_run_validate_on_2d_plan():

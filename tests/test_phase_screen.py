@@ -1,12 +1,15 @@
 """Phase-screen generation and statistics tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from ipfe.grid import FrequencyGrid
-from ipfe.phase_screen import (ScreenRealization, draw_screen, draw_screens,
+from ipfe.phase_screen import (ScreenRealization, _generate_state, draw_screen,
+                               draw_screens, philox_keys,
                                phase_screen_position, screen_phases,
-                               screen_statistics)
+                               screen_statistics, spawn_seeds)
 from ipfe.spectrum import SpectrumKind, TurbulenceModel, psd_lattice
 
 GRID = FrequencyGrid(1, 32, 0.25, 1.55e-6)
@@ -182,3 +185,97 @@ def test_screen_statistics_pinned_values():
                                                      rel=1e-12)
     assert stats2.max_cross_sigma == pytest.approx(2.1059120744776574,
                                                    rel=1e-12)
+
+
+# Entropy of every length SeedSequence distinguishes: one word (0, 1,
+# 2^32 - 1), two words (2^32, 2^64 - 1) and five words (above 2^128),
+# longer than the pool, which numpy does not pad.
+MASTER_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 12345]
+SPAWN_KEYS = [(0, 0), (999, 31), (2**32 - 1, 0)]
+
+
+def test_seed_hash_matches_numpy_seed_sequence():
+    r = np.array([k[0] for k in SPAWN_KEYS])
+    s = np.array([k[1] for k in SPAWN_KEYS])
+    with warnings.catch_warnings():
+        # uint32 wraparound must not warn
+        warnings.simplefilter("error")
+        for master in MASTER_SEEDS:
+            got = spawn_seeds(master, r, s)
+            state = _generate_state(master, (r, s), n_words=3)
+            unspawned = _generate_state(master, n_words=2)
+            for i, key in enumerate(SPAWN_KEYS):
+                seq = np.random.SeedSequence(master, spawn_key=key)
+                assert got[i] == seq.generate_state(1, np.uint64)[0]
+                assert np.array_equal(state[i],
+                                      seq.generate_state(3, np.uint64))
+            assert np.array_equal(
+                unspawned[0],
+                np.random.SeedSequence(master).generate_state(2, np.uint64))
+            assert np.array_equal(
+                _generate_state(master, (np.arange(5),))[:, 0],
+                [child.generate_state(1, np.uint64)[0] for child in
+                 np.random.SeedSequence(master).spawn(5)])
+
+
+def test_philox_keys_match_numpy_philox():
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1]
+    seeds += [int(x) for x in spawn_seeds(20240117, np.arange(3), 7)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        keys = philox_keys(seeds)
+    assert keys.shape == (len(seeds), 2) and keys.dtype == np.uint64
+    for seed, key in zip(seeds, keys):
+        bitgen = np.random.Philox(np.random.SeedSequence(seed))
+        assert np.array_equal(key, bitgen.state["state"]["key"])
+
+
+def test_seed_derivation_refuses_out_of_range_input():
+    with pytest.raises(ValueError, match="spawn key"):
+        spawn_seeds(0, 2**32, 0)
+    with pytest.raises(ValueError, match="spawn key"):
+        spawn_seeds(0, np.array([0, -1]), 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        spawn_seeds(-1, 0, 0)
+    with pytest.raises(ValueError, match="seeds"):
+        philox_keys(np.array([3, -1]))
+    with pytest.raises(ValueError, match="seeds"):
+        philox_keys(np.array([1.5]))
+    with pytest.raises(OverflowError):
+        philox_keys([2**64])
+
+
+def test_draw_matches_one_fresh_generator_per_seed():
+    # The screen of each seed, assembled from the normals of its own new
+    # Philox(SeedSequence(seed)) generator: real parts, then imaginary.
+    seeds = [0, 1, 42, 2**32, 2**63 + 5, 2**64 - 1]
+    n = GRID.n
+    site = np.arange(n)
+    mirror = (n - site) % n
+    canonical, self_conj = site < mirror, site == mirror
+    var = psd_lattice(MODEL, GRID) * DZ * GRID.delta_weight
+    block = draw_screens(MODEL, GRID, DZ, seeds)
+    for seed, got in zip(seeds, block):
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(seed)))
+        re, im = rng.standard_normal((2, n))
+        want = np.sqrt(var / 2.0) * (re + 1j * im)
+        want[self_conj] = np.sqrt(var[self_conj]) * re[self_conj]
+        want = np.where(canonical | self_conj, want, np.conj(want[mirror]))
+        assert np.array_equal(got, want)
+
+
+def test_screen_statistics_needs_no_seed_sequence(monkeypatch):
+    grid2 = FrequencyGrid(2, 8, 0.25, 1.55e-6)
+    want = screen_statistics(MODEL, grid2, DZ, 1500, 7)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SeedSequence built on the screen path")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    got = screen_statistics(MODEL, grid2, DZ, 1500, 7)
+    assert np.array_equal(got.sample_variance, want.sample_variance)
+    assert np.array_equal(got.variance_se, want.variance_se)
+    assert got.cross_pairs == want.cross_pairs
+    assert got.max_rel_deviation == want.max_rel_deviation
+    assert got.max_cross_sigma == want.max_cross_sigma

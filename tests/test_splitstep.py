@@ -5,6 +5,7 @@ per-realization loop."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,51 @@ def test_ensemble_needs_two_realizations():
     with pytest.raises(ValueError, match="n_realizations"):
         ensemble_moments(Spectrum.gaussian(GRID, 1.5),
                          PropagationPlan(GRID, MODEL, 1000.0, 32, 1, 0))
+
+
+def test_screen_seeds_match_seed_sequence():
+    plan = PropagationPlan(GRID, MODEL, 1000.0, 32, 200, 20240117)
+    realizations = range(BLOCK - 2, BLOCK + 3)
+    seeds = plan.screen_seeds(realizations)
+    assert seeds.shape == (len(realizations), plan.n_slabs)
+    for i, r in enumerate(realizations):
+        for slab in (0, 17, plan.n_slabs - 1):
+            seq = np.random.SeedSequence(plan.master_seed,
+                                         spawn_key=(r, slab))
+            want = seq.generate_state(1, np.uint64)[0]
+            assert seeds[i, slab] == want
+            assert plan.screen_seed(r, slab) == want
+
+
+def test_ensemble_needs_no_seed_sequence(monkeypatch):
+    s0 = Spectrum.gaussian(GRID, 1.5)
+    plan = PropagationPlan(GRID, MODEL, 250.0, 8, BLOCK + 6, 5)
+    want = ensemble_moments(s0, plan)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SeedSequence built on the screen path")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    got = ensemble_moments(s0, plan)
+    for name in ("mean_field", "mean_field_se", "second_moment",
+                 "second_moment_se", "anomalous", "anomalous_se"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_ensemble_memory_guard_refuses_before_allocating():
+    # 2-D n=128: (128^2)^2 moment elements at 216 B each, about 54 GiB.
+    grid = FrequencyGrid(2, 128, 0.25, 1.55e-6)
+    s0 = Spectrum.gaussian(grid, 0.5)
+    plan = PropagationPlan(grid, MODEL, 1000.0, 32, 2, 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match=r"about 54\.0 GiB, above the 1 GiB limit"):
+            ensemble_moments(s0, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def loop_propagate(s0, plan, r):
