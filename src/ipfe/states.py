@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import eval_laguerre
+from numpy.polynomial.laguerre import lagval
 
 from .grid import FrequencyGrid, Spectrum, contract
 from .moments import MomentKernel, hierarchy_rhs
@@ -307,5 +307,5 @@ def fock_wigner(n: int, fock: FockSpec, alpha: Spectrum,
     if n < 0:
         raise ValueError("photon number must be >= 0")
     overlap_sq = abs(_overlap(alpha, fock)) ** 2
-    return float(n0 * (-1.0) ** n * eval_laguerre(n, 4.0 * overlap_sq)
+    return float(n0 * (-1.0) ** n * lagval(4.0 * overlap_sq, [0] * n + [1])
                  * np.exp(-2.0 * alpha.norm_sq))

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -257,3 +260,33 @@ def test_validate_config_runs_its_own_plan(tmp_path):
     checks = {c["name"]: c for c in report["checks"]}
     assert len(checks) == 16
     assert checks["mutual-coherence/relative-rms"]["passed"] is True
+
+
+_RUNTIME_IMPORTS = """
+import sys
+before = set(sys.modules)
+import ipfe, ipfe.cli
+from ipfe.grid import FrequencyGrid, Spectrum
+from ipfe.spectrum import SpectrumKind, TurbulenceModel, lambda_total_1d
+from ipfe.states import FockSpec, fock_wigner
+grid = FrequencyGrid(1, 8, 0.25, 1.55e-6)
+assert lambda_total_1d(
+    TurbulenceModel(SpectrumKind.VON_KARMAN, 9.2e-15, 1.0)) > 0.0
+fock = FockSpec.normalized(grid, Spectrum.gaussian(grid, 0.5).values)
+fock_wigner(2, fock, Spectrum(grid, 0.3 * fock.profile))
+loaded = {m.split(".")[0] for m in set(sys.modules) - before}
+sys.stdout.write(",".join(sorted(
+    loaded - set(sys.stdlib_module_names) - {"ipfe", "numpy"})))
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # Importing the package and the command line, and computing Lambda and
+    # a Fock Wigner value, loads no third-party package besides numpy.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _RUNTIME_IMPORTS], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300)
+    assert out.stdout == ""

@@ -70,19 +70,39 @@ def test_lambda_total_closed_form():
     assert lambda_total(VK) == pytest.approx(closed, rel=1e-8)
 
 
-def test_lambda_total_1d_mpmath_oracle():
+# Inner scales of the quadrature sweep, as functions of the outer scale.
+INNER_SCALES = {"0": lambda L0: 0.0, "1mm": lambda L0: 1e-3,
+                "0.01L0": lambda L0: 0.01 * L0, "0.1L0": lambda L0: 0.1 * L0,
+                "L0": lambda L0: L0}
+
+
+@pytest.mark.parametrize("l0_name", list(INNER_SCALES))
+@pytest.mark.parametrize("outer_scale", [0.1, 1.0, 10.0, 100.0, 1000.0],
+                         ids=lambda L0: f"L0={L0:g}")
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_lambda_total_1d_mpmath_oracle(dim, outer_scale, l0_name):
+    inner_scale = INNER_SCALES[l0_name](outer_scale)
+    model = TurbulenceModel(SpectrumKind.VON_KARMAN, 1e-14, outer_scale,
+                            inner_scale)
     mpmath.mp.dps = 30
-    cn2 = mpmath.mpf("1e-14")
-    kappa0 = 2 * mpmath.pi / 10
+    cn2 = mpmath.mpf(model.cn2)
+    kappa0 = 2 * mpmath.pi / mpmath.mpf(outer_scale)
+    l0 = mpmath.mpf(inner_scale)
 
     def integrand(a):
-        return (mpmath.mpf("0.033") * (2 * mpmath.pi) ** 3 * cn2
-                * ((2 * mpmath.pi * a) ** 2 + kappa0 ** 2)
-                ** (mpmath.mpf(-11) / 6))
+        k_sq = (2 * mpmath.pi * a) ** 2
+        weight = 2 if dim == 1 else 2 * mpmath.pi * a
+        return (weight * mpmath.mpf("0.033") * (2 * mpmath.pi) ** 3 * cn2
+                * (k_sq + kappa0 ** 2) ** (mpmath.mpf(-11) / 6)
+                * mpmath.exp(-k_sq * l0 ** 2 / 35))
 
-    oracle = 2 * mpmath.quad(integrand, [0, kappa0 / (2 * mpmath.pi),
-                                         mpmath.inf])
-    assert lambda_total_1d(VK) == pytest.approx(float(oracle), rel=1e-8)
+    # Split at the outer-scale knee and at the inner-scale cutoff.
+    breaks = [kappa0 / (2 * mpmath.pi)]
+    if inner_scale > 0.0:
+        breaks.append(mpmath.sqrt(35) / (2 * mpmath.pi * l0))
+    oracle = mpmath.quad(integrand, [0] + sorted(breaks) + [mpmath.inf])
+    got = lambda_total_1d(model) if dim == 1 else lambda_total(model)
+    assert got == pytest.approx(float(oracle), rel=1e-12)
 
 
 def test_isotropy_random_rotations():

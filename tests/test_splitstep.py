@@ -8,12 +8,12 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import jv
 
 from ipfe.grid import FrequencyGrid, Spectrum, to_frequency, to_position
-from ipfe.phase_screen import ScreenRealization
+from ipfe.phase_screen import ScreenRealization, draw_screen
 from ipfe.splitstep import (BLOCK, PropagationPlan, apply_screen,
                             ensemble_moments, free_space_step, propagate)
 from ipfe.spectrum import SpectrumKind, TurbulenceModel
@@ -80,7 +80,8 @@ def test_jacobi_anger_sidebands():
     for m in range(-10, 11):
         target = in_site + m * offset
         if 0 <= target < n:
-            expected[target] += (-1j) ** abs(m) * jv(abs(m), beta)
+            expected[target] += (-1j) ** abs(m) * float(
+                mpmath.besselj(abs(m), beta))
     assert np.allclose(out.values, expected, atol=1e-12)
 
 
@@ -210,6 +211,10 @@ def test_screen_seeds_match_seed_sequence():
             want = seq.generate_state(1, np.uint64)[0]
             assert seeds[i, slab] == want
             assert plan.screen_seed(r, slab) == want
+            assert np.array_equal(
+                plan.slab_screen(r, slab).n_tilde_hat,
+                draw_screen(plan.model, plan.grid, plan.dz,
+                            seeds[i, slab]).n_tilde_hat)
 
 
 def test_ensemble_needs_no_seed_sequence(monkeypatch):
@@ -243,12 +248,13 @@ def test_ensemble_memory_guard_refuses_before_allocating():
     assert peak < 2 ** 20
 
 
-def loop_propagate(s0, plan, r):
-    """Per-realization oracle built from the single-spectrum primitives."""
+def loop_propagate(s0, plan, seeds):
+    """Per-realization oracle built from the single-spectrum primitives,
+    given the realization's screen seed in every slab."""
     s = s0
-    for slab in range(plan.n_slabs):
+    for seed in seeds:
         s = free_space_step(s, plan.dz / 2.0)
-        s = apply_screen(s, plan.slab_screen(r, slab))
+        s = apply_screen(s, draw_screen(plan.model, plan.grid, plan.dz, seed))
         s = free_space_step(s, plan.dz / 2.0)
     return s.values.ravel()
 
@@ -259,7 +265,8 @@ def test_engine_matches_per_realization_loop(dim, n, sigma_a):
     s0 = Spectrum.gaussian(grid, sigma_a)
     n_real = BLOCK + 6  # one full block and a partial one
     plan = PropagationPlan(grid, MODEL, 1000.0, 32, n_real, 17)
-    fields = np.array([loop_propagate(s0, plan, r) for r in range(n_real)])
+    fields = np.array([loop_propagate(s0, plan, seeds)
+                       for seeds in plan.screen_seeds(range(n_real))])
 
     def close(got, want):
         scale = np.max(np.abs(want))

@@ -1,12 +1,13 @@
 """Gaussian-state, linear-process, and Fock-state formula tests."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from ipfe.grid import FrequencyGrid, Spectrum
 from ipfe.spectrum import (SpectrumKind, TurbulenceModel, lambda_grid,
                            psd_lattice)
-from ipfe.states import (FockSpec, GaussianState, LinearProcess,
+from ipfe.states import (DEFAULT_N0, FockSpec, GaussianState, LinearProcess,
                          characteristic_of_gaussian,
                          evaluate_linear_process, fock_generating,
                          fock_wigner, free_space_gaussian, gaussian_drift,
@@ -225,6 +226,21 @@ def test_fock_wigner_values():
     assert fock_wigner(1, fock, alpha) == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(ValueError, match=">= 0"):
         fock_wigner(-1, fock, zero_alpha)
+    # Orders 0-8 against the explicit Laguerre sum in mpmath, for 4|<alpha,
+    # F>|^2 from 0 to 16 (mpmath.laguerre fails to converge at roots).
+    mpmath.mp.dps = 30
+    for scale in np.linspace(0.0, 2.0, 20):
+        alpha = Spectrum(GRID, scale * fock.profile)
+        x = mpmath.mpf(4.0 * abs(np.sum(np.conj(alpha.values) * fock.profile)
+                                 * GRID.cell) ** 2)
+        decay = DEFAULT_N0 * mpmath.exp(-2 * mpmath.mpf(alpha.norm_sq))
+        for n in range(9):
+            laguerre = mpmath.fsum(mpmath.binomial(n, k) * (-x) ** k
+                                   / mpmath.factorial(k)
+                                   for k in range(n + 1))
+            want = (-1) ** n * laguerre * decay
+            err = abs(fock_wigner(n, fock, alpha) - want)
+            assert err <= 1e-13 * max(1, abs(laguerre)) * decay, (scale, n)
 
 
 def test_fock_finite_difference_consistency():
