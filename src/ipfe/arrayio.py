@@ -85,7 +85,7 @@ def read_array(path):
     return values, metadata
 
 
-def grid_metadata(grid, units: dict | None = None, **extra) -> dict:
+def grid_metadata(grid, **extra) -> dict:
     """Standard sidecar payload for arrays living on a frequency grid."""
     meta = {
         "grid": {
@@ -96,7 +96,5 @@ def grid_metadata(grid, units: dict | None = None, **extra) -> dict:
         },
         "units": {"delta_a": "cycles/m", "wavelength": "m"},
     }
-    if units:
-        meta["units"].update(units)
     meta.update(extra)
     return meta

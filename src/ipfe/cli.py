@@ -8,7 +8,8 @@ evolve-kernel   integrate a moment kernel read from a binary tensor file;
                 writes snapshots and a CSV of conserved-quantity diagnostics
 states          Fock-state Wigner/generating-function sweep (CSV), or the
                 Gaussian stationarity residual table with --stationarity
-screens         with --validate: screen-statistics tables as CSV
+screens         screen-statistics tables (per-mode variance, cross-mode
+                covariance) as CSV
 spectrum-table  CSV of the transverse PSD over a log-spaced range
 validate        full cross-validation suite on the reference plan, or on
                 the plan and source of --config; JSON + text report
@@ -34,7 +35,7 @@ from .arrayio import grid_metadata, read_array, write_array
 from .grid import FrequencyGrid, Spectrum
 from .moments import (MomentKernel, boundary_mass_fraction, evolve_kernel,
                       hermiticity_residual, kernel_trace)
-from .phase_screen import screen_statistics
+from .phase_screen import as_u64, screen_statistics
 from .spectrum import SpectrumKind, TurbulenceModel, psd_transverse
 from .splitstep import PropagationPlan, ensemble_moments
 from .states import FockSpec, GaussianState, fock_generating, fock_wigner, \
@@ -319,10 +320,6 @@ def cmd_states(args) -> int:
 
 def cmd_screens(args) -> int:
     cfg = _apply_seed(load_config(args.config), args)
-    if not args.validate:
-        print("nothing to do: pass --validate for the statistics tables",
-              file=sys.stderr)
-        return 2
     out = _out_dir(args, cfg)
     plan = cfg.plan
     stats = screen_statistics(plan.model, plan.grid, plan.dz, args.samples,
@@ -387,11 +384,17 @@ def cmd_validate(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def u64(text: str) -> int:
+    """A --seed value: an integer in [0, 2^64)."""
+    return as_u64(int(text), "seed")
+
+
 def _add_common(parser, config_required=True) -> None:
     parser.add_argument("--config", required=config_required,
                         help="path to the JSON run configuration")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the master seed")
+    parser.add_argument("--seed", type=u64, default=None,
+                        help="override the master seed (an integer in "
+                             "[0, 2^64))")
     parser.add_argument("--out", default=None,
                         help="output directory (default: config output_dir)")
 
@@ -427,10 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the Gaussian stationarity residual table")
     p.set_defaults(func=cmd_states)
 
-    p = sub.add_parser("screens", help="phase-screen statistics")
+    p = sub.add_parser("screens", help="phase-screen statistics tables (CSV)")
     _add_common(p)
-    p.add_argument("--validate", action="store_true",
-                   help="emit the screen statistics tables as CSV")
     p.add_argument("--samples", type=int, default=10000,
                    help="number of screens to draw (default 10000)")
     p.set_defaults(func=cmd_screens)

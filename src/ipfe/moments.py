@@ -43,6 +43,9 @@ from .spectrum import (DivergentLambdaError, SpectrumKind, TurbulenceModel,
 
 BOUNDARY_MASS_TOLERANCE = 1e-6
 
+# step_guard's bound on both per-step numbers of step_guard_values.
+_STEP_GUARD_BOUND = 0.1
+
 
 @dataclass
 class MomentKernel:
@@ -291,14 +294,13 @@ def step_guard_values(grid: FrequencyGrid, model: TurbulenceModel,
     }
 
 
-def step_guard(grid: FrequencyGrid, model: TurbulenceModel, dz: float,
-               bound: float = 0.1) -> None:
+def step_guard(grid: FrequencyGrid, model: TurbulenceModel, dz: float) -> None:
     guards = step_guard_values(grid, model, dz)
     phase, scatter = guards["sampling"], guards["weak_scattering"]
-    if max(phase, scatter) >= bound:
+    if max(phase, scatter) >= _STEP_GUARD_BOUND:
         raise ValueError(
             f"step guard violated: max(pi*lambda*dz*a_max^2={phase:.3e}, "
-            f"k^2*Lambda*dz={scatter:.3e}) >= {bound}")
+            f"k^2*Lambda*dz={scatter:.3e}) >= {_STEP_GUARD_BOUND}")
 
 
 def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,

@@ -19,17 +19,13 @@ mirror indices) are computed, and the plan's guards checked, once per
 engine.  ``propagate`` is the same engine run on a block of one
 realization.
 
-Stream contract: the screen of realization r in slab s has the seed
-``SeedSequence(master_seed, spawn_key=(r, s)).generate_state(1,
-np.uint64)[0]`` and is drawn from the Philox stream of that seed (see
-``ipfe.phase_screen``); it is bit-identical to ``plan.slab_screen(r, s)``
-whatever block it is drawn in.  The engine derives the seeds and Philox
-keys of a block's realizations in all slabs with one vectorized hash
-(``PropagationPlan.screen_seeds``), not with a SeedSequence per screen.
-``ensemble_moments`` reduces blocks of ``BLOCK`` realizations with matrix
-products and adds the block partials in index order, so its moments are
-bit-reproducible and differ from a one-realization-at-a-time sum only by
-the rounding of the reduction.  It refuses, before allocating, a grid
+The screen of realization r in slab s is the one at address
+(master_seed, s, r) of the stream contract in ``ipfe.phase_screen``, so it
+is bit-identical to ``plan.slab_screen(r, s)`` whatever block it is drawn
+in.  ``ensemble_moments`` reduces blocks of ``BLOCK`` realizations with
+matrix products and adds the block partials in index order, so its moments
+are bit-reproducible and differ from a one-realization-at-a-time sum only
+by the rounding of the reduction.  It refuses, before allocating, a grid
 whose (n^D)^2 moments it estimates above ``MAX_ENSEMBLE_BYTES``.
 """
 
@@ -40,9 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import FrequencyGrid, Spectrum, to_frequency, to_position
-from .phase_screen import (ScreenLattice, ScreenRealization, draw_screen,
-                           phase_screen_position, philox_keys, screen_phases,
-                           spawn_seeds)
+from .phase_screen import (ScreenLattice, ScreenRealization, as_u64,
+                           phase_screen_position, screen_phases)
 from .moments import step_guard_values
 from .spectrum import TurbulenceModel
 
@@ -73,6 +68,7 @@ class PropagationPlan:
             raise ValueError("n_slabs must be >= 1")
         if self.z_total < 0.0:
             raise ValueError("z_total must be >= 0")
+        as_u64(self.master_seed, "master_seed")
 
     @property
     def dz(self) -> float:
@@ -97,20 +93,13 @@ class PropagationPlan:
                 f"weak-scattering guard violated: k^2*Lambda*dz = "
                 f"{guards['weak_scattering']:.3e} >= 0.1")
 
-    def screen_seeds(self, realizations) -> np.ndarray:
-        """Screen seeds of the given realizations in every slab, shape
-        (len(realizations), n_slabs), derived in one vectorized pass."""
-        return spawn_seeds(self.master_seed,
-                           np.asarray(realizations)[:, None],
-                           np.arange(self.n_slabs))
-
-    def screen_seed(self, realization_index: int, slab_index: int) -> int:
-        return int(self.screen_seeds([realization_index])[0, slab_index])
-
     def slab_screen(self, realization_index: int,
                     slab_index: int) -> ScreenRealization:
-        return draw_screen(self.model, self.grid, self.dz,
-                           self.screen_seed(realization_index, slab_index))
+        """One realization's screen in one slab, as the engine draws it."""
+        lattice = ScreenLattice(self.model, self.grid, self.dz)
+        coeff = lattice.draw(self.master_seed, slab_index,
+                             [realization_index])[0]
+        return ScreenRealization(self.grid, coeff, self.dz, self.master_seed)
 
 
 def free_space_step(s: Spectrum, dz: float) -> Spectrum:
@@ -149,10 +138,9 @@ class _BlockEngine:
         fields = np.repeat(np.fft.ifftshift(s0.values)[None],
                            len(realizations), axis=0)
         if self.screens is not None:
-            # One hash for the whole block: its cost is per call, not per key.
-            keys = philox_keys(plan.screen_seeds(realizations))
             for slab in range(plan.n_slabs):
-                coeffs = self.screens.draw(keys[:, slab])
+                coeffs = self.screens.draw(plan.master_seed, slab,
+                                           realizations)
                 phi = screen_phases(coeffs, grid, grid.wavenumber)
                 fields *= self.half_step
                 g = np.fft.fftn(fields, axes=axes) * grid.cell

@@ -30,6 +30,10 @@ from .spectrum import (SpectrumKind, TurbulenceModel, lambda_grid,
 # convention-dependent; all shipped checks use ratios or zero crossings).
 DEFAULT_N0 = 1.0
 
+# Probe fields of gaussian_drift's fourth-order residual and their seed.
+_DRIFT_PROBES = 16
+_DRIFT_PROBE_SEED = 2024
+
 
 def _site_count(grid: FrequencyGrid) -> int:
     return grid.n ** grid.dim
@@ -100,8 +104,7 @@ def free_space_gaussian(state: GaussianState, z: float) -> GaussianState:
     )
 
 
-def gaussian_drift(state: GaussianState, model: TurbulenceModel,
-                   n_probes: int = 16, probe_seed: int = 2024):
+def gaussian_drift(state: GaussianState, model: TurbulenceModel):
     """Scintillation drift of the centered Gaussian ansatz.
 
     Returns (second_order_rhs, fourth_order_residual): the full dA/dz
@@ -136,12 +139,12 @@ def gaussian_drift(state: GaussianState, model: TurbulenceModel,
             np.fft.fftn(x) * np.conj(np.fft.fftn(np.conj(y)))))
 
     rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(probe_seed)))
+        np.random.Philox(np.random.SeedSequence(_DRIFT_PROBE_SEED)))
     n = grid.n
     d = grid.dim
     cell = grid.cell
     residuals = []
-    for _ in range(n_probes):
+    for _ in range(_DRIFT_PROBES):
         av = (rng.standard_normal(size) + 1j * rng.standard_normal(size))
         q = correlate(np.conj(av) @ a_mat, av) * cell ** 2
         r = correlate(a_mat @ av, np.conj(av)) * cell ** 2
@@ -152,8 +155,7 @@ def gaussian_drift(state: GaussianState, model: TurbulenceModel,
         raw = np.abs(np.sum(phi * bracket) * cell)
         denom = lam_d * qn ** 2
         residuals.append(raw / denom if denom > 0 else raw)
-    fourth = float(np.sqrt(np.mean(np.square(residuals)))) if residuals \
-        else 0.0
+    fourth = float(np.sqrt(np.mean(np.square(residuals))))
     return rhs, fourth
 
 

@@ -509,7 +509,7 @@ def check_screens(plan: PropagationPlan = REFERENCE) -> list[CheckResult]:
     grid = FrequencyGrid(1, 32, plan.grid.delta_a, plan.grid.wavelength)
     t0 = time.perf_counter()
     stats = screen_statistics(plan.model, grid, plan.dz, 10000,
-                              plan.master_seed + 8)
+                              (plan.master_seed + 8) % 2 ** 64)
     elapsed = time.perf_counter() - t0
     results = [
         _bound("screens/variance",

@@ -12,6 +12,7 @@ import pytest
 
 from ipfe import splitstep
 from ipfe.grid import FrequencyGrid, Spectrum
+from ipfe.phase_screen import screen_statistics
 from ipfe.validation import (REFERENCE, REFERENCE_SOURCE_SIGMA_A,
                              check_conservation, check_duality,
                              check_first_moment, check_free_space,
@@ -20,15 +21,15 @@ from ipfe.validation import (REFERENCE, REFERENCE_SOURCE_SIGMA_A,
                              check_wigner_formulas, run_validate)
 
 # Monte-Carlo values (measured, standard error) reported at the reference
-# configuration by the one-realization-at-a-time ensemble this package
-# started from.  The screens are the same, so only the reduction order of
-# the moments may move them.
+# configuration, with the screen of realization r in slab s at address
+# (master_seed, s, r) of the stream contract; with the screens fixed, only
+# the reduction order of the moments may move them.
 PINNED_MONTE_CARLO = {
-    "first-moment-decay/monte-carlo": (1.0231605675940267,
-                                       0.023796782497074665),
-    "mutual-coherence/monte-carlo": (1.932996200447912,
-                                     0.008367638227434766),
-    "mutual-coherence/relative-rms": (0.027280086510624874, None),
+    "first-moment-decay/monte-carlo": (1.35476670575957,
+                                       0.024064321702797015),
+    "mutual-coherence/monte-carlo": (1.7841378572423061,
+                                     0.008562364815697892),
+    "mutual-coherence/relative-rms": (0.016051000908733945, None),
 }
 
 
@@ -109,6 +110,18 @@ def test_linear_process_and_fock_formulas():
 
 def test_phase_screen_statistics():
     report(check_screens())
+
+
+def test_screen_check_runs_at_the_largest_seed():
+    # check_screens draws at master_seed + 8 modulo 2^64, so every seed a
+    # plan accepts validates; 2^64 - 1 wraps to seed 7.
+    results = check_screens(replace(REFERENCE, master_seed=2 ** 64 - 1))
+    report(results)
+    grid = FrequencyGrid(1, 32, REFERENCE.grid.delta_a,
+                         REFERENCE.grid.wavelength)
+    stats = screen_statistics(REFERENCE.model, grid, REFERENCE.dz, 10000, 7)
+    assert [r.measured for r in results] == [stats.max_rel_deviation,
+                                             stats.max_cross_sigma]
 
 
 def test_characteristic_transform_duality():

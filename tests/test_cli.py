@@ -1,6 +1,8 @@
 """Configuration loading and command-line entry point tests."""
 
 import csv
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -151,9 +153,8 @@ def test_states_commands(tmp_path):
 def test_screens_command(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "scr"
-    assert main(["screens", "--config", str(cfg)]) == 2  # missing --validate
     assert main(["screens", "--config", str(cfg), "--out", str(out),
-                 "--validate", "--samples", "200"]) == 0
+                 "--samples", "200"]) == 0
     rows = read_csv(out / "screens_variance.csv")
     assert len(rows) == 9
     cross = read_csv(out / "screens_cross.csv")
@@ -213,6 +214,27 @@ def test_config_error_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, model={"cn2": -1.0})
     assert main(["simulate", "--config", str(path)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_seed_must_be_u64(tmp_path, monkeypatch, capsys):
+    # A seed outside [0, 2^64) would wrap silently in a Philox key: the
+    # configuration refuses it as a ConfigError and --seed as a usage error
+    # (both exit 2) before any check runs.
+    monkeypatch.setattr(validation, "run_validate", None)
+    for seed in (-1, 2 ** 64):
+        path = write_config(tmp_path, plan={"master_seed": seed})
+        with pytest.raises(ConfigError, match="master_seed must be an "
+                                              "integer in"):
+            load_config(path)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--seed", str(seed)])
+        assert exc.value.code == 2
+        assert "argument --seed: invalid u64 value" in \
+            capsys.readouterr().err
+    path = write_config(tmp_path, plan={"master_seed": 2 ** 64 - 1})
+    assert load_config(path).plan.master_seed == 2 ** 64 - 1
 
 
 def test_validate_exit_codes(tmp_path, monkeypatch):
@@ -290,3 +312,20 @@ def test_numpy_is_the_only_runtime_dependency():
                          capture_output=True, text=True, check=True,
                          timeout=300)
     assert out.stdout == ""
+
+
+def test_traced_spans_resolve():
+    # perfbench's traced mode wraps every WRAPPED name by getattr; a name
+    # removed from ipfe would break `perfbench/run.py --trace 1`.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for modname, functions in spans.WRAPPED.items():
+        module = importlib.import_module(f"ipfe.{modname}")
+        for qual in functions:
+            owner = module
+            for attr in qual.split("."):
+                assert hasattr(owner, attr), f"ipfe.{modname}.{qual}"
+                owner = getattr(owner, attr)
+            assert callable(owner), f"ipfe.{modname}.{qual}"

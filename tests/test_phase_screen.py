@@ -1,16 +1,14 @@
 """Phase-screen generation and statistics tests."""
 
-import warnings
-
 import numpy as np
 import pytest
 
 from ipfe.grid import FrequencyGrid
-from ipfe.phase_screen import (ScreenRealization, _generate_state, draw_screen,
-                               draw_screens, philox_keys,
-                               phase_screen_position, screen_phases,
-                               screen_statistics, spawn_seeds)
+from ipfe.phase_screen import (ScreenLattice, ScreenRealization, draw_screen,
+                               draw_screens, phase_screen_position,
+                               screen_phases, screen_statistics)
 from ipfe.spectrum import SpectrumKind, TurbulenceModel, psd_lattice
+from ipfe.splitstep import PropagationPlan
 
 GRID = FrequencyGrid(1, 32, 0.25, 1.55e-6)
 MODEL = TurbulenceModel(SpectrumKind.VON_KARMAN, 9.2e-15, 1.0)
@@ -138,16 +136,16 @@ def test_draw_screens_bit_identical_to_draw_screen():
         for i, seed in enumerate(seeds):
             assert np.array_equal(
                 block[i], draw_screen(MODEL, grid, DZ, seed).n_tilde_hat)
+        assert draw_screens(MODEL, grid, DZ, []).shape == (0,) + grid.shape
 
 
 def test_draw_screen_pinned_values():
-    # Coefficients drawn by the one-screen-at-a-time implementation this
-    # package started from, for the same seed: the stream is unchanged.
+    # The screen at address (42, 0, 0): pins the stream contract.
     coeff = draw_screen(MODEL, GRID, DZ, 42).n_tilde_hat
-    assert coeff[20] == 3.139629221405833e-08 - 1.267448406352527e-08j
-    assert coeff[12] == 3.139629221405833e-08 + 1.267448406352527e-08j
-    assert coeff[16] == -1.3456157488064378e-08  # DC, self-conjugate
-    assert coeff[0] == -8.68481622674965e-09  # Nyquist, self-conjugate
+    assert coeff[20] == 1.695769815971823e-08 - 1.7997572836634836e-08j
+    assert coeff[12] == 1.695769815971823e-08 + 1.7997572836634836e-08j
+    assert coeff[16] == -6.328512393784377e-08  # DC, self-conjugate
+    assert coeff[0] == 2.654606342351652e-09  # Nyquist, self-conjugate
 
 
 def test_screen_phases_block_matches_single_screens():
@@ -164,105 +162,100 @@ def test_screen_phases_block_matches_single_screens():
 
 
 def test_screen_statistics_pinned_values():
-    # Values of the one-screen-at-a-time implementation this package
-    # started from; chunked block reduction changes only rounding.
+    # Screens at (123, 0, i) and site pairs from the stream of key
+    # (123, 1); the chunked block reduction may change only rounding.
     stats = screen_statistics(MODEL, GRID, DZ, 400, 123)
-    assert stats.max_rel_deviation == pytest.approx(0.13065153558892817,
+    assert stats.max_rel_deviation == pytest.approx(0.1330616207785711,
                                                     rel=1e-12)
-    assert stats.max_cross_sigma == pytest.approx(2.3746005133383994,
+    assert stats.max_cross_sigma == pytest.approx(2.2964174299135967,
                                                   rel=1e-12)
-    assert stats.sample_variance[20] == pytest.approx(3.193712644410494e-15,
+    assert stats.sample_variance[20] == pytest.approx(3.543701006412003e-15,
                                                       rel=1e-12)
-    assert stats.variance_se[20] == pytest.approx(1.5051367722316113e-16,
+    assert stats.variance_se[20] == pytest.approx(1.8220698130042742e-16,
                                                   rel=1e-12)
     a, b, mag, se = stats.cross_pairs[0]
-    assert (a, b) == (8, 28)
-    assert mag == pytest.approx(2.3105328445738313e-17, rel=1e-12)
-    assert se == pytest.approx(1.532411476572852e-17, rel=1e-12)
+    assert (a, b) == (15, 27)
+    assert mag == pytest.approx(6.074936389596941e-17, rel=1e-12)
+    assert se == pytest.approx(7.414182872091408e-17, rel=1e-12)
     grid2 = FrequencyGrid(2, 8, 0.25, 1.55e-6)
     stats2 = screen_statistics(MODEL, grid2, DZ, 1500, 7)  # two chunks
-    assert stats2.max_rel_deviation == pytest.approx(0.05876248783796756,
+    assert stats2.max_rel_deviation == pytest.approx(0.11016872371222286,
                                                      rel=1e-12)
-    assert stats2.max_cross_sigma == pytest.approx(2.1059120744776574,
+    assert stats2.max_cross_sigma == pytest.approx(2.4269248748367542,
                                                    rel=1e-12)
 
 
-# Entropy of every length SeedSequence distinguishes: one word (0, 1,
-# 2^32 - 1), two words (2^32, 2^64 - 1) and five words (above 2^128),
-# longer than the pool, which numpy does not pad.
-MASTER_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 12345]
-SPAWN_KEYS = [(0, 0), (999, 31), (2**32 - 1, 0)]
+def fresh_philox_screen(grid, seed, stream, index):
+    """The screen at (seed, stream, index), assembled from the normals of
+    its own new Philox generator: real parts, then imaginary."""
+    bitgen = np.random.Philox(
+        key=np.array([seed, stream], dtype=np.uint64),
+        counter=np.array([0, index, 0, 0], dtype=np.uint64))
+    re, im = np.random.Generator(bitgen).standard_normal((2,) + grid.shape)
+    n = grid.n
+    idx = np.indices(grid.shape)
+    flat = np.ravel_multi_index(tuple(idx), grid.shape)
+    mirror = tuple((n - i) % n for i in idx)
+    mflat = np.ravel_multi_index(mirror, grid.shape)
+    canonical, self_conj = flat < mflat, flat == mflat
+    var = psd_lattice(MODEL, grid) * DZ * grid.delta_weight
+    want = np.sqrt(var / 2.0) * (re + 1j * im)
+    want[self_conj] = np.sqrt(var[self_conj]) * re[self_conj]
+    return np.where(canonical | self_conj, want, np.conj(want[mirror]))
 
 
-def test_seed_hash_matches_numpy_seed_sequence():
-    r = np.array([k[0] for k in SPAWN_KEYS])
-    s = np.array([k[1] for k in SPAWN_KEYS])
-    with warnings.catch_warnings():
-        # uint32 wraparound must not warn
-        warnings.simplefilter("error")
-        for master in MASTER_SEEDS:
-            got = spawn_seeds(master, r, s)
-            state = _generate_state(master, (r, s), n_words=3)
-            unspawned = _generate_state(master, n_words=2)
-            for i, key in enumerate(SPAWN_KEYS):
-                seq = np.random.SeedSequence(master, spawn_key=key)
-                assert got[i] == seq.generate_state(1, np.uint64)[0]
-                assert np.array_equal(state[i],
-                                      seq.generate_state(3, np.uint64))
-            assert np.array_equal(
-                unspawned[0],
-                np.random.SeedSequence(master).generate_state(2, np.uint64))
-            assert np.array_equal(
-                _generate_state(master, (np.arange(5),))[:, 0],
-                [child.generate_state(1, np.uint64)[0] for child in
-                 np.random.SeedSequence(master).spawn(5)])
-
-
-def test_philox_keys_match_numpy_philox():
-    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1]
-    seeds += [int(x) for x in spawn_seeds(20240117, np.arange(3), 7)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        keys = philox_keys(seeds)
-    assert keys.shape == (len(seeds), 2) and keys.dtype == np.uint64
-    for seed, key in zip(seeds, keys):
-        bitgen = np.random.Philox(np.random.SeedSequence(seed))
-        assert np.array_equal(key, bitgen.state["state"]["key"])
-
-
-def test_seed_derivation_refuses_out_of_range_input():
-    with pytest.raises(ValueError, match="spawn key"):
-        spawn_seeds(0, 2**32, 0)
-    with pytest.raises(ValueError, match="spawn key"):
-        spawn_seeds(0, np.array([0, -1]), 0)
-    with pytest.raises(ValueError, match="non-negative"):
-        spawn_seeds(-1, 0, 0)
-    with pytest.raises(ValueError, match="seeds"):
-        philox_keys(np.array([3, -1]))
-    with pytest.raises(ValueError, match="seeds"):
-        philox_keys(np.array([1.5]))
-    with pytest.raises(OverflowError):
-        philox_keys([2**64])
+def test_screen_address_is_philox_state():
+    # Each screen equals standard_normal from a fresh Philox keyed
+    # (seed, stream) at counter (0, index, 0, 0), for every word at the
+    # edges of its range.
+    indices = [0, 1, 63, 2**40, 2**64 - 1]
+    for dim, n in ((1, 32), (2, 8)):
+        grid = FrequencyGrid(dim, n, 0.25, 1.55e-6)
+        lattice = ScreenLattice(MODEL, grid, DZ)
+        for seed, stream in ((0, 0), (20240117, 7), (2**63 + 5, 1),
+                             (2**64 - 1, 2**64 - 1)):
+            block = lattice.draw(seed, stream, indices)
+            assert block.shape == (len(indices),) + grid.shape
+            for got, index in zip(block, indices):
+                assert np.array_equal(
+                    got, fresh_philox_screen(grid, seed, stream, index))
 
 
 def test_draw_matches_one_fresh_generator_per_seed():
-    # The screen of each seed, assembled from the normals of its own new
-    # Philox(SeedSequence(seed)) generator: real parts, then imaginary.
+    # draw_screen(seed) is the screen at (seed, 0, 0): the Philox of key
+    # (seed, 0) at counter 0, which is also realization 0 in slab 0 of a
+    # plan with that master seed.
     seeds = [0, 1, 42, 2**32, 2**63 + 5, 2**64 - 1]
-    n = GRID.n
-    site = np.arange(n)
-    mirror = (n - site) % n
-    canonical, self_conj = site < mirror, site == mirror
-    var = psd_lattice(MODEL, GRID) * DZ * GRID.delta_weight
     block = draw_screens(MODEL, GRID, DZ, seeds)
     for seed, got in zip(seeds, block):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed)))
-        re, im = rng.standard_normal((2, n))
-        want = np.sqrt(var / 2.0) * (re + 1j * im)
-        want[self_conj] = np.sqrt(var[self_conj]) * re[self_conj]
-        want = np.where(canonical | self_conj, want, np.conj(want[mirror]))
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, fresh_philox_screen(GRID, seed, 0, 0))
+        plan = PropagationPlan(GRID, MODEL, 32 * DZ, 32, 2, seed)
+        assert np.array_equal(got, plan.slab_screen(0, 0).n_tilde_hat)
+
+
+def test_seed_derivation_refuses_out_of_range_input():
+    # A negative or 65-bit seed would wrap silently in a Philox key.
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must be an integer in "
+                                             r"\[0, 2\^64\)"):
+            draw_screen(MODEL, GRID, DZ, seed)
+        with pytest.raises(ValueError, match="seed"):
+            screen_statistics(MODEL, GRID, DZ, 100, seed)
+        with pytest.raises(ValueError, match="master_seed"):
+            PropagationPlan(GRID, MODEL, 1000.0, 32, 2, seed)
+    lattice = ScreenLattice(MODEL, GRID, DZ)
+    with pytest.raises(ValueError, match="stream"):
+        lattice.draw(0, -1, [0])
+    with pytest.raises(ValueError, match="stream"):
+        lattice.draw(0, 2**64, [0])
+    for indices in ([0, -1], [2**64]):
+        with pytest.raises(ValueError, match="screen index"):
+            lattice.draw(0, 0, indices)
+    with pytest.raises(TypeError):
+        lattice.draw(0, 0, [1.5])
+    with pytest.raises(TypeError):
+        draw_screen(MODEL, GRID, DZ, 1.5)
+    assert lattice.draw(0, 0, range(0)).shape == (0,) + GRID.shape
 
 
 def test_screen_statistics_needs_no_seed_sequence(monkeypatch):

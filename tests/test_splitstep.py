@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ipfe.grid import FrequencyGrid, Spectrum, to_frequency, to_position
-from ipfe.phase_screen import ScreenRealization, draw_screen
+from ipfe.phase_screen import ScreenLattice, ScreenRealization
 from ipfe.splitstep import (BLOCK, PropagationPlan, apply_screen,
                             ensemble_moments, free_space_step, propagate)
 from ipfe.spectrum import SpectrumKind, TurbulenceModel
@@ -199,22 +199,23 @@ def test_ensemble_needs_two_realizations():
                          PropagationPlan(GRID, MODEL, 1000.0, 32, 1, 0))
 
 
-def test_screen_seeds_match_seed_sequence():
+def test_slab_screens_do_not_depend_on_block():
+    # Rows of overlapping blocks of one slab's screens equal the screens
+    # slab_screen draws one at a time, at (master_seed, slab, r).
     plan = PropagationPlan(GRID, MODEL, 1000.0, 32, 200, 20240117)
-    realizations = range(BLOCK - 2, BLOCK + 3)
-    seeds = plan.screen_seeds(realizations)
-    assert seeds.shape == (len(realizations), plan.n_slabs)
-    for i, r in enumerate(realizations):
-        for slab in (0, 17, plan.n_slabs - 1):
-            seq = np.random.SeedSequence(plan.master_seed,
-                                         spawn_key=(r, slab))
-            want = seq.generate_state(1, np.uint64)[0]
-            assert seeds[i, slab] == want
-            assert plan.screen_seed(r, slab) == want
-            assert np.array_equal(
-                plan.slab_screen(r, slab).n_tilde_hat,
-                draw_screen(plan.model, plan.grid, plan.dz,
-                            seeds[i, slab]).n_tilde_hat)
+    lattice = ScreenLattice(plan.model, plan.grid, plan.dz)
+    for slab in (0, 17, plan.n_slabs - 1):
+        for start, stop in ((BLOCK - 2, BLOCK + 3), (BLOCK, BLOCK + 1),
+                            (0, BLOCK + 1)):
+            block = lattice.draw(plan.master_seed, slab, range(start, stop))
+            for r, row in zip(range(start, stop), block):
+                if r in (0, BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 2):
+                    assert np.array_equal(
+                        row, plan.slab_screen(r, slab).n_tilde_hat)
+    assert not np.array_equal(plan.slab_screen(0, 0).n_tilde_hat,
+                              plan.slab_screen(0, 1).n_tilde_hat)
+    assert not np.array_equal(plan.slab_screen(0, 0).n_tilde_hat,
+                              plan.slab_screen(1, 0).n_tilde_hat)
 
 
 def test_ensemble_needs_no_seed_sequence(monkeypatch):
@@ -248,13 +249,13 @@ def test_ensemble_memory_guard_refuses_before_allocating():
     assert peak < 2 ** 20
 
 
-def loop_propagate(s0, plan, seeds):
+def loop_propagate(s0, plan, realization):
     """Per-realization oracle built from the single-spectrum primitives,
-    given the realization's screen seed in every slab."""
+    with the realization's screen drawn alone in every slab."""
     s = s0
-    for seed in seeds:
+    for slab in range(plan.n_slabs):
         s = free_space_step(s, plan.dz / 2.0)
-        s = apply_screen(s, draw_screen(plan.model, plan.grid, plan.dz, seed))
+        s = apply_screen(s, plan.slab_screen(realization, slab))
         s = free_space_step(s, plan.dz / 2.0)
     return s.values.ravel()
 
@@ -265,8 +266,7 @@ def test_engine_matches_per_realization_loop(dim, n, sigma_a):
     s0 = Spectrum.gaussian(grid, sigma_a)
     n_real = BLOCK + 6  # one full block and a partial one
     plan = PropagationPlan(grid, MODEL, 1000.0, 32, n_real, 17)
-    fields = np.array([loop_propagate(s0, plan, seeds)
-                       for seeds in plan.screen_seeds(range(n_real))])
+    fields = np.array([loop_propagate(s0, plan, r) for r in range(n_real)])
 
     def close(got, want):
         scale = np.max(np.abs(want))
