@@ -1,4 +1,4 @@
-"""Order-by-order moment-kernel equations and their RK4 integrator.
+"""Order-by-order moment-kernel equations and their exponential integrator.
 
 The kernel H_{m,n} carries m bra indices (contracted with alpha*) followed
 by n ket indices (contracted with alpha).  Its evolution is
@@ -22,10 +22,16 @@ continuum integral.
 Every pair term is diagonal in the DFT basis of the full tensor, so the
 whole right-hand side of any order and dimension is one operator,
 KernelGenerator: a site-local factor times H plus one Fourier multiplier
-applied between a forward and an inverse FFT.  evolve_kernel builds it
-once per integration and takes classic RK4 steps on it; h11_rhs,
-hierarchy_rhs and biphoton_rhs are single evaluations of it.  The
-roll-loop pair sum in _accel is the oracle the tests hold it to.
+applied between a forward and an inverse FFT.  h11_rhs, hierarchy_rhs and
+biphoton_rhs are single evaluations of it; the roll-loop pair sum in
+_accel is the oracle the tests hold it to.
+
+evolve_kernel takes the split-step engine's Strang slab on the same two
+parts, exp(dz/2 diag) . exp(dz scatter) . exp(dz/2 diag).  Screens are
+Gaussian and independent per slab, so exp(dz scatter), with the Lambda
+decay, is exactly one slab's expected screen factor: the kernel is the
+split-step ensemble's expectation on the lattice, and differs from the
+z-ODE above only by the O(dz^2) Strang error the ensemble shares.
 """
 
 from __future__ import annotations
@@ -42,9 +48,6 @@ from .spectrum import (DivergentLambdaError, SpectrumKind, TurbulenceModel,
                        lambda_grid, psd_lattice)
 
 BOUNDARY_MASS_TOLERANCE = 1e-6
-
-# step_guard's bound on both per-step numbers of step_guard_values.
-_STEP_GUARD_BOUND = 0.1
 
 
 @dataclass
@@ -283,9 +286,8 @@ def evolve_h10(b10: Spectrum, model: TurbulenceModel, z: float) -> Spectrum:
 def step_guard_values(grid: FrequencyGrid, model: TurbulenceModel,
                       dz: float) -> dict:
     """Per-step sampling phase pi*lambda*dz*a_max^2 and weak-scattering
-    number k^2*Lambda*dz of a step dz on grid.  The split-step plan
-    (PropagationPlan.guard_values) and the kernel integrator (step_guard)
-    bound the same two numbers, each with its own bounds."""
+    number k^2*Lambda*dz of a step dz on grid.  step_guard holds them to
+    one bound set, for a split-step slab and a kernel step alike."""
     a_max_sq = float(np.max(grid.freq_sq()))
     return {
         "sampling": np.pi * grid.wavelength * dz * a_max_sq,
@@ -295,19 +297,26 @@ def step_guard_values(grid: FrequencyGrid, model: TurbulenceModel,
 
 
 def step_guard(grid: FrequencyGrid, model: TurbulenceModel, dz: float) -> None:
+    """Refuse a step whose sampling phase reaches pi/4 or whose
+    weak-scattering number reaches 0.1."""
     guards = step_guard_values(grid, model, dz)
-    phase, scatter = guards["sampling"], guards["weak_scattering"]
-    if max(phase, scatter) >= _STEP_GUARD_BOUND:
+    if guards["sampling"] >= np.pi / 4.0:
         raise ValueError(
-            f"step guard violated: max(pi*lambda*dz*a_max^2={phase:.3e}, "
-            f"k^2*Lambda*dz={scatter:.3e}) >= {_STEP_GUARD_BOUND}")
+            f"sampling guard violated: pi*lambda*dz*a_max^2 = "
+            f"{guards['sampling']:.3e} >= pi/4")
+    if guards["weak_scattering"] >= 0.1:
+        raise ValueError(
+            f"weak-scattering guard violated: k^2*Lambda*dz = "
+            f"{guards['weak_scattering']:.3e} >= 0.1")
 
 
 def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,
                   z_total: float, n_steps: int) -> MomentKernel:
-    """Fixed-step classic RK4 integration of the kernel's generator,
-    built once for the whole integration.  A (2, 2) kernel must meet the
-    bounds biphoton_rhs enforces."""
+    """n_steps Strang slabs v <- half * ifftn(exp(dz scatter) * fftn(half
+    * v)), half = exp(dz/2 diag), of the generator built once: the
+    expectation of the split-step ensemble over the same slabs (a single
+    multiply by exp(z diag) when nothing scatters).  A (2, 2) kernel must
+    meet the bounds biphoton_rhs enforces."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if kernel.orders == (2, 2):
@@ -315,14 +324,15 @@ def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,
     dz = z_total / n_steps
     if z_total > 0.0:
         step_guard(kernel.grid, model, dz)
-    rhs = KernelGenerator.build(kernel, model)
-    v = kernel.values
-    for _ in range(n_steps):
-        k1 = rhs(v)
-        k2 = rhs(v + 0.5 * dz * k1)
-        k3 = rhs(v + 0.5 * dz * k2)
-        k4 = rhs(v + dz * k3)
-        v = v + (dz / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    gen = KernelGenerator.build(kernel, model)
+    if gen.scatter is None:
+        v = np.exp(z_total * gen.diag) * kernel.values
+    else:
+        half = np.exp(0.5 * dz * gen.diag)
+        scatter = np.exp(dz * gen.scatter)
+        v = kernel.values
+        for _ in range(n_steps):
+            v = half * np.fft.ifftn(scatter * np.fft.fftn(half * v))
     out = MomentKernel(kernel.orders, kernel.grid, v, kernel.z + z_total)
     frac = monitored_boundary_mass(out, model)
     if frac > BOUNDARY_MASS_TOLERANCE:

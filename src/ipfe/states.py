@@ -30,7 +30,7 @@ from .spectrum import (SpectrumKind, TurbulenceModel, lambda_grid,
 # convention-dependent; all shipped checks use ratios or zero crossings).
 DEFAULT_N0 = 1.0
 
-# Probe fields of gaussian_drift's fourth-order residual and their seed.
+# Probe fields of gaussian_drift's fourth-order residual; Philox key (seed, 0).
 _DRIFT_PROBES = 16
 _DRIFT_PROBE_SEED = 2024
 
@@ -74,16 +74,6 @@ class GaussianState:
         zeros = np.zeros((size, size), dtype=np.complex128)
         return cls(grid, a, zeros.copy(), zeros.copy(),
                    np.zeros(size), np.zeros(size))
-
-    def log_weight(self, alpha: Spectrum) -> complex:
-        """Exponent of W evaluated at the probe field alpha."""
-        av = alpha.values.ravel()
-        cell = self.grid.cell
-        quad_a = np.conj(av) @ self.a_kernel @ av * cell ** 2
-        quad_b = av @ self.b_kernel @ av * cell ** 2
-        quad_c = np.conj(av) @ self.c_kernel @ np.conj(av) * cell ** 2
-        lin = (np.conj(av) @ self.beta + self.eta.conj() @ av) * cell
-        return complex(-quad_a - quad_b - quad_c + lin)
 
 
 def free_space_gaussian(state: GaussianState, z: float) -> GaussianState:
@@ -138,8 +128,8 @@ def gaussian_drift(state: GaussianState, model: TurbulenceModel):
         return np.fft.fftshift(np.fft.ifftn(
             np.fft.fftn(x) * np.conj(np.fft.fftn(np.conj(y)))))
 
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(_DRIFT_PROBE_SEED)))
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([_DRIFT_PROBE_SEED, 0], dtype=np.uint64)))
     n = grid.n
     d = grid.dim
     cell = grid.cell

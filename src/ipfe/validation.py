@@ -124,6 +124,13 @@ def _bound(name, description, measured, tolerance, lower_bound=None,
                        bool(passed), lower_bound, standard_error)
 
 
+def _check_rng(plan: PropagationPlan, offset: int) -> np.random.Generator:
+    """Philox key ((master_seed + offset) mod 2^64, 0) of a check's data."""
+    key = [(plan.master_seed + offset) % 2 ** 64, 0]
+    return np.random.Generator(np.random.Philox(
+        key=np.array(key, dtype=np.uint64)))
+
+
 def _random_hermitian(n: int, rng) -> np.ndarray:
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (m + m.conj().T)
@@ -226,8 +233,7 @@ def check_free_space(plan: PropagationPlan = REFERENCE) -> list[CheckResult]:
     t0 = time.perf_counter()
     grid = FrequencyGrid(1, 32, plan.grid.delta_a, plan.grid.wavelength)
     model = replace(plan.model, cn2=0.0)
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(plan.master_seed, spawn_key=(1,))))
+    rng = _check_rng(plan, 1)
     h0 = moments.MomentKernel((1, 1), grid, _random_hermitian(32, rng))
     z = 100.0
     out = moments.evolve_h11(h0, model, z, 16)
@@ -403,8 +409,7 @@ def check_rhs_oracles(plan: PropagationPlan = REFERENCE
     """Spectral right-hand sides vs naive modular-index loops (n = 8)."""
     grid = FrequencyGrid(1, 8, plan.grid.delta_a, plan.grid.wavelength)
     model = plan.model
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(plan.master_seed, spawn_key=(6,))))
+    rng = _check_rng(plan, 6)
 
     t0 = time.perf_counter()
     h11 = moments.MomentKernel((1, 1), grid, _random_hermitian(8, rng))
@@ -453,8 +458,7 @@ def check_wigner_formulas(plan: PropagationPlan = REFERENCE
     expected = -2j * np.tan(theta / 2.0) * grid.delta_weight * np.eye(size)
     err = max(err, float(np.max(np.abs(b_lin - expected))))
 
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(plan.master_seed, spawn_key=(7,))))
+    rng = _check_rng(plan, 7)
     t_mat = _random_hermitian(size, rng) * 0.2 * grid.delta_weight
     proc = states.LinearProcess(grid, t_mat)
     top = proc.operator()

@@ -284,6 +284,34 @@ def test_validate_config_runs_its_own_plan(tmp_path):
     assert checks["mutual-coherence/relative-rms"]["passed"] is True
 
 
+@pytest.mark.filterwarnings("ignore:kernel boundary mass")
+def test_commands_run_every_config_the_guards_accept(tmp_path):
+    # One slab of the reference plan at cn2 = 1e-16: the sampling phase
+    # 0.31 is within the plan's pi/4 bound, so the configuration loads, and
+    # the kernel steps of evolve-kernel and validate meet the same guard.
+    raw = json.loads(REFERENCE_CONFIG.read_text())
+    raw["model"]["cn2"] = 1e-16
+    raw["plan"]["n_slabs"] = 1
+    raw["output_dir"] = str(tmp_path / "out")
+    cfg = tmp_path / "one_slab.json"
+    cfg.write_text(json.dumps(raw))
+    loaded = load_config(cfg)
+    guards = loaded.plan.guard_values()
+    assert 0.1 < guards["sampling"] < np.pi / 4
+    assert guards["weak_scattering"] < 0.1
+    source = loaded.source().values
+    kernel_path = tmp_path / "init.bin"
+    write_array(kernel_path, np.multiply.outer(source, np.conj(source)))
+    assert main(["evolve-kernel", "--config", str(cfg),
+                 "--input", str(kernel_path), "--z-list", "1000",
+                 "--out", str(tmp_path / "evolve")]) == 0
+    out = tmp_path / "val"
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "validation_report.json").read_text())
+    assert len(report["checks"]) == 16
+    assert all(c["passed"] for c in report["checks"])
+
+
 _RUNTIME_IMPORTS = """
 import sys
 before = set(sys.modules)

@@ -1,7 +1,9 @@
 """Moment-kernel equation tests: loop oracles, stationary points,
-conservation laws, and integrator order."""
+conservation laws, integrator order, and the screen expectation the
+integrator's slab reproduces."""
 
 import warnings
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -9,13 +11,16 @@ import pytest
 
 from ipfe._accel import pair_shift_sum_fft, pair_shift_sum_loop
 from ipfe.grid import FrequencyGrid, Spectrum
-from ipfe.moments import (MomentKernel, biphoton_rhs, boundary_mass_fraction,
-                          delta_diagonal_kernel, evolve_h10, evolve_h11,
-                          evolve_kernel, h11_rhs, hermiticity_residual,
-                          hierarchy_rhs, kernel_trace, step_guard)
+from ipfe.moments import (KernelGenerator, MomentKernel, biphoton_rhs,
+                          boundary_mass_fraction, delta_diagonal_kernel,
+                          evolve_h10, evolve_h11, evolve_kernel, h11_rhs,
+                          hermiticity_residual, hierarchy_rhs, kernel_trace,
+                          step_guard)
+from ipfe.phase_screen import ScreenLattice
 from ipfe.spectrum import (DivergentLambdaError, SpectrumKind,
                            TurbulenceModel, lambda_grid, psd_lattice)
 from ipfe.splitstep import free_space_step
+from ipfe.validation import REFERENCE
 
 GRID8 = FrequencyGrid(1, 8, 0.25, 1.55e-6)
 MODEL = TurbulenceModel(SpectrumKind.VON_KARMAN, 9.2e-15, 1.0)
@@ -25,6 +30,19 @@ def random_hermitian(n, seed):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (m + m.conj().T)
+
+
+def rk4(rhs, values, dz, n_steps):
+    """Classic fixed-step RK4 on dv/dz = rhs(v), the z-ODE oracle of the
+    exponential step."""
+    v = values
+    for _ in range(n_steps):
+        k1 = rhs(v)
+        k2 = rhs(v + 0.5 * dz * k1)
+        k3 = rhs(v + 0.5 * dz * k2)
+        k4 = rhs(v + dz * k3)
+        v = v + (dz / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return v
 
 
 def loop_rhs(values, grid, model, orders):
@@ -209,16 +227,14 @@ def biphoton_run():
 
 
 def test_biphoton_evolution_matches_roll_loop_rk4(biphoton_run):
-    _, f0, f1, _ = biphoton_run
+    # The roll-loop right-hand side and KernelGenerator, each stepped by
+    # the same RK4, agree to rounding over the whole integration.
+    _, f0, _, _ = biphoton_run
     dz = 1000.0 / 32
-    v = f0.values
-    for _ in range(32):
-        k1 = roll_loop_rhs(v, f0.grid, MODEL, (2, 2))
-        k2 = roll_loop_rhs(v + 0.5 * dz * k1, f0.grid, MODEL, (2, 2))
-        k3 = roll_loop_rhs(v + 0.5 * dz * k2, f0.grid, MODEL, (2, 2))
-        k4 = roll_loop_rhs(v + dz * k3, f0.grid, MODEL, (2, 2))
-        v = v + (dz / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    assert np.max(np.abs(f1.values - v)) <= 1e-13 * np.max(np.abs(v))
+    loop = rk4(lambda v: roll_loop_rhs(v, f0.grid, MODEL, (2, 2)),
+               f0.values, dz, 32)
+    spectral = rk4(KernelGenerator.build(f0, MODEL), f0.values, dz, 32)
+    assert np.max(np.abs(spectral - loop)) <= 1e-13 * np.max(np.abs(loop))
 
 
 def test_biphoton_partial_trace_is_scaled_h11(biphoton_run):
@@ -257,15 +273,17 @@ def test_h10_integration_matches_closed_form():
         < 1e-10 * np.max(np.abs(closed.values))
 
 
-def test_rk4_fourth_order_convergence():
+def test_strang_second_order_convergence():
+    # The exponential step converges to the z-ODE as O(dz^2): each halving
+    # of dz quarters its distance from a fine RK4 solution, whose own error
+    # is far below the coarsest Strang error measured here.
     h0 = MomentKernel((1, 1), GRID8, random_hermitian(8, 7))
-    ref = evolve_h11(h0, MODEL, 200.0, 256)
-    err = []
-    for steps in (4, 8):
-        out = evolve_h11(h0, MODEL, 200.0, steps)
-        err.append(np.max(np.abs(out.values - ref.values)))
-    ratio = err[0] / err[1]
-    assert 12.0 < ratio < 20.0  # ~2^4
+    ref = rk4(KernelGenerator.build(h0, MODEL), h0.values, 200.0 / 1024,
+              1024)
+    err = [np.max(np.abs(evolve_h11(h0, MODEL, 200.0, steps).values - ref))
+           for steps in (4, 8, 16, 32)]
+    ratios = [a / b for a, b in zip(err, err[1:])]
+    assert all(3.5 < r < 4.5 for r in ratios), ratios  # ~2^2
 
 
 def test_trace_properties():
@@ -311,7 +329,7 @@ def test_accel_paths_agree():
 
 
 def test_step_guard_and_boundary_warning():
-    with pytest.raises(ValueError, match="step guard"):
+    with pytest.raises(ValueError, match="sampling guard"):
         step_guard(GRID8, MODEL, 1e9)
     edge = np.zeros((8, 8), dtype=complex)
     edge[0, 0] = 1.0
@@ -326,3 +344,54 @@ def test_kernel_shape_validation():
         MomentKernel((1, 1), GRID8, np.zeros((8, 4)))
     with pytest.raises(ValueError, match="non-negative"):
         MomentKernel((-1, 1), GRID8, np.zeros(8))
+
+
+def screen_covariance(plan):
+    """C[x] = E[phi(x0 + x) phi(x0)] of one slab's screen phase on the
+    plan's lattice, x in position-index units (the DFT order of
+    splitstep.screen_phases): k^2 cell^2 sum_a var(a) exp(-2 pi i a x)."""
+    grid = plan.grid
+    var = ScreenLattice(plan.model, grid, plan.dz).variance
+    a = np.arange(grid.n) - grid.n // 2
+    x = np.arange(grid.n)
+    c = (grid.wavenumber ** 2 * grid.cell ** 2
+         * np.exp(-2j * np.pi * np.outer(x, a) / grid.n) @ var)
+    assert np.max(np.abs(c.imag)) <= 1e-15 * abs(c[0])
+    return c.real
+
+
+def one_slab_expectation(plan, orders):
+    """E[prod_bra exp(-i phi(x)) prod_ket exp(+i phi(x'))] over one slab's
+    Gaussian screen, at the DFT index (p_bra..., p_ket...) of the kernel
+    tensor: bra index p sits at x = p and ket index p at x = (n - p) mod n.
+    The exponent's variance is sum_ij s_i s_j C(x_i - x_j), s = +1 on bra
+    and -1 on ket indices."""
+    m, n = orders
+    size = plan.grid.n
+    c = screen_covariance(plan)
+    idx = np.indices((size,) * (m + n))
+    signs = [1] * m + [-1] * n
+    x = [p if s > 0 else (size - p) % size for p, s in zip(idx, signs)]
+    var = sum(si * sj * c[(xi - xj) % size]
+              for xi, si in zip(x, signs) for xj, sj in zip(x, signs))
+    return np.exp(-0.5 * var)
+
+
+@pytest.mark.parametrize("orders, n", [((1, 1), 64), ((2, 2), 8)],
+                         ids=["1-1-reference", "2-2-n8"])
+def test_slab_multiplier_is_the_screen_expectation(orders, n):
+    # The exact identity behind the exponential step: the Gaussian
+    # expectation of one slab's screen factor is exp(dz scatter) times the
+    # Lambda decay exp(-k^2 Lambda dz (m+n)/2), so the kernel's Strang slab
+    # is the split-step slab's expectation.
+    grid = replace(REFERENCE.grid, n=n)
+    plan = replace(REFERENCE, grid=grid)
+    shape = (n,) * sum(orders)
+    gen = KernelGenerator.build(
+        MomentKernel(orders, grid, np.zeros(shape)), plan.model)
+    decay = (0.5 * grid.wavenumber ** 2 * lambda_grid(plan.model, grid)
+             * sum(orders))
+    multiplier = np.exp(plan.dz * (gen.scatter - decay))
+    expectation = one_slab_expectation(plan, orders)
+    assert np.max(1.0 - expectation) > 1e-2  # far from the identity
+    assert np.max(np.abs(multiplier - expectation)) <= 1e-14
