@@ -1,26 +1,40 @@
 """Slab-integrated refractive-index screens with Markov-slab statistics.
 
-Each screen holds Fourier coefficients N~(a) of the slab-integrated index
-fluctuation.  Targets:
+A screen is the real slab-integrated index fluctuation n~_slab(x) on the
+grid's position lattice, synthesized by the FFT phase-screen method (Lane,
+Glindemann & Dainty, Waves in Random Media 2, 209, 1992) from Fourier
+coefficients N~(a) with
 
     E[N~(a)] = 0
     E[|N~(a)|^2] = Phi_n(a, 0) * dz / delta_a^D
-    N~(-a) = N~(a)*          (real position-domain fluctuation)
+    N~(-a) = N~(a)*
 
-Coefficients are drawn independently on a Hermitian half-lattice and
-mirrored; a screen's address (below) reproduces it bit for bit.
-``ScreenLattice`` computes the variances, masks and mirror indices of a
-(model, grid, dz) once and draws any number of screens from them.
+Only the Hermitian half-lattice is drawn; ``irfftn`` supplies the other
+half, so every screen is real by construction.  ``ScreenLattice`` computes
+the variances and the half-lattice amplitude of a (model, grid, dz) once
+and draws any number of screens from them.
 
-Stream contract: a screen's address is (seed, stream, index), three
-integers in [0, 2^64).  Its coefficients come from one ``standard_normal``
-call of shape (2,) + grid shape (real parts, then imaginary parts) on the
-Philox4x64 generator keyed (seed, stream) at counter (0, index, 0, 0) with
-an empty buffer.  A draw advances only the counter's first word, so the
-screens of one key never share a Philox block (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11): a screen depends only on its
-address, not on the order or block it is drawn in.  The split-step engine
-draws realization r in slab s at (master_seed, s, r), as does
+Stream contract: a screen's address is (seed, stream, r), three integers
+in [0, 2^64).
+
+- The screen at (seed, stream, r) is row r % BLOCK (BLOCK = 64) of one
+  ``standard_normal((BLOCK, 2) + half_shape)`` call, on the Philox4x64
+  generator keyed (seed, stream) at counter (0, r // BLOCK, 0, 0) with an
+  empty buffer.  ``half_shape`` is the ``rfftn`` layout in DFT order,
+  ``grid.shape[:-1] + (n//2 + 1,)``.
+- Its coefficients are ``amp * (z0 + i z1)`` from the row's two normal
+  arrays, with ``amp = sqrt(variance / 2)`` on the half-lattice; on the
+  last axis's 0 and n/2 planes ``amp`` is multiplied by sqrt(2), because
+  ``irfftn`` keeps only the Hermitian part there.
+- The screen is ``irfftn(coeff, s=grid.shape) * (n^D * cell)``, in DFT
+  order (x = 0 first along each axis):
+  n~_slab(x) = cell * sum_a N~(a) exp(2 pi i a.x).
+
+Drawing a block advances only the counter's first word, so two blocks of
+one key never share Philox output (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11): a screen depends only on its
+address, not on the range it is drawn in.  The split-step engine draws realization r in slab s
+at (master_seed, s, r), one block per BLOCK realizations, as does
 ``PropagationPlan.slab_screen(r, s)``; ``draw_screen(seed)`` is the screen
 at (seed, 0, 0), and ``screen_statistics(seed)`` draws screen i at
 (seed, 0, i) and its site pairs from the generator of key (seed, 1).
@@ -37,6 +51,9 @@ import numpy as np
 from .grid import FrequencyGrid
 from .spectrum import SpectrumKind, TurbulenceModel, psd_lattice
 
+# Screens per Philox block of the stream contract.
+BLOCK = 64
+
 
 def as_u64(value, name: str) -> int:
     """value as a Python int, refused outside [0, 2^64), the range of a
@@ -50,47 +67,24 @@ def as_u64(value, name: str) -> int:
 
 @dataclass
 class ScreenRealization:
+    """One real screen n~_slab(x), DC-centred like grid.axis_positions."""
+
     grid: FrequencyGrid
-    n_tilde_hat: np.ndarray = field(repr=False)
+    n_slab: np.ndarray = field(repr=False)
     dz: float
     seed: int
 
     def __post_init__(self) -> None:
-        self.n_tilde_hat = np.asarray(self.n_tilde_hat, dtype=np.complex128)
-        if self.n_tilde_hat.shape != self.grid.shape:
+        if np.iscomplexobj(self.n_slab):
+            raise TypeError("a screen is a real field; got complex values")
+        self.n_slab = np.asarray(self.n_slab, dtype=np.float64)
+        if self.n_slab.shape != self.grid.shape:
             raise ValueError("screen shape does not match grid")
 
 
-def _mirror_indices(n: int, dim: int):
-    """Index arrays mapping each lattice site to its -a partner.
-
-    With DC-centered indexing the mirror of index j is (n - j) % n; the DC
-    site (j = n/2) and the Nyquist site (j = 0) are self-conjugate.
-    """
-    axis = np.arange(n)
-    mirror_axis = (n - axis) % n
-    if dim == 1:
-        return (mirror_axis,)
-    grids = np.meshgrid(*([mirror_axis] * dim), indexing="ij")
-    return tuple(grids)
-
-
-def _half_lattice_mask(n: int, dim: int):
-    """Boolean masks (canonical_half, self_conjugate) over the lattice."""
-    idx = np.indices((n,) * dim)
-    flat = idx[0]
-    mflat = (n - idx[0]) % n
-    for d in range(1, dim):
-        flat = flat * n + idx[d]
-        mflat = mflat * n + (n - idx[d]) % n
-    self_conj = flat == mflat
-    canonical = flat < mflat
-    return canonical, self_conj
-
-
 class ScreenLattice:
-    """Screen amplitudes, half-lattice masks and mirror indices for one
-    (model, grid, dz), computed once and shared by every draw."""
+    """Screen variances and half-lattice amplitude for one (model, grid,
+    dz), computed once and shared by every draw."""
 
     def __init__(self, model: TurbulenceModel, grid: FrequencyGrid,
                  dz: float) -> None:
@@ -104,90 +98,68 @@ class ScreenLattice:
             warnings.warn(
                 "outer scale exceeds grid support (L0 > 1/delta_a); screen "
                 "statistics will miss the largest eddies", stacklevel=2)
-        variance = psd_lattice(model, grid) * dz * grid.delta_weight
-        canonical, self_conj = _half_lattice_mask(grid.n, grid.dim)
         self.grid = grid
-        self.variance = variance
-        self._amplitude = np.sqrt(variance / 2.0)
-        self._self_conj = self_conj
-        self._self_amplitude = np.sqrt(variance[self_conj])
-        self._keep = canonical | self_conj
-        self._mirror = (slice(None),) + _mirror_indices(grid.n, grid.dim)
-        # One generator for every draw, reset to each screen's address from
-        # its initial state (counter 0, empty buffer, no spare uint32).
-        self._bitgen = np.random.Philox(key=0)
-        self._rng = np.random.Generator(self._bitgen)
-        self._fresh = self._bitgen.state
+        # Per-site E|N~(a)|^2, DC-centred.
+        self.variance = psd_lattice(model, grid) * dz * grid.delta_weight
+        half = np.fft.ifftshift(self.variance)[..., :grid.n // 2 + 1]
+        self.amplitude = np.sqrt(half / 2.0)
+        self.amplitude[..., [0, grid.n // 2]] *= np.sqrt(2.0)
 
-    def draw(self, seed: int, stream: int, indices) -> np.ndarray:
-        """Coefficients of the screens at the given indices of Philox key
-        (seed, stream), shape (len(indices),) + grid shape (see the module
-        docstring)."""
-        normals = np.empty((len(indices), 2) + self.grid.shape)
-        fresh = self._fresh
-        fresh["state"]["key"][:] = (as_u64(seed, "seed"),
-                                    as_u64(stream, "stream"))
-        counter = fresh["state"]["counter"]
-        for out, i in zip(normals, indices):
-            counter[1] = as_u64(i, "screen index")
-            self._bitgen.state = fresh
-            # Fixed draw order: the real parts of all sites, then the
-            # imaginary parts; the mirror half is overwritten below.
-            self._rng.standard_normal(out=out)
-        re, im = normals[:, 0], normals[:, 1]
-        coeff = self._amplitude * (re + 1j * im)
-        coeff[:, self._self_conj] = (self._self_amplitude
-                                     * re[:, self._self_conj])
-        return np.where(self._keep, coeff, np.conj(coeff[self._mirror]))
+    def fields(self, normals: np.ndarray) -> np.ndarray:
+        """Screens, shape (B,) + grid shape in DFT order, from a
+        (B, 2) + half_shape block of normals (the module docstring)."""
+        grid = self.grid
+        coeff = self.amplitude * (normals[:, 0] + 1j * normals[:, 1])
+        return np.fft.irfftn(coeff, s=grid.shape,
+                             axes=tuple(range(1, grid.dim + 1))) \
+            * (grid.n ** grid.dim * grid.cell)
+
+    def draw(self, seed: int, stream: int, start: int,
+             stop: int) -> np.ndarray:
+        """The screens at indices start..stop-1 of Philox key
+        (seed, stream), shape (stop - start,) + grid shape in DFT order."""
+        key = np.array([as_u64(seed, "seed"), as_u64(stream, "stream")],
+                       dtype=np.uint64)
+        start = as_u64(start, "screen index")
+        stop = operator.index(stop)
+        if not start <= stop <= 2 ** 64:
+            raise ValueError(f"screen index stop must be in [start, 2^64], "
+                             f"got {stop}")
+        normals = np.empty((stop - start, 2) + self.amplitude.shape)
+        for first in range(start - start % BLOCK, stop, BLOCK):
+            counter = np.array([0, first // BLOCK, 0, 0], dtype=np.uint64)
+            block = np.random.Generator(np.random.Philox(
+                key=key, counter=counter)).standard_normal(
+                    (BLOCK, 2) + self.amplitude.shape)
+            lo, hi = max(start, first), min(stop, first + BLOCK)
+            normals[lo - start:hi - start] = block[lo - first:hi - first]
+        return self.fields(normals)
 
 
 def draw_screens(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
                  seeds) -> np.ndarray:
-    """draw_screen's coefficients for each seed, stacked on axis 0."""
+    """draw_screen's n_slab for each seed, stacked on axis 0."""
     lattice = ScreenLattice(model, grid, dz)
-    return np.array([lattice.draw(seed, 0, [0])[0] for seed in seeds],
-                    dtype=np.complex128).reshape((-1,) + grid.shape)
+    return np.array([np.fft.fftshift(lattice.draw(seed, 0, 0, 1)[0])
+                     for seed in seeds]).reshape((-1,) + grid.shape)
 
 
 def draw_screen(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
                 seed: int) -> ScreenRealization:
     """Draw the Gaussian slab screen at address (seed, 0, 0)."""
-    coeff = draw_screens(model, grid, dz, [seed])[0]
-    return ScreenRealization(grid, coeff, dz, seed)
-
-
-def screen_phases(coeffs: np.ndarray, grid: FrequencyGrid,
-                  k: float) -> np.ndarray:
-    """Position-domain phases k * n~_slab(x) of a block of screens.
-
-    ``coeffs`` stacks screen coefficients (DC-centred) along a leading
-    axis; the phases come back in DFT order (x = 0 first along each grid
-    axis).  Raises if any screen's position field has an imaginary residue
-    above 1e-12 of its RMS, i.e. if its coefficients are not Hermitian.
-    """
-    axes = tuple(range(1, grid.dim + 1))
-    field_x = np.fft.fftn(np.fft.ifftshift(coeffs, axes=axes),
-                          axes=axes) * grid.cell
-    rms = np.sqrt(np.mean(np.abs(field_x) ** 2, axis=axes))
-    imag_residue = np.max(np.abs(field_x.imag), axis=axes)
-    bad = (rms > 0) & (imag_residue > 1e-12 * rms)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"Hermitian-symmetry violation: imaginary residue "
-            f"{imag_residue[i]:.3e} exceeds 1e-12 of RMS {rms[i]:.3e}")
-    return k * field_x.real
+    return ScreenRealization(grid, draw_screens(model, grid, dz, [seed])[0],
+                             dz, seed)
 
 
 def phase_screen_position(screen: ScreenRealization, k: float) -> np.ndarray:
     """Position-domain phase phi(x) = k * n~_slab(x) in radians."""
-    phi = screen_phases(screen.n_tilde_hat[None], screen.grid, k)[0]
-    return np.fft.fftshift(phi)
+    return k * screen.n_slab
 
 
 # Screens drawn and reduced at a time by screen_statistics, which bounds its
-# memory whatever n_samples is.
-_STATISTICS_CHUNK = 1000
+# memory whatever n_samples is; whole Philox blocks, so no block is drawn
+# twice.
+_STATISTICS_CHUNK = 16 * BLOCK
 
 # Random site pairs whose cross-covariance screen_statistics reports.
 _CROSS_PAIRS = 64
@@ -214,6 +186,7 @@ def screen_statistics(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
         raise ValueError("n_samples must be >= 100")
     lattice = ScreenLattice(model, grid, dz)
     target = lattice.variance
+    axes = tuple(range(1, grid.dim + 1))
 
     sum_sq = np.zeros(grid.shape)
     sum_quad = np.zeros(grid.shape)
@@ -221,9 +194,8 @@ def screen_statistics(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
     rng = np.random.Generator(np.random.Philox(
         key=np.array([as_u64(seed, "seed"), 1], dtype=np.uint64)))
     flat_size = grid.n ** grid.dim
-    mirror = _mirror_indices(grid.n, grid.dim)
-    mirror_flat = np.ravel_multi_index(
-        tuple(np.asarray(m) for m in mirror), grid.shape).ravel()
+    sites = np.indices(grid.shape).reshape(grid.dim, -1)
+    mirror_flat = np.ravel_multi_index((grid.n - sites) % grid.n, grid.shape)
     sites_a, sites_b = [], []
     while len(sites_a) < _CROSS_PAIRS:
         i, j = rng.integers(0, flat_size, size=2)
@@ -234,8 +206,12 @@ def screen_statistics(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
     cross_sq = np.zeros(_CROSS_PAIRS)
 
     for start in range(0, n_samples, _STATISTICS_CHUNK):
-        coeff = lattice.draw(
-            seed, 0, range(start, min(start + _STATISTICS_CHUNK, n_samples)))
+        fields = lattice.draw(seed, 0, start,
+                              min(start + _STATISTICS_CHUNK, n_samples))
+        # The grid's inverse transform (grid.to_frequency) of each screen,
+        # which is already in DFT order.
+        coeff = np.fft.fftshift(np.fft.ifftn(fields, axes=axes),
+                                axes=axes) * grid.delta_weight
         p = np.abs(coeff) ** 2
         sum_sq += np.sum(p, axis=0)
         sum_quad += np.sum(p ** 2, axis=0)

@@ -14,19 +14,20 @@ One block engine propagates every realization: a ``(B, n^D)`` block of
 spectra is carried through all slabs in DFT order (zero frequency first, as
 numpy's FFT stores it), so a slab is two half-step multiplies, one screen
 multiply and a batched FFT pair over the grid axes, with no shifts.  The
-half-step phase and the screen lattice (variances, half-lattice masks,
-mirror indices) are computed, and the plan's guards checked, once per
-engine.  ``propagate`` is the same engine run on a block of one
-realization.
+half-step phase and the screen lattice (variances and half-lattice
+amplitude) are computed, and the plan's guards checked, once per engine.
+``propagate`` is the same engine run on a block of one realization.
 
-The screen of realization r in slab s is the one at address
+The screen of realization r in slab s is the real field at address
 (master_seed, s, r) of the stream contract in ``ipfe.phase_screen``, so it
 is bit-identical to ``plan.slab_screen(r, s)`` whatever block it is drawn
-in.  ``ensemble_moments`` reduces blocks of ``BLOCK`` realizations with
-matrix products and adds the block partials in index order, so its moments
-are bit-reproducible and differ from a one-realization-at-a-time sum only
-by the rounding of the reduction.  It refuses, before allocating, a grid
-whose (n^D)^2 moments it estimates above ``MAX_ENSEMBLE_BYTES``.
+in.  ``BLOCK`` is that contract's block, so each engine block of a slab is
+exactly one Philox block.  ``ensemble_moments`` reduces blocks of
+``BLOCK`` realizations with matrix products and adds the block partials in
+index order, so its moments are bit-reproducible and differ from a
+one-realization-at-a-time sum only by the rounding of the reduction.  It
+refuses, before allocating, a grid whose (n^D)^2 moments it estimates
+above ``MAX_ENSEMBLE_BYTES``.
 """
 
 from __future__ import annotations
@@ -36,14 +37,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import FrequencyGrid, Spectrum, to_frequency, to_position
-from .phase_screen import (ScreenLattice, ScreenRealization, as_u64,
-                           phase_screen_position, screen_phases)
+from .phase_screen import (BLOCK, ScreenLattice, ScreenRealization, as_u64,
+                           phase_screen_position)
 from .moments import step_guard, step_guard_values
 from .spectrum import TurbulenceModel
-
-# Realizations per block of ensemble_moments.  It fixes the reduction
-# order, so the moments cannot depend on a caller's choice.
-BLOCK = 64
 
 # Largest working set ensemble_moments may estimate for itself (bytes).  Per
 # element of an (n^D)^2 moment it holds 56 B of accumulators (three complex,
@@ -89,9 +86,10 @@ class PropagationPlan:
                     slab_index: int) -> ScreenRealization:
         """One realization's screen in one slab, as the engine draws it."""
         lattice = ScreenLattice(self.model, self.grid, self.dz)
-        coeff = lattice.draw(self.master_seed, slab_index,
-                             [realization_index])[0]
-        return ScreenRealization(self.grid, coeff, self.dz, self.master_seed)
+        field_x = lattice.draw(self.master_seed, slab_index,
+                               realization_index, realization_index + 1)[0]
+        return ScreenRealization(self.grid, np.fft.fftshift(field_x),
+                                 self.dz, self.master_seed)
 
 
 def free_space_step(s: Spectrum, dz: float) -> Spectrum:
@@ -131,9 +129,9 @@ class _BlockEngine:
                            len(realizations), axis=0)
         if self.screens is not None:
             for slab in range(plan.n_slabs):
-                coeffs = self.screens.draw(plan.master_seed, slab,
-                                           realizations)
-                phi = screen_phases(coeffs, grid, grid.wavenumber)
+                phi = grid.wavenumber * self.screens.draw(
+                    plan.master_seed, slab, realizations.start,
+                    realizations.stop)
                 fields *= self.half_step
                 g = np.fft.fftn(fields, axes=axes) * grid.cell
                 g *= np.exp(-1j * phi)

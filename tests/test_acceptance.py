@@ -26,11 +26,11 @@ from ipfe.validation import (REFERENCE, REFERENCE_SOURCE_SIGMA_A,
 # exponential (Strang) step; with the screens and the kernel integrator
 # fixed, only the reduction order of the moments may move them.
 PINNED_MONTE_CARLO = {
-    "first-moment-decay/monte-carlo": (1.35476670575957,
-                                       0.024064321702797015),
-    "mutual-coherence/monte-carlo": (1.7841361200117627,
-                                     0.008562364815697892),
-    "mutual-coherence/relative-rms": (0.016051002315680133, None),
+    "first-moment-decay/monte-carlo": (0.7703472919687385,
+                                       0.024071240990570092),
+    "mutual-coherence/monte-carlo": (1.1049381425403824,
+                                     0.008546777261115536),
+    "mutual-coherence/relative-rms": (0.018027854626647567, None),
 }
 
 

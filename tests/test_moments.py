@@ -348,16 +348,16 @@ def test_kernel_shape_validation():
 
 def screen_covariance(plan):
     """C[x] = E[phi(x0 + x) phi(x0)] of one slab's screen phase on the
-    plan's lattice, x in position-index units (the DFT order of
-    splitstep.screen_phases): k^2 cell^2 sum_a var(a) exp(-2 pi i a x)."""
-    grid = plan.grid
-    var = ScreenLattice(plan.model, grid, plan.dz).variance
-    a = np.arange(grid.n) - grid.n // 2
-    x = np.arange(grid.n)
-    c = (grid.wavenumber ** 2 * grid.cell ** 2
-         * np.exp(-2j * np.pi * np.outer(x, a) / grid.n) @ var)
-    assert np.max(np.abs(c.imag)) <= 1e-15 * abs(c[0])
-    return c.real
+    plan's lattice, x in position-index units (DFT order), taken exactly
+    from the screens the engine draws: each unit normal pushed through
+    ScreenLattice.fields.  tests/test_phase_screen.py
+    (test_drawn_screen_covariance_is_exact) checks that this is
+    k^2 cell^2 sum_a var(a) exp(-2 pi i a x)."""
+    lattice = ScreenLattice(plan.model, plan.grid, plan.dz)
+    count = 2 * lattice.amplitude.size
+    response = lattice.fields(
+        np.eye(count).reshape((count, 2) + lattice.amplitude.shape))
+    return plan.grid.wavenumber ** 2 * (response.T @ response[:, 0])
 
 
 def one_slab_expectation(plan, orders):

@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ipfe.grid import FrequencyGrid, Spectrum, to_frequency, to_position
+from ipfe.grid import FrequencyGrid, Spectrum, to_position
 from ipfe.phase_screen import ScreenLattice, ScreenRealization
 from ipfe.splitstep import (BLOCK, PropagationPlan, apply_screen,
                             ensemble_moments, free_space_step, propagate)
@@ -58,16 +58,15 @@ def test_fresnel_gaussian_oracle():
 
 
 def test_jacobi_anger_sidebands():
-    """Single-pair screen on a single-frequency input: the output spectrum
-    is the Bessel sideband series of exp(-i beta cos(...))."""
+    """Cosine screen on a single-frequency input: the output spectrum is
+    the Bessel sideband series of exp(-i beta cos(...))."""
     n = GRID.n
     pair_site = 34  # frequency offset +2 sites from DC
-    mirror = (n - pair_site) % n
-    c = 1.2e-11  # real coefficient, beta well below 1
-    coeff = np.zeros(n, dtype=complex)
-    coeff[pair_site] = c
-    coeff[mirror] = c
-    screen = ScreenRealization(GRID, coeff, 1.0, 0)
+    a0 = (pair_site - n // 2) * GRID.delta_a
+    c = 1.2e-11  # amplitude of the +/- a0 pair, beta well below 1
+    n_slab = 2.0 * c * GRID.cell * np.cos(2.0 * np.pi * a0
+                                          * GRID.axis_positions())
+    screen = ScreenRealization(GRID, n_slab, 1.0, 0)
     beta = 2.0 * GRID.wavenumber * c * GRID.cell
 
     in_site = 30
@@ -88,7 +87,7 @@ def test_jacobi_anger_sidebands():
 def test_apply_screen_unitary_and_zero_screen():
     rng = np.random.default_rng(1)
     s = Spectrum(GRID, rng.standard_normal(64) + 1j * rng.standard_normal(64))
-    zero = ScreenRealization(GRID, np.zeros(64, dtype=complex), 1.0, 0)
+    zero = ScreenRealization(GRID, np.zeros(64), 1.0, 0)
     assert np.allclose(apply_screen(s, zero).values, s.values, atol=1e-12)
     plan = PropagationPlan(GRID, MODEL, 1000.0, 32, 2, 7)
     out = apply_screen(s, plan.slab_screen(0, 0))
@@ -97,7 +96,7 @@ def test_apply_screen_unitary_and_zero_screen():
 
 def test_apply_screen_grid_mismatch():
     other = FrequencyGrid(1, 32, 0.25, 1.55e-6)
-    screen = ScreenRealization(other, np.zeros(32, dtype=complex), 1.0, 0)
+    screen = ScreenRealization(other, np.zeros(32), 1.0, 0)
     with pytest.raises(ValueError, match="mismatch"):
         apply_screen(Spectrum.gaussian(GRID, 1.5), screen)
 
@@ -145,8 +144,7 @@ def test_strang_splitting_second_order():
     def run(n_slabs):
         out = s
         dz = z / n_slabs
-        hat = to_frequency(GRID, profile * dz).values
-        screen = ScreenRealization(GRID, hat, dz, 0)
+        screen = ScreenRealization(GRID, profile * dz, dz, 0)
         for _ in range(n_slabs):
             out = free_space_step(out, dz / 2.0)
             out = apply_screen(out, screen)
@@ -200,22 +198,23 @@ def test_ensemble_needs_two_realizations():
 
 
 def test_slab_screens_do_not_depend_on_block():
-    # Rows of overlapping blocks of one slab's screens equal the screens
-    # slab_screen draws one at a time, at (master_seed, slab, r).
+    # Rows of overlapping ranges of one slab's screens, across Philox
+    # block boundaries, equal the screens slab_screen draws one at a time,
+    # at (master_seed, slab, r); draw returns them in DFT order.
     plan = PropagationPlan(GRID, MODEL, 1000.0, 32, 200, 20240117)
     lattice = ScreenLattice(plan.model, plan.grid, plan.dz)
     for slab in (0, 17, plan.n_slabs - 1):
         for start, stop in ((BLOCK - 2, BLOCK + 3), (BLOCK, BLOCK + 1),
                             (0, BLOCK + 1)):
-            block = lattice.draw(plan.master_seed, slab, range(start, stop))
+            block = lattice.draw(plan.master_seed, slab, start, stop)
             for r, row in zip(range(start, stop), block):
                 if r in (0, BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 2):
                     assert np.array_equal(
-                        row, plan.slab_screen(r, slab).n_tilde_hat)
-    assert not np.array_equal(plan.slab_screen(0, 0).n_tilde_hat,
-                              plan.slab_screen(0, 1).n_tilde_hat)
-    assert not np.array_equal(plan.slab_screen(0, 0).n_tilde_hat,
-                              plan.slab_screen(1, 0).n_tilde_hat)
+                        np.fft.fftshift(row), plan.slab_screen(r, slab).n_slab)
+    assert not np.array_equal(plan.slab_screen(0, 0).n_slab,
+                              plan.slab_screen(0, 1).n_slab)
+    assert not np.array_equal(plan.slab_screen(0, 0).n_slab,
+                              plan.slab_screen(1, 0).n_slab)
 
 
 def test_ensemble_needs_no_seed_sequence(monkeypatch):
