@@ -159,7 +159,7 @@ def phase_screen_position(screen: ScreenRealization, k: float) -> np.ndarray:
 # Screens drawn and reduced at a time by screen_statistics, which bounds its
 # memory whatever n_samples is; whole Philox blocks, so no block is drawn
 # twice.
-_STATISTICS_CHUNK = 16 * BLOCK
+_STATISTICS_CHUNK = 4 * BLOCK
 
 # Random site pairs whose cross-covariance screen_statistics reports.
 _CROSS_PAIRS = 64

@@ -22,9 +22,16 @@ The screen of realization r in slab s is the real field at address
 (master_seed, s, r) of the stream contract in ``ipfe.phase_screen``, so it
 is bit-identical to ``plan.slab_screen(r, s)`` whatever block it is drawn
 in.  ``BLOCK`` is that contract's block, so each engine block of a slab is
-exactly one Philox block.  ``ensemble_moments`` reduces blocks of
-``BLOCK`` realizations with matrix products and adds the block partials in
-index order, so its moments are bit-reproducible and differ from a
+exactly one Philox block.
+
+``ensemble_moments`` propagates chunks of whole blocks on worker threads,
+one per CPU the process may use (numpy's FFTs, Philox draws and complex
+``exp`` release the GIL).  A chunk holds at most 2^14 field elements (or
+one block, if that is larger), and at most one chunk per worker is in
+flight, so memory stays bounded whatever the number of realizations.  The
+calling thread reduces each ``BLOCK``-row slice of a chunk with matrix
+products and adds the block partials in index order, so the moments are
+bit-reproducible, independent of the worker count, and differ from a
 one-realization-at-a-time sum only by the rounding of the reduction.  It
 refuses, before allocating, a grid whose (n^D)^2 moments it estimates
 above ``MAX_ENSEMBLE_BYTES``.
@@ -32,7 +39,11 @@ above ``MAX_ENSEMBLE_BYTES``.
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -49,6 +60,12 @@ from .spectrum import TurbulenceModel
 # admits 2-D n=32 and refuses 2-D n=64 (3.4 GiB).
 MAX_ENSEMBLE_BYTES = 2 ** 30
 _ENSEMBLE_BYTES_PER_ELEMENT = 56 + 10 * 16
+
+# Field elements (256 KiB complex) a worker propagates at a time, unless
+# one block holds more.  Chunks of 2^15 were as fast on the reference plan
+# but left about 2 MB more resident after repeated runs, in the worker
+# threads' malloc arenas.
+_CHUNK_ELEMENTS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -82,12 +99,17 @@ class PropagationPlan:
         if self.z_total > 0.0:
             step_guard(self.grid, self.model, self.dz)
 
+    @cached_property
+    def screen_lattice(self) -> ScreenLattice:
+        """The slab screens' lattice, built once per plan (z_total > 0)."""
+        return ScreenLattice(self.model, self.grid, self.dz)
+
     def slab_screen(self, realization_index: int,
                     slab_index: int) -> ScreenRealization:
         """One realization's screen in one slab, as the engine draws it."""
-        lattice = ScreenLattice(self.model, self.grid, self.dz)
-        field_x = lattice.draw(self.master_seed, slab_index,
-                               realization_index, realization_index + 1)[0]
+        field_x = self.screen_lattice.draw(
+            self.master_seed, slab_index, realization_index,
+            realization_index + 1)[0]
         return ScreenRealization(self.grid, np.fft.fftshift(field_x),
                                  self.dz, self.master_seed)
 
@@ -118,8 +140,7 @@ class _BlockEngine:
         half = plan.dz / 2.0
         self.half_step = np.fft.ifftshift(np.exp(
             1j * np.pi * grid.wavelength * half * grid.freq_sq()))
-        self.screens = (ScreenLattice(plan.model, grid, plan.dz)
-                        if plan.z_total > 0.0 else None)
+        self.screens = plan.screen_lattice if plan.z_total > 0.0 else None
 
     def run(self, s0: Spectrum, realizations: range) -> np.ndarray:
         """Output spectra of the given realizations, one flattened
@@ -166,6 +187,16 @@ class EnsembleStats:
     second_moment_se: np.ndarray = field(repr=False)
     anomalous: np.ndarray = field(repr=False)
     anomalous_se: np.ndarray = field(repr=False)
+    # Worker threads that propagated the realizations.
+    workers: int
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def ensemble_moments(s0: Spectrum, plan: PropagationPlan) -> EnsembleStats:
@@ -180,6 +211,11 @@ def ensemble_moments(s0: Spectrum, plan: PropagationPlan) -> EnsembleStats:
     realizations has standard errors of exactly zero.  The second and
     anomalous moments share every accumulator; their fourth-order terms
     agree because |d_i d_j|^2 = |d_i d_j*|^2.
+
+    Realizations are propagated in chunks of whole blocks on one worker
+    thread per CPU (never more than there are chunks), with at most one
+    chunk per worker in flight; the moments do not depend on the worker
+    count.
     """
     if plan.n_realizations < 2:
         raise ValueError("n_realizations must be >= 2")
@@ -190,8 +226,19 @@ def ensemble_moments(s0: Spectrum, plan: PropagationPlan) -> EnsembleStats:
             f"ensemble moments on {size} sites need about "
             f"{estimate / 2 ** 30:.1f} GiB, above the "
             f"{MAX_ENSEMBLE_BYTES / 2 ** 30:.0f} GiB limit")
+    # Imported here, not at module level: concurrent.futures loads logging,
+    # about 1 MB of resident memory that commands without an ensemble
+    # need not pay.
+    from concurrent.futures import ThreadPoolExecutor
+
     engine = _BlockEngine(plan)
     n = plan.n_realizations
+    n_blocks = -(-n // BLOCK)
+    workers = min(_cpu_count(), n_blocks)
+    chunk = BLOCK * max(1, min(-(-n_blocks // workers),
+                               _CHUNK_ELEMENTS // (BLOCK * size)))
+    starts = range(0, n, chunk)
+    workers = min(workers, len(starts))
 
     sum_g = np.zeros(size, dtype=np.complex128)
     sum_d = np.zeros(size, dtype=np.complex128)
@@ -201,19 +248,29 @@ def ensemble_moments(s0: Spectrum, plan: PropagationPlan) -> EnsembleStats:
     sum_qd = np.zeros((size, size), dtype=np.complex128)
     sum_qq = np.zeros((size, size))
     h = None
-    for start in range(0, n, BLOCK):
-        fields = engine.run(s0, range(start, min(start + BLOCK, n)))
-        if h is None:
-            h = fields[0].copy()
-        d = fields - h
-        q = np.abs(d) ** 2
-        sum_g += np.sum(fields, axis=0)
-        sum_d += np.sum(d, axis=0)
-        sum_q += np.sum(q, axis=0)
-        sum_dd_c += d.T @ np.conj(d)
-        sum_dd += d.T @ d
-        sum_qd += q.T @ d
-        sum_qq += q.T @ q
+    with ThreadPoolExecutor(workers) as pool:
+        def submit(start):
+            return pool.submit(engine.run, s0,
+                               range(start, min(start + chunk, n)))
+
+        todo = iter(starts)
+        pending = deque(map(submit, islice(todo, workers)))
+        while pending:
+            rows = pending.popleft().result()
+            pending.extend(map(submit, islice(todo, 1)))
+            if h is None:
+                h = rows[0].copy()
+            for lo in range(0, len(rows), BLOCK):
+                fields = rows[lo:lo + BLOCK]
+                d = fields - h
+                q = np.abs(d) ** 2
+                sum_g += np.sum(fields, axis=0)
+                sum_d += np.sum(d, axis=0)
+                sum_q += np.sum(q, axis=0)
+                sum_dd_c += d.T @ np.conj(d)
+                sum_dd += d.T @ d
+                sum_qd += q.T @ d
+                sum_qq += q.T @ q
 
     mean_d = sum_d / n
     mean_q = sum_q / n
@@ -252,4 +309,5 @@ def ensemble_moments(s0: Spectrum, plan: PropagationPlan) -> EnsembleStats:
         second_moment_se=se_c,
         anomalous=moment,
         anomalous_se=se_a,
+        workers=workers,
     )

@@ -197,37 +197,36 @@ def _naive_h20_rhs(values, grid, model) -> np.ndarray:
 def _naive_rank4_rhs(values, grid, model) -> np.ndarray:
     """Two-photon right-hand side written directly as the seven-term
     bracket under one scattering integral (an independent formulation of
-    the same equation the general-order code assembles pairwise)."""
+    the same equation the general-order code assembles pairwise), summed
+    over the shift by modular indexing, for all sites at once."""
     n = grid.n
     asq = grid.freq_sq()
     phi = psd_lattice(model, grid)
     k = grid.wavenumber
-    out = np.zeros_like(values)
     f = values
-    for b1 in range(n):
-        for b2 in range(n):
-            for k1 in range(n):
-                for k2 in range(n):
-                    acc = 0.0j
-                    for t in range(n):
-                        s = t - n // 2
-                        w = phi[t]
-                        if w == 0.0:
-                            continue
-                        acc += w * (
-                            2.0 * f[b1, b2, k1, k2]
-                            - f[(b1 - s) % n, b2, (k1 - s) % n, k2]
-                            - f[b1, (b2 - s) % n, k1, (k2 - s) % n]
-                            - f[(b1 - s) % n, b2, k1, (k2 - s) % n]
-                            - f[b1, (b2 - s) % n, (k1 - s) % n, k2]
-                            + f[(b1 - s) % n, (b2 + s) % n, k1, k2]
-                            + f[b1, b2, (k1 - s) % n, (k2 + s) % n])
-                    drift = (asq[b1] + asq[b2] - asq[k1] - asq[k2])
-                    out[b1, b2, k1, k2] = (
-                        1j * np.pi * grid.wavelength * drift
-                        * f[b1, b2, k1, k2]
-                        - k ** 2 * acc * grid.cell)
-    return out
+    i = np.arange(n)
+
+    def shifted(*idx):
+        return f[np.ix_(*(j % n for j in idx))]
+
+    acc = np.zeros_like(values)
+    for t in range(n):
+        s = t - n // 2
+        w = phi[t]
+        if w == 0.0:
+            continue
+        acc += w * (
+            2.0 * f
+            - shifted(i - s, i, i - s, i)
+            - shifted(i, i - s, i, i - s)
+            - shifted(i - s, i, i, i - s)
+            - shifted(i, i - s, i - s, i)
+            + shifted(i - s, i + s, i, i)
+            + shifted(i, i, i - s, i + s))
+    drift = (asq[:, None, None, None] + asq[None, :, None, None]
+             - asq[None, None, :, None] - asq[None, None, None, :])
+    return (1j * np.pi * grid.wavelength * drift * f
+            - k ** 2 * acc * grid.cell)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +570,8 @@ def check_duality(plan: PropagationPlan = REFERENCE) -> list[CheckResult]:
 
 # ---------------------------------------------------------------------------
 
-def environment_manifest(plan: PropagationPlan) -> dict:
+def environment_manifest(plan: PropagationPlan,
+                         stats: splitstep.EnsembleStats) -> dict:
     try:
         from importlib.metadata import version
         pkg_version = version("ipfe")
@@ -582,6 +582,7 @@ def environment_manifest(plan: PropagationPlan) -> dict:
         "numpy_version": np.__version__,
         "platform": platform.platform(),
         "master_seed": plan.master_seed,
+        "ensemble_workers": stats.workers,
     }
 
 
@@ -609,5 +610,5 @@ def run_validate(plan: PropagationPlan = REFERENCE,
     checks += check_wigner_formulas(plan)
     checks += check_screens(plan)
     checks += check_duality(plan)
-    return ValidationReport(checks, environment_manifest(plan), stages,
-                            plan.guard_values())
+    return ValidationReport(checks, environment_manifest(plan, stats),
+                            stages, plan.guard_values())

@@ -148,6 +148,9 @@ def test_run_validate_reports_ensemble_stage():
     assert [c["name"] for c in report["checks"]] == CHECK_NAMES
     assert set(report["stages"]) == {"ensemble_s"}
     assert not {"threads", "numba_enabled"} & set(report["environment"])
+    # At most one worker per CPU.
+    assert (1 <= report["environment"]["ensemble_workers"]
+            <= splitstep._cpu_count())
     assert report["stages"]["ensemble_s"] > 0.0
     assert report["guards"] == REFERENCE.guard_values()
     # The values the plan computed before the guard formulas moved to

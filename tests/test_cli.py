@@ -200,6 +200,9 @@ def test_simulate_command_and_determinism(tmp_path):
     manifest = json.loads((out_a / "manifest.json").read_text())
     assert manifest["n_realizations"] == 8
     assert "threads" not in manifest
+    # 8 realizations are one block, propagated by one worker.
+    assert manifest["ensemble_workers"] == 1
+    assert 0.0 < manifest["ensemble_s"] <= manifest["wall_time_s"]
     assert manifest["guards"]["weak_scattering"] < 0.1
     # a different seed changes the ensemble
     out_c = tmp_path / "run_c"

@@ -20,7 +20,7 @@ from ipfe.phase_screen import ScreenLattice
 from ipfe.spectrum import (DivergentLambdaError, SpectrumKind,
                            TurbulenceModel, lambda_grid, psd_lattice)
 from ipfe.splitstep import free_space_step
-from ipfe.validation import REFERENCE
+from ipfe.validation import REFERENCE, _naive_rank4_rhs
 
 GRID8 = FrequencyGrid(1, 8, 0.25, 1.55e-6)
 MODEL = TurbulenceModel(SpectrumKind.VON_KARMAN, 9.2e-15, 1.0)
@@ -165,6 +165,51 @@ def test_biphoton_loop_oracle_and_symmetry_guard():
         biphoton_rhs(asymmetric, MODEL)
     with pytest.raises(ValueError, match="exchange symmetry"):
         evolve_kernel(asymmetric, MODEL, 100.0, 4)
+
+
+def seven_term_loop_rhs(values, grid, model):
+    """The two-photon bracket of validation._naive_rank4_rhs as the
+    scalar loop over every site and shift it was first written as."""
+    n = grid.n
+    asq = grid.freq_sq()
+    phi = psd_lattice(model, grid)
+    k = grid.wavenumber
+    out = np.zeros_like(values)
+    f = values
+    for b1 in range(n):
+        for b2 in range(n):
+            for k1 in range(n):
+                for k2 in range(n):
+                    acc = 0.0j
+                    for t in range(n):
+                        s = t - n // 2
+                        w = phi[t]
+                        if w == 0.0:
+                            continue
+                        acc += w * (
+                            2.0 * f[b1, b2, k1, k2]
+                            - f[(b1 - s) % n, b2, (k1 - s) % n, k2]
+                            - f[b1, (b2 - s) % n, k1, (k2 - s) % n]
+                            - f[(b1 - s) % n, b2, k1, (k2 - s) % n]
+                            - f[b1, (b2 - s) % n, (k1 - s) % n, k2]
+                            + f[(b1 - s) % n, (b2 + s) % n, k1, k2]
+                            + f[b1, b2, (k1 - s) % n, (k2 + s) % n])
+                    drift = (asq[b1] + asq[b2] - asq[k1] - asq[k2])
+                    out[b1, b2, k1, k2] = (
+                        1j * np.pi * grid.wavelength * drift
+                        * f[b1, b2, k1, k2]
+                        - k ** 2 * acc * grid.cell)
+    return out
+
+
+def test_rank4_oracle_is_the_seven_term_loop():
+    # The vectorized oracle of the rhs-oracles check keeps the loop's
+    # arithmetic, term by term, so it equals it bit for bit.
+    grid = FrequencyGrid(1, 4, 0.25, 1.55e-6)
+    rng = np.random.default_rng(7)
+    f = rng.standard_normal((4,) * 4) + 1j * rng.standard_normal((4,) * 4)
+    assert np.array_equal(_naive_rank4_rhs(f, grid, MODEL),
+                          seven_term_loop_rhs(f, grid, MODEL))
 
 
 def test_biphoton_product_delta_kernel_stationary():

@@ -164,7 +164,7 @@ def test_screen_statistics_pinned_values():
     assert mag == pytest.approx(1.0085029082705576e-16, rel=1e-12)
     assert se == pytest.approx(7.111587117905265e-17, rel=1e-12)
     grid2 = FrequencyGrid(2, 8, 0.25, 1.55e-6)
-    stats2 = screen_statistics(MODEL, grid2, DZ, 1500, 7)  # two chunks
+    stats2 = screen_statistics(MODEL, grid2, DZ, 1500, 7)  # six chunks
     assert stats2.max_rel_deviation == pytest.approx(0.061374409676733466,
                                                      rel=1e-12)
     assert stats2.max_cross_sigma == pytest.approx(2.099297357737349,

@@ -1,7 +1,8 @@
 """Split-step propagator tests: unitarity, analytic and series oracles,
 splitting order, Monte-Carlo scaling, and the block engine against a
-per-realization loop."""
+per-realization loop and across worker counts."""
 
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from ipfe import splitstep
 from ipfe.grid import FrequencyGrid, Spectrum, to_position
 from ipfe.phase_screen import ScreenLattice, ScreenRealization
 from ipfe.splitstep import (BLOCK, PropagationPlan, apply_screen,
@@ -20,6 +22,8 @@ from ipfe.spectrum import SpectrumKind, TurbulenceModel
 
 GRID = FrequencyGrid(1, 64, 0.25, 1.55e-6)
 MODEL = TurbulenceModel(SpectrumKind.VON_KARMAN, 9.2e-15, 1.0)
+STATS = ("mean_field", "mean_field_se", "second_moment", "second_moment_se",
+         "anomalous", "anomalous_se")
 
 
 def test_free_space_multiplier_values():
@@ -227,9 +231,97 @@ def test_ensemble_needs_no_seed_sequence(monkeypatch):
 
     monkeypatch.setattr(np.random, "SeedSequence", refuse)
     got = ensemble_moments(s0, plan)
-    for name in ("mean_field", "mean_field_se", "second_moment",
-                 "second_moment_se", "anomalous", "anomalous_se"):
+    for name in STATS:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class LazyExecutor:
+    """Stands in for ThreadPoolExecutor: runs each submitted call on the
+    calling thread when its result is read, and records the most calls
+    submitted but not yet read at any one time."""
+
+    def __init__(self, workers):
+        self.workers = workers
+        self.pending = self.most_pending = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.pending += 1
+        self.most_pending = max(self.most_pending, self.pending)
+        executor = self
+
+        class Call:
+            def result(self):
+                executor.pending -= 1
+                return fn(*args)
+
+        return Call()
+
+
+@pytest.mark.parametrize("dim,n,sigma_a", [(1, 64, 1.5), (2, 16, 0.5)])
+def test_ensemble_moments_independent_of_worker_count(monkeypatch, dim, n,
+                                                      sigma_a):
+    # 333 realizations: five full blocks and a partial one.  The reference
+    # propagates and reduces one block at a time on the calling thread.
+    grid = FrequencyGrid(dim, n, 0.25, 1.55e-6)
+    s0 = Spectrum.gaussian(grid, sigma_a)
+    plan = PropagationPlan(grid, MODEL, 125.0, 8, 333, 11)
+    with monkeypatch.context() as serial:
+        serial.setattr(concurrent.futures, "ThreadPoolExecutor",
+                       LazyExecutor)
+        serial.setattr(splitstep, "_CHUNK_ELEMENTS", 0)
+        serial.setattr(splitstep, "_cpu_count", lambda: 1)
+        want = ensemble_moments(s0, plan)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        # One, two and three workers over 1-D chunks of two to four blocks,
+        # and 2-D chunks of one block, so one worker takes two chunks in
+        # 1-D and six in 2-D.
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(splitstep, "_cpu_count", lambda: workers)
+            got = ensemble_moments(s0, plan)
+            assert got.workers == workers
+            for name in STATS:
+                assert np.array_equal(getattr(got, name),
+                                      getattr(want, name)), (workers, name)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_ensemble_memory_does_not_grow_with_realizations(monkeypatch):
+    # At most one chunk per worker is in flight, so the peak is set by the
+    # (n^D)^2 accumulators and the chunks, not by the realization count.
+    grid = FrequencyGrid(2, 16, 0.25, 1.55e-6)
+    s0 = Spectrum.gaussian(grid, 0.5)
+    peaks = []
+    for n_real in (500, 2000):
+        plan = PropagationPlan(grid, MODEL, 40.0, 2, n_real, 3)
+        ensemble_moments(s0, plan)
+        tracemalloc.start()
+        try:
+            ensemble_moments(s0, plan)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
+    # The 2000 realizations are 32 one-block chunks; three workers have at
+    # most three of them submitted and not yet reduced.
+    executors = []
+
+    def recording(workers):
+        executors.append(LazyExecutor(workers))
+        return executors[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+    monkeypatch.setattr(splitstep, "_cpu_count", lambda: 3)
+    ensemble_moments(s0, plan)
+    assert [(e.workers, e.most_pending) for e in executors] == [(3, 3)]
 
 
 def test_ensemble_memory_guard_refuses_before_allocating():
