@@ -9,9 +9,10 @@ is the PSD sampled there), with periodic index arithmetic.  The paired
 circular shift is diagonal in the DFT basis of the tensor: its Fourier
 multiplier is c[(p_i + sign*p_j) mod n] with c = n^D * ifftn(ifftshift(phi)).
 ``pair_multiplier`` builds that multiplier; the moment-kernel generator
-sums it over every index pair, and ``pair_shift_sum_fft`` applies it to one
-pair.  ``pair_shift_sum_loop`` evaluates the same sum by rolling the tensor
-once per offset and is kept as the test oracle only.
+sums it over every index pair of a total-frequency sector, and
+``pair_shift_sum_fft`` applies it to one pair of a full tensor.
+``pair_shift_sum_loop`` evaluates the same sum by rolling the tensor once
+per offset and is kept as the test oracle only.
 """
 
 from __future__ import annotations
@@ -29,14 +30,19 @@ def pair_multiplier(c: np.ndarray, ndim: int, axes_i, axes_j,
                     sign: int) -> np.ndarray:
     """Fourier multiplier c[(p_i + sign*p_j) mod n] of the paired shift sum
     on an ndim-axis tensor, broadcastable to it (length n on axes_i and
-    axes_j, 1 elsewhere)."""
+    axes_j, 1 elsewhere).  axes_j None puts index j at p_j = 0: the pair
+    of a kept index with the index a moment-kernel sector does not store."""
     n = c.shape[0]
 
     def along(axis):
+        if axis is None:
+            return 0
         shape = [1] * ndim
         shape[axis] = n
         return np.arange(n).reshape(shape)
 
+    if axes_j is None:
+        axes_j = [None] * len(axes_i)
     return c[tuple((along(ai) + sign * along(aj)) % n
                    for ai, aj in zip(axes_i, axes_j))]
 

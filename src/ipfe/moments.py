@@ -19,23 +19,44 @@ A boundary-mass monitor warns when the kernel carries weight at the lattice
 edge, where the periodic wrap stops being a faithful stand-in for the
 continuum integral.
 
-Every pair term is diagonal in the DFT basis of the full tensor, so the
-whole right-hand side of any order and dimension is one operator,
-KernelGenerator: a site-local factor times H plus one Fourier multiplier
-applied between a forward and an inverse FFT.  h11_rhs, hierarchy_rhs and
-biphoton_rhs are single evaluations of it; the roll-loop pair sum in
-_accel is the oracle the tests hold it to.
+Every pair term commutes with a joint lattice shift of +t on every bra
+index and -t on every ket index, and the drift and Lambda terms are
+site-local, so the total frequency K = sum_bra a - sum_ket a (mod n, per
+grid axis, in lattice-index units) is conserved and H_{m,n} splits into n^D
+independent sectors.  The sector layout drops the last index (the last ket
+index, or the last bra index when n = 0), which K fixes: the kernel is held
+as S[K, i_1 ... i_{m+n-1}], gathered once from the full tensor by one flat
+index and scattered back once.  Within a sector every pair term is diagonal
+in the DFT basis of the D(m+n-1) stored axes, with one multiplier shared by
+every K (the full-tensor multiplier at the dropped index's DFT position 0),
+so the whole right-hand side of any order and dimension is one operator,
+KernelGenerator: a site-local factor times S plus that multiplier applied
+between a forward and an inverse FFT over the stored axes.  h11_rhs,
+hierarchy_rhs and biphoton_rhs are single evaluations of it; the roll-loop
+pair sum in _accel is the oracle the tests hold it to.
 
 evolve_kernel takes the split-step engine's Strang slab on the same two
-parts, exp(dz/2 diag) . exp(dz scatter) . exp(dz/2 diag).  Screens are
-Gaussian and independent per slab, so exp(dz scatter), with the Lambda
-decay, is exactly one slab's expected screen factor: the kernel is the
-split-step ensemble's expectation on the lattice, and differs from the
-z-ODE above only by the O(dz^2) Strang error the ensemble shares.
+parts, exp(dz/2 diag) . exp(dz mult) . exp(dz/2 diag).  Screens are
+Gaussian and independent per slab, so exp(dz mult), with the Lambda decay,
+is exactly one slab's expected screen factor: the kernel is the split-step
+ensemble's expectation on the lattice, and differs from the z-ODE above
+only by the O(dz^2) Strang error the ensemble shares.
+
+Sectors never interact, so evolve_kernel runs chunks of whole sectors (at
+most _CHUNK_ELEMENTS elements each, or one sector if that is larger)
+through all steps on one thread per CPU, with no synchronisation between
+steps; a kernel that fits in one chunk runs on the calling thread.  The
+chunks are fixed by size, never by the number of threads, and each is
+evolved by the same operations whichever thread runs it, so the result is
+bit-identical for any worker count.  A kernel operation refuses, before
+allocating, a tensor whose working set it estimates above
+MAX_KERNEL_BYTES.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -49,6 +70,32 @@ from .spectrum import (DivergentLambdaError, SpectrumKind, TurbulenceModel,
 
 BOUNDARY_MASS_TOLERANCE = 1e-6
 
+# Elements (256 KiB complex) one worker thread holds at a time: a chunk of
+# realization rows in splitstep.ensemble_moments, a chunk of whole sectors
+# in evolve_kernel.  Chunks of 2^15 were as fast on the reference ensemble
+# but left about 2 MB more resident after repeated runs, in the worker
+# threads' malloc arenas.
+_CHUNK_ELEMENTS = 2 ** 14
+
+# Largest working set a kernel operation may estimate for itself (bytes).
+# Per element of the full n^(D(m+n)) tensor, input included, tracemalloc
+# reports a peak of 88 B for evolve_kernel (input, sector data, gather
+# index, diag, exp(dz/2 diag) and output) and 120 B for a right-hand-side
+# evaluation, at (2, 2) n=16 and 32 and at 2-D (1, 1) n=16 and 32.  The
+# limit admits the (2, 2) kernel at n = 32 (128 MiB) and refuses it at
+# n = 64 (2 GiB).
+MAX_KERNEL_BYTES = 2 ** 30
+_KERNEL_BYTES_PER_ELEMENT = 128
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: the worker threads of the split-step
+    ensemble and of evolve_kernel."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
 
 @dataclass
 class MomentKernel:
@@ -58,6 +105,9 @@ class MomentKernel:
     grid: FrequencyGrid
     values: np.ndarray = field(repr=False)
     z: float = 0.0
+    # Threads the evolve_kernel call that produced the values ran on (the
+    # calling thread included); 0 for values no evolve_kernel produced.
+    workers: int = 0
 
     def __post_init__(self) -> None:
         m, n = self.orders
@@ -171,24 +221,69 @@ def _drift_factor(kernel: MomentKernel) -> np.ndarray:
     return total
 
 
+def _check_kernel_bytes(kernel: MomentKernel) -> None:
+    """Refuse, before allocating, a kernel whose working set is estimated
+    above MAX_KERNEL_BYTES."""
+    estimate = _KERNEL_BYTES_PER_ELEMENT * kernel.values.size
+    if estimate > MAX_KERNEL_BYTES:
+        raise ValueError(
+            f"order-{kernel.orders} kernel of {kernel.values.size} elements "
+            f"needs about {estimate / 2 ** 30:.1f} GiB, above the "
+            f"{MAX_KERNEL_BYTES / 2 ** 30:.0f} GiB limit")
+
+
+def _sector_index(orders: tuple[int, int], grid: FrequencyGrid) -> np.ndarray:
+    """Flat full-tensor position of every sector-layout element
+    S[K, i_1 ... i_{r-1}], r = m + n: the dropped last index is
+    i_r = s_r (K - sum_{j<r} s_j i_j) mod n per grid axis, with s = +1 on
+    bra and -1 on ket indices.  Shape (n^D,) + (n,) * D(r-1); the (0, 0)
+    kernel is one sector of one element."""
+    m, n_ket = orders
+    r = m + n_ket
+    if r == 0:
+        return np.zeros(1, dtype=np.intp)
+    n, d = grid.n, grid.dim
+    signs = [1] * m + [-1] * n_ket
+    ndim = d + d * (r - 1)
+
+    def along(axis):
+        shape = [1] * ndim
+        shape[axis] = n
+        return np.arange(n, dtype=np.intp).reshape(shape)
+
+    kept = [along(axis) for axis in range(d, ndim)]
+    flat = np.zeros((1,) * ndim, dtype=np.intp)
+    for site in kept:
+        flat = flat * n + site
+    for j in range(d):
+        others = sum(s * kept[i * d + j] for i, s in enumerate(signs[:-1]))
+        flat = flat * n + signs[-1] * (along(j) - others) % n
+    return np.broadcast_to(flat, (n,) * ndim).reshape(
+        (n ** d,) + (n,) * (ndim - d))
+
+
 @dataclass(frozen=True)
 class KernelGenerator:
-    """The order-(m, n) right-hand side on one grid and model, built once:
+    """The order-(m, n) right-hand side on one grid and model, built once,
+    acting on the kernel in sector layout (to_sectors):
 
-        dH/dz = diag * H + ifftn(scatter * fftn(H))
+        dS/dz = diag * S + ifftn(mult * fftn(S))
 
-    diag is the site-local factor i pi lambda (sum_bra |a|^2 - sum_ket
-    |a'|^2) - (1/2) k^2 Lambda (m+n).  scatter is the Fourier multiplier of
-    all pair sums, k^2 delta_a^D sum_pairs (+/-) c[(p_i +/- p_j) mod n]:
-    same-group pairs shift oppositely and enter with -, bra-ket pairs
-    co-move and enter with +.  Every pair term is diagonal in the DFT
-    basis of the full tensor, so one forward and one inverse FFT apply
-    them all.  scatter is None when nothing scatters (cn2 = 0, or fewer
-    than two indices).
+    with both FFTs over the D(m+n-1) stored index axes of S[K, ...].  diag
+    is the site-local factor i pi lambda (sum_bra |a|^2 - sum_ket |a'|^2) -
+    (1/2) k^2 Lambda (m+n), gathered into sector layout.  mult is the
+    Fourier multiplier of all pair sums, k^2 delta_a^D sum_pairs (+/-)
+    c[(p_i +/- p_j) mod n] with the dropped index at p = 0: same-group
+    pairs shift oppositely and enter with -, bra-ket pairs co-move and
+    enter with +.  It has n^(D(m+n-1)) entries and serves every sector.
+    mult is None when nothing scatters (cn2 = 0, or fewer than two
+    indices).
     """
 
+    index: np.ndarray = field(repr=False)
     diag: np.ndarray = field(repr=False)
-    scatter: np.ndarray | None = field(repr=False)
+    mult: np.ndarray | None = field(repr=False)
+    shape: tuple[int, ...]
 
     @classmethod
     def build(cls, kernel: MomentKernel,
@@ -200,38 +295,115 @@ class KernelGenerator:
         if m + n >= 3 and kernel.grid.dim != 1:
             raise ValueError(
                 "rank >= 3 kernels are supported on 1-D grids only")
+        _check_kernel_bytes(kernel)
         grid = kernel.grid
         k = grid.wavenumber
+        index = _sector_index(kernel.orders, grid)
         diag = (1j * np.pi * grid.wavelength * _drift_factor(kernel)
                 - 0.5 * k ** 2 * lambda_grid(model, grid) * (m + n))
+        diag = diag.reshape(-1)[index]
+        shape = kernel.values.shape
         phi = psd_lattice(model, grid)
         pairs = list(combinations(range(m + n), 2))
         if not pairs or not np.any(phi):
-            return cls(diag, None)
+            return cls(index, diag, None, shape)
         # Pair sums run over every distinct index pair: the pairings are
         # distinct tensors even for symmetric kernels, so no multiplicity
-        # shortcut applies.
-        axes = ([kernel.bra_axes(i) for i in range(m)]
-                + [kernel.ket_axes(j) for j in range(n)])
+        # shortcut applies.  Index i < m+n-1 sits on stored axes
+        # [i*D, (i+1)*D); the dropped last index has no axis.
+        d = grid.dim
+        axes = [list(range(i * d, (i + 1) * d)) for i in range(m + n - 1)]
+        axes.append(None)
         c = shift_coefficients(phi)
-        scatter = np.zeros(kernel.values.shape, dtype=np.complex128)
+        mult = np.zeros(index.shape[1:], dtype=np.complex128)
         for i, j in pairs:
             sign = -1 if (i < m) == (j < m) else 1
-            scatter += sign * pair_multiplier(c, scatter.ndim, axes[i],
-                                              axes[j], sign)
-        scatter *= k ** 2 * grid.cell
-        return cls(diag, scatter)
+            mult += sign * pair_multiplier(c, mult.ndim, axes[i], axes[j],
+                                           sign)
+        mult *= k ** 2 * grid.cell
+        return cls(index, diag, mult, shape)
 
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        out = self.diag * values
-        if self.scatter is not None:
-            out += np.fft.ifftn(self.scatter * np.fft.fftn(values))
+    @property
+    def axes(self) -> tuple[int, ...]:
+        """The stored index axes of a sector-layout array."""
+        return tuple(range(1, self.index.ndim))
+
+    def to_sectors(self, values: np.ndarray) -> np.ndarray:
+        """A full-layout tensor gathered into sector layout."""
+        return values.reshape(-1)[self.index]
+
+    def from_sectors(self, sectors: np.ndarray) -> np.ndarray:
+        """A sector-layout array scattered back into the full tensor."""
+        out = np.empty(self.index.size, dtype=np.complex128)
+        out[self.index] = sectors
+        return out.reshape(self.shape)
+
+    def __call__(self, sectors: np.ndarray) -> np.ndarray:
+        out = self.diag * sectors
+        if self.mult is not None:
+            out += np.fft.ifftn(
+                self.mult * np.fft.fftn(sectors, axes=self.axes),
+                axes=self.axes)
         return out
+
+    def evolve(self, sectors: np.ndarray, dz: float, n_steps: int) -> int:
+        """n_steps Strang slabs S <- half * ifftn(exp(dz mult) * fftn(half
+        * S)), half = exp(dz/2 diag), applied to sectors in place, chunk by
+        chunk of whole sectors on one thread per CPU (never more than
+        there are chunks).  Returns the number of threads, the calling one
+        included."""
+        half = np.exp(0.5 * dz * self.diag)
+        step = np.exp(dz * self.mult)
+        axes = self.axes
+        per = max(1, _CHUNK_ELEMENTS // step.size)
+        chunks = [slice(lo, lo + per) for lo in range(0, len(sectors), per)]
+        workers = min(_cpu_count(), len(chunks))
+
+        # Runs on worker threads: numpy only, in place on the caller's
+        # arrays.
+        def run(share):
+            for chunk in share:
+                v, h = sectors[chunk], half[chunk]
+                for _ in range(n_steps):
+                    v *= h
+                    np.fft.fftn(v, axes=axes, out=v)
+                    v *= step
+                    np.fft.ifftn(v, axes=axes, out=v)
+                    v *= h
+
+        _run_on_threads(run, [chunks[w::workers] for w in range(workers)])
+        return workers
+
+
+def _run_on_threads(work, shares: list) -> None:
+    """work(share) for every share: the first on the calling thread, each
+    other one on a thread of its own.  An exception a thread raised is
+    re-raised here once every thread has ended."""
+    errors = []
+
+    def guarded(share):
+        try:
+            work(share)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(share,))
+               for share in shares[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        work(shares[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def hierarchy_rhs(kernel: MomentKernel, model: TurbulenceModel) -> MomentKernel:
     """Right-hand side of the order-(m, n) equation, any m + n <= 4."""
-    values = KernelGenerator.build(kernel, model)(kernel.values)
+    gen = KernelGenerator.build(kernel, model)
+    values = gen.from_sectors(gen(gen.to_sectors(kernel.values)))
     return MomentKernel(kernel.orders, kernel.grid, values, kernel.z)
 
 
@@ -243,13 +415,11 @@ def h11_rhs(kernel: MomentKernel, model: TurbulenceModel) -> MomentKernel:
 
 
 def _check_biphoton(kernel: MomentKernel) -> None:
-    """Bounds of the (2, 2) kernel: a 1-D grid, n <= 16, and exchange
-    symmetry within the bra pair and within the ket pair."""
+    """Bounds of the (2, 2) kernel: a 1-D grid, the kernel byte bound, and
+    exchange symmetry within the bra pair and within the ket pair."""
     if kernel.grid.dim != 1:
         raise ValueError("bi-photon kernel is supported on 1-D grids only")
-    if kernel.grid.n > 16:
-        raise ValueError("bi-photon grid bound n <= 16 exceeded (rank-4 "
-                         "tensor memory)")
+    _check_kernel_bytes(kernel)
     v = kernel.values
     scale = np.max(np.abs(v))
     if scale > 0:
@@ -312,11 +482,11 @@ def step_guard(grid: FrequencyGrid, model: TurbulenceModel, dz: float) -> None:
 
 def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,
                   z_total: float, n_steps: int) -> MomentKernel:
-    """n_steps Strang slabs v <- half * ifftn(exp(dz scatter) * fftn(half
-    * v)), half = exp(dz/2 diag), of the generator built once: the
-    expectation of the split-step ensemble over the same slabs (a single
-    multiply by exp(z diag) when nothing scatters).  A (2, 2) kernel must
-    meet the bounds biphoton_rhs enforces."""
+    """n_steps Strang slabs of the generator built once, sector by sector
+    (KernelGenerator.evolve): the expectation of the split-step ensemble
+    over the same slabs (a single multiply by exp(z diag) when nothing
+    scatters).  A (2, 2) kernel must meet the bounds biphoton_rhs
+    enforces."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if kernel.orders == (2, 2):
@@ -325,15 +495,16 @@ def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,
     if z_total > 0.0:
         step_guard(kernel.grid, model, dz)
     gen = KernelGenerator.build(kernel, model)
-    if gen.scatter is None:
-        v = np.exp(z_total * gen.diag) * kernel.values
+    sectors = gen.to_sectors(kernel.values)
+    if gen.mult is None:
+        # exp(z diag) stays the left operand: numpy's complex multiply
+        # need not round a * b as b * a.
+        sectors = np.exp(z_total * gen.diag) * sectors
+        workers = 1
     else:
-        half = np.exp(0.5 * dz * gen.diag)
-        scatter = np.exp(dz * gen.scatter)
-        v = kernel.values
-        for _ in range(n_steps):
-            v = half * np.fft.ifftn(scatter * np.fft.fftn(half * v))
-    out = MomentKernel(kernel.orders, kernel.grid, v, kernel.z + z_total)
+        workers = gen.evolve(sectors, dz, n_steps)
+    out = MomentKernel(kernel.orders, kernel.grid, gen.from_sectors(sectors),
+                       kernel.z + z_total, workers)
     frac = monitored_boundary_mass(out, model)
     if frac > BOUNDARY_MASS_TOLERANCE:
         warnings.warn(

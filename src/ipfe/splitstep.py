@@ -39,7 +39,6 @@ above ``MAX_ENSEMBLE_BYTES``.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,7 +49,8 @@ import numpy as np
 from .grid import FrequencyGrid, Spectrum, to_frequency, to_position
 from .phase_screen import (BLOCK, ScreenLattice, ScreenRealization, as_u64,
                            phase_screen_position)
-from .moments import step_guard, step_guard_values
+from .moments import (_CHUNK_ELEMENTS, _cpu_count, step_guard,
+                      step_guard_values)
 from .spectrum import TurbulenceModel
 
 # Largest working set ensemble_moments may estimate for itself (bytes).  Per
@@ -60,12 +60,6 @@ from .spectrum import TurbulenceModel
 # admits 2-D n=32 and refuses 2-D n=64 (3.4 GiB).
 MAX_ENSEMBLE_BYTES = 2 ** 30
 _ENSEMBLE_BYTES_PER_ELEMENT = 56 + 10 * 16
-
-# Field elements (256 KiB complex) a worker propagates at a time, unless
-# one block holds more.  Chunks of 2^15 were as fast on the reference plan
-# but left about 2 MB more resident after repeated runs, in the worker
-# threads' malloc arenas.
-_CHUNK_ELEMENTS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -189,14 +183,6 @@ class EnsembleStats:
     anomalous_se: np.ndarray = field(repr=False)
     # Worker threads that propagated the realizations.
     workers: int
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def ensemble_moments(s0: Spectrum, plan: PropagationPlan) -> EnsembleStats:

@@ -13,10 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ipfe import validation
+from ipfe import moments, validation
 from ipfe.arrayio import read_array, write_array
 from ipfe.cli import ConfigError, build_parser, load_config, main
 from ipfe.grid import FrequencyGrid, Spectrum
+from ipfe.moments import step_guard_values
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" \
     / "reference.json"
@@ -183,6 +184,47 @@ def test_evolve_kernel_command(tmp_path):
     assert meta["orders"] == [1, 1]
     first, _ = read_array(out / "kernel_z0.bin")
     assert np.array_equal(first, init)
+    manifest = json.loads((out / "manifest.json").read_text())
+    # An 8-site (1, 1) kernel is one chunk of sectors: one worker.
+    assert manifest["kernel_workers"] == 1
+    assert 0.0 < manifest["evolve_s"] <= manifest["wall_time_s"]
+    # Two spans of 500 m in 16 steps each, the config's dz of 31.25 m.
+    assert manifest["guards"] == step_guard_values(
+        grid, load_config(cfg).plan.model, 31.25)
+    assert manifest["guards"]["weak_scattering"] < 0.1
+    snaps = manifest["snapshots"]
+    assert [s["z_m"] for s in snaps] == [0.0, 500.0, 1000.0]
+    assert [s["steps"] for s in snaps] == [0, 16, 16]
+    assert snaps[0]["trace_drift"] == 0.0
+    for snap, row in zip(snaps, rows[1:]):
+        assert snap["trace_drift"] < 1e-8
+        assert snap["hermiticity_residual"] == float(row[2])
+        assert snap["boundary_mass_fraction"] == float(row[3])
+
+
+@pytest.mark.filterwarnings("ignore:kernel boundary mass")
+def test_evolve_kernel_manifest_of_a_biphoton_kernel(tmp_path, monkeypatch):
+    # A (2, 2) kernel at n = 16 is four chunks of sectors, so it runs on
+    # as many threads as the process may use, up to four.
+    monkeypatch.setattr(moments, "_cpu_count", lambda: 3)
+    cfg = write_config(tmp_path, grid={"n": 16})
+    grid = FrequencyGrid(1, 16, 0.25, 1.55e-6)
+    g = np.exp(-grid.freq_sq() / 0.3).astype(complex)
+    pair = np.multiply.outer(g, g)
+    kernel_path = tmp_path / "init.bin"
+    write_array(kernel_path, np.multiply.outer(pair, np.conj(pair)))
+    out = tmp_path / "evolve"
+    assert main(["evolve-kernel", "--config", str(cfg),
+                 "--input", str(kernel_path), "--orders", "2,2",
+                 "--z-list", "250", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["kernel_workers"] == 3
+    assert manifest["orders"] == [2, 2]
+    (snap,) = manifest["snapshots"]
+    assert snap["steps"] == 8
+    assert snap["trace_drift"] < 1e-12
+    assert snap["hermiticity_residual"] < 1e-12
+    assert 0.0 < snap["boundary_mass_fraction"] < 1.0
 
 
 def test_simulate_command_and_determinism(tmp_path):

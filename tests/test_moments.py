@@ -2,6 +2,9 @@
 conservation laws, integrator order, and the screen expectation the
 integrator's slab reproduces."""
 
+import sys
+import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from itertools import combinations
@@ -9,7 +12,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ipfe._accel import pair_shift_sum_fft, pair_shift_sum_loop
+from ipfe import moments
+from ipfe._accel import (pair_multiplier, pair_shift_sum_fft,
+                         pair_shift_sum_loop, shift_coefficients)
 from ipfe.grid import FrequencyGrid, Spectrum
 from ipfe.moments import (KernelGenerator, MomentKernel, biphoton_rhs,
                           boundary_mass_fraction, delta_diagonal_kernel,
@@ -223,12 +228,48 @@ def test_biphoton_product_delta_kernel_stationary():
 
 
 def test_biphoton_memory_bound():
-    big = FrequencyGrid(1, 32, 0.25, 1.55e-6)
-    kernel = MomentKernel((2, 2), big, np.zeros((32,) * 4))
-    with pytest.raises(ValueError, match="n <= 16"):
-        biphoton_rhs(kernel, MODEL)
-    with pytest.raises(ValueError, match="n <= 16"):
-        evolve_kernel(kernel, MODEL, 100.0, 4)
+    # The byte bound admits the (2, 2) kernel at n = 32 ...
+    grid32 = FrequencyGrid(1, 32, 0.25, 1.55e-6)
+    out = evolve_kernel(MomentKernel((2, 2), grid32, np.zeros((32,) * 4)),
+                        MODEL, 31.25, 1)
+    assert out.values.shape == (32,) * 4
+    # ... and refuses it at n = 64 before allocating: the tensor is a
+    # read-only view of one element.
+    grid64 = FrequencyGrid(1, 64, 0.25, 1.55e-6)
+    view = np.broadcast_to(np.complex128(1.0), (64,) * 4)
+    kernel = MomentKernel((2, 2), grid64, view)
+    assert kernel.values.base is not None
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="GiB limit"):
+            biphoton_rhs(kernel, MODEL)
+        with pytest.raises(ValueError, match="GiB limit"):
+            evolve_kernel(kernel, MODEL, 100.0, 4)
+        with pytest.raises(ValueError, match="GiB limit"):
+            KernelGenerator.build(kernel, MODEL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("dim, orders", [(1, (2, 2)), (2, (1, 1))],
+                         ids=["1d-2-2", "2d-1-1"])
+def test_kernel_working_set_within_the_byte_estimate(dim, orders):
+    # The refusal rests on this per-element estimate, input included.
+    kernel = gaussian_kernel(dim, 16, orders)
+    limit = moments._KERNEL_BYTES_PER_ELEMENT * kernel.values.size
+    for run in (lambda: evolve_kernel(kernel, MODEL, 250.0, 16),
+                lambda: hierarchy_rhs(kernel, MODEL)):
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak + kernel.values.nbytes <= limit
 
 
 def roll_loop_rhs(values, grid, model, orders):
@@ -278,7 +319,8 @@ def test_biphoton_evolution_matches_roll_loop_rk4(biphoton_run):
     dz = 1000.0 / 32
     loop = rk4(lambda v: roll_loop_rhs(v, f0.grid, MODEL, (2, 2)),
                f0.values, dz, 32)
-    spectral = rk4(KernelGenerator.build(f0, MODEL), f0.values, dz, 32)
+    gen = KernelGenerator.build(f0, MODEL)
+    spectral = gen.from_sectors(rk4(gen, gen.to_sectors(f0.values), dz, 32))
     assert np.max(np.abs(spectral - loop)) <= 1e-13 * np.max(np.abs(loop))
 
 
@@ -323,8 +365,9 @@ def test_strang_second_order_convergence():
     # of dz quarters its distance from a fine RK4 solution, whose own error
     # is far below the coarsest Strang error measured here.
     h0 = MomentKernel((1, 1), GRID8, random_hermitian(8, 7))
-    ref = rk4(KernelGenerator.build(h0, MODEL), h0.values, 200.0 / 1024,
-              1024)
+    gen = KernelGenerator.build(h0, MODEL)
+    ref = gen.from_sectors(rk4(gen, gen.to_sectors(h0.values), 200.0 / 1024,
+                               1024))
     err = [np.max(np.abs(evolve_h11(h0, MODEL, 200.0, steps).values - ref))
            for steps in (4, 8, 16, 32)]
     ratios = [a / b for a, b in zip(err, err[1:])]
@@ -426,9 +469,11 @@ def one_slab_expectation(plan, orders):
                          ids=["1-1-reference", "2-2-n8"])
 def test_slab_multiplier_is_the_screen_expectation(orders, n):
     # The exact identity behind the exponential step: the Gaussian
-    # expectation of one slab's screen factor is exp(dz scatter) times the
+    # expectation of one slab's screen factor is exp(dz mult) times the
     # Lambda decay exp(-k^2 Lambda dz (m+n)/2), so the kernel's Strang slab
-    # is the split-step slab's expectation.
+    # is the split-step slab's expectation.  The sector multiplier is the
+    # expectation at p_last = 0; the joint shift p_bra + t, p_ket - t
+    # leaves the expectation unchanged, so that slice fixes it everywhere.
     grid = replace(REFERENCE.grid, n=n)
     plan = replace(REFERENCE, grid=grid)
     shape = (n,) * sum(orders)
@@ -436,7 +481,158 @@ def test_slab_multiplier_is_the_screen_expectation(orders, n):
         MomentKernel(orders, grid, np.zeros(shape)), plan.model)
     decay = (0.5 * grid.wavenumber ** 2 * lambda_grid(plan.model, grid)
              * sum(orders))
-    multiplier = np.exp(plan.dz * (gen.scatter - decay))
+    multiplier = np.exp(plan.dz * (gen.mult - decay))
     expectation = one_slab_expectation(plan, orders)
     assert np.max(1.0 - expectation) > 1e-2  # far from the identity
-    assert np.max(np.abs(multiplier - expectation)) <= 1e-14
+    assert np.max(np.abs(multiplier - expectation[..., 0])) <= 1e-14
+    m = orders[0]
+    for t in (1, 3, n // 2):
+        shift = [t] * m + [-t] * (sum(orders) - m)
+        assert np.array_equal(
+            np.roll(expectation, shift, tuple(range(sum(orders)))),
+            expectation), t
+
+
+def full_tensor_generator(kernel, model):
+    """The generator on the full tensor, as evolve_kernel ran before the
+    sector layout: the site-local factor and the n^(D(m+n)) Fourier
+    multiplier of every pair sum, both in full layout."""
+    m, n = kernel.orders
+    grid = kernel.grid
+    k = grid.wavenumber
+    diag = (1j * np.pi * grid.wavelength * moments._drift_factor(kernel)
+            - 0.5 * k ** 2 * lambda_grid(model, grid) * (m + n))
+    axes = ([kernel.bra_axes(i) for i in range(m)]
+            + [kernel.ket_axes(j) for j in range(n)])
+    c = shift_coefficients(psd_lattice(model, grid))
+    scatter = np.zeros(kernel.values.shape, dtype=np.complex128)
+    for i, j in combinations(range(m + n), 2):
+        sign = -1 if (i < m) == (j < m) else 1
+        scatter += sign * pair_multiplier(c, scatter.ndim, axes[i], axes[j],
+                                          sign)
+    scatter *= k ** 2 * grid.cell
+    return diag, scatter
+
+
+def full_tensor_rhs(kernel, model):
+    diag, scatter = full_tensor_generator(kernel, model)
+    values = kernel.values
+    return diag * values + np.fft.ifftn(scatter * np.fft.fftn(values))
+
+
+def full_tensor_evolve(kernel, model, z_total, n_steps):
+    """The full-tensor Strang step: an FFT over every axis per step."""
+    diag, scatter = full_tensor_generator(kernel, model)
+    dz = z_total / n_steps
+    half = np.exp(0.5 * dz * diag)
+    step = np.exp(dz * scatter)
+    v = kernel.values
+    for _ in range(n_steps):
+        v = half * np.fft.ifftn(step * np.fft.fftn(half * v))
+    return v
+
+
+SECTOR_CASES = [(1, 8, (2, 2)), (2, 8, (1, 1)), (1, 8, (2, 1)),
+                (1, 8, (2, 0)), (1, 16, (0, 2))]
+
+
+def random_kernel(dim, n, orders, seed):
+    grid = FrequencyGrid(dim, n, 0.25, 1.55e-6)
+    shape = (n,) * (dim * sum(orders))
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if orders == (2, 2):
+        values = values + values.transpose(1, 0, 2, 3)
+        values = values + values.transpose(0, 1, 3, 2)
+    return MomentKernel(orders, grid, values)
+
+
+@pytest.mark.parametrize("dim, n, orders", SECTOR_CASES,
+                         ids=[f"{d}d-n{n}-{o[0]}-{o[1]}"
+                              for d, n, o in SECTOR_CASES])
+def test_sectors_match_the_full_tensor_oracle(dim, n, orders):
+    # (2, 0) drops its last bra index; the others their last ket index.
+    kernel = random_kernel(dim, n, orders, 21)
+    want = full_tensor_rhs(kernel, MODEL)
+    got = hierarchy_rhs(kernel, MODEL).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    want = full_tensor_evolve(kernel, MODEL, 1000.0, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # boundary mass
+        got = evolve_kernel(kernel, MODEL, 1000.0, 64).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim, orders", [(1, (2, 2)), (2, (1, 1)),
+                                         (1, (2, 0))],
+                         ids=["1d-2-2", "2d-1-1", "1d-2-0"])
+def test_full_tensor_step_keeps_one_sector(dim, orders):
+    # The conservation law the sector layout rests on, checked without it:
+    # the full-tensor step leaves a tensor supported on one total
+    # frequency K there.
+    kernel = random_kernel(dim, 8, orders, 22)
+    gen = KernelGenerator.build(kernel, MODEL)
+    sectors = gen.to_sectors(kernel.values)
+    sectors[np.arange(len(sectors)) != 3] = 0.0
+    one = MomentKernel(orders, kernel.grid, gen.from_sectors(sectors))
+    out = gen.to_sectors(full_tensor_evolve(one, MODEL, 1000.0, 64))
+    leak = np.max(np.abs(np.delete(out, 3, axis=0)))
+    assert leak <= 1e-14 * np.max(np.abs(out[3]))
+
+
+def gaussian_kernel(dim, n, orders):
+    grid = FrequencyGrid(dim, n, 0.25, 1.55e-6)
+    g = np.exp(-grid.freq_sq() / (2.0 * (n / 16) ** 2)).astype(complex)
+    values = np.multiply.outer(g, np.conj(g))
+    if orders == (2, 2):
+        pair = np.multiply.outer(g, g)
+        values = np.multiply.outer(pair, np.conj(pair))
+    return MomentKernel(orders, grid, values)
+
+
+def test_evolve_kernel_independent_of_worker_count(monkeypatch):
+    # Four chunks of whole sectors each: 16 sectors of 16^3 elements, and
+    # 256 sectors of 16^2.  One, two and three threads give the same bits.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for dim, orders in ((1, (2, 2)), (2, (1, 1))):
+            kernel = gaussian_kernel(dim, 16, orders)
+            runs = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(moments, "_cpu_count", lambda: workers)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    runs.append(evolve_kernel(kernel, MODEL, 500.0, 32))
+                assert runs[-1].workers == workers
+            for run in runs[1:]:
+                assert np.array_equal(run.values, runs[0].values), dim
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_chunk_kernel_starts_no_thread(monkeypatch):
+    # (1, 1) at n = 64 is 64 sectors of 64 elements: one chunk.
+    def refuse(*args, **kwargs):
+        raise AssertionError("thread started for a one-chunk kernel")
+
+    monkeypatch.setattr(moments, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(threading, "Thread", refuse)
+    kernel = gaussian_kernel(1, 64, (1, 1))
+    out = evolve_kernel(kernel, MODEL, 1000.0, 32)
+    assert out.workers == 1
+
+
+def test_worker_thread_error_reaches_the_caller(monkeypatch):
+    fftn = np.fft.fftn
+
+    def fail_off_main(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("worker")
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(moments, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(np.fft, "fftn", fail_off_main)
+    kernel = gaussian_kernel(1, 16, (2, 2))
+    with pytest.raises(MemoryError, match="worker"):
+        evolve_kernel(kernel, MODEL, 500.0, 16)
