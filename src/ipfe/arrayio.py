@@ -32,15 +32,14 @@ class ArrayFormatError(ValueError):
 def write_array(path, values: np.ndarray, metadata: dict | None = None) -> None:
     """Write a complex tensor; metadata (if any) goes to <path>.json."""
     path = Path(path)
-    values = np.asarray(values, dtype=np.complex128)
+    # A little-endian complex128 array in row-major order is the payload:
+    # its buffer holds the (real, imaginary) float64 pairs.
+    values = np.asarray(values, dtype="<c16", order="C")
     header = MAGIC + struct.pack("<II", FORMAT_VERSION, values.ndim)
     header += struct.pack(f"<{values.ndim}I", *values.shape)
-    payload = np.empty(values.shape + (2,), dtype="<f8")
-    payload[..., 0] = values.real
-    payload[..., 1] = values.imag
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(payload).tobytes())
+        fh.write(values.data)
     if metadata is not None:
         sidecar = path.with_suffix(path.suffix + ".json")
         with open(sidecar, "w") as fh:

@@ -109,10 +109,14 @@ class ScreenLattice:
         """Screens, shape (B,) + grid shape in DFT order, from a
         (B, 2) + half_shape block of normals (the module docstring)."""
         grid = self.grid
-        coeff = self.amplitude * (normals[:, 0] + 1j * normals[:, 1])
-        return np.fft.irfftn(coeff, s=grid.shape,
-                             axes=tuple(range(1, grid.dim + 1))) \
-            * (grid.n ** grid.dim * grid.cell)
+        coeff = np.empty((len(normals),) + self.amplitude.shape,
+                         dtype=np.complex128)
+        np.multiply(self.amplitude, normals[:, 0], out=coeff.real)
+        np.multiply(self.amplitude, normals[:, 1], out=coeff.imag)
+        screens = np.fft.irfftn(coeff, s=grid.shape,
+                                axes=tuple(range(1, grid.dim + 1)))
+        screens *= grid.n ** grid.dim * grid.cell
+        return screens
 
     def draw(self, seed: int, stream: int, start: int,
              stop: int) -> np.ndarray:
@@ -128,11 +132,14 @@ class ScreenLattice:
         normals = np.empty((stop - start, 2) + self.amplitude.shape)
         for first in range(start - start % BLOCK, stop, BLOCK):
             counter = np.array([0, first // BLOCK, 0, 0], dtype=np.uint64)
-            block = np.random.Generator(np.random.Philox(
-                key=key, counter=counter)).standard_normal(
-                    (BLOCK, 2) + self.amplitude.shape)
+            rng = np.random.Generator(np.random.Philox(key=key,
+                                                       counter=counter))
             lo, hi = max(start, first), min(stop, first + BLOCK)
-            normals[lo - start:hi - start] = block[lo - first:hi - first]
+            if hi - lo == BLOCK:
+                rng.standard_normal(out=normals[lo - start:hi - start])
+            else:
+                block = rng.standard_normal((BLOCK, 2) + self.amplitude.shape)
+                normals[lo - start:hi - start] = block[lo - first:hi - first]
         return self.fields(normals)
 
 

@@ -28,11 +28,24 @@ exactly one Philox block.
 one per CPU the process may use (numpy's FFTs, Philox draws and complex
 ``exp`` release the GIL).  A chunk holds at most 2^14 field elements (or
 one block, if that is larger), and at most one chunk per worker is in
-flight, so memory stays bounded whatever the number of realizations.  The
-calling thread reduces each ``BLOCK``-row slice of a chunk with matrix
-products and adds the block partials in index order, so the moments are
-bit-reproducible, independent of the worker count, and differ from a
-one-realization-at-a-time sum only by the rounding of the reduction.  It
+flight, so memory stays bounded whatever the number of realizations.  A
+slab runs in place on its chunk: the FFTs write back into the field
+block and the screen factor exp(-i phi) goes to one buffer per chunk.
+
+The calling thread reduces each ``BLOCK``-row slice of a chunk with
+``block_products`` and adds the block partials in index order, so the
+moments are bit-reproducible, independent of the worker count, and differ
+from a one-realization-at-a-time sum only by the rounding of the
+reduction.  ``block_products`` forms the complex products D^T D*, D^T D
+and Q^T D from real matrix products of the real and imaginary parts of
+D: with Q^T Q, six real products in place of four complex ones.  A
+complex product of a block's size hands work to OpenBLAS's thread pool,
+whose threads then spin for about 0.12 s of CPU after every call, on the
+cores the workers need; the real products of a 64-site block (the 1-D
+reference lattice) run on the calling thread and leave the pool idle,
+and with OpenBLAS they round bit for bit as the complex ones do.  On
+larger lattices (2-D n=16 has 256 sites) the real products are large
+enough for BLAS to split them between its threads.  ``ensemble_moments``
 refuses, before allocating, a grid whose (n^D)^2 moments it estimates
 above ``MAX_ENSEMBLE_BYTES``.
 """
@@ -143,14 +156,18 @@ class _BlockEngine:
         fields = np.repeat(np.fft.ifftshift(s0.values)[None],
                            len(realizations), axis=0)
         if self.screens is not None:
+            screen = np.empty_like(fields)
             for slab in range(plan.n_slabs):
-                phi = grid.wavenumber * self.screens.draw(
-                    plan.master_seed, slab, realizations.start,
-                    realizations.stop)
+                phi = self.screens.draw(plan.master_seed, slab,
+                                        realizations.start, realizations.stop)
+                phi *= grid.wavenumber
+                np.exp(np.multiply(phi, -1j, out=screen), out=screen)
                 fields *= self.half_step
-                g = np.fft.fftn(fields, axes=axes) * grid.cell
-                g *= np.exp(-1j * phi)
-                fields = np.fft.ifftn(g, axes=axes) * grid.delta_weight
+                np.fft.fftn(fields, axes=axes, out=fields)
+                fields *= grid.cell
+                fields *= screen
+                np.fft.ifftn(fields, axes=axes, out=fields)
+                fields *= grid.delta_weight
                 fields *= self.half_step
         return np.fft.fftshift(fields, axes=axes).reshape(
             len(realizations), -1)
@@ -162,6 +179,29 @@ def propagate(s0: Spectrum, plan: PropagationPlan,
     row = _BlockEngine(plan).run(
         s0, range(realization_index, realization_index + 1))
     return Spectrum(plan.grid, row.reshape(plan.grid.shape))
+
+
+def block_products(d: np.ndarray,
+                   q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """D^T D*, D^T D, Q^T D and Q^T Q of a complex block D and a real
+    block Q, rows the samples, from real matrix products only.
+
+    With R = Re D, I = Im D, RR = R^T R, II = I^T I and RI = R^T I:
+    D^T D* = (RR + II) + i (RI^T - RI), D^T D = (RR - II) + i (RI + RI^T)
+    and Q^T D = Q^T R + i Q^T I.
+    """
+    def join(re, im):
+        z = np.empty(re.shape, dtype=np.complex128)
+        z.real, z.imag = re, im
+        return z
+
+    dr = np.ascontiguousarray(d.real)
+    di = np.ascontiguousarray(d.imag)
+    rr = dr.T @ dr
+    ii = di.T @ di
+    ri = dr.T @ di
+    return (join(rr + ii, ri.T - ri), join(rr - ii, ri + ri.T),
+            join(q.T @ dr, q.T @ di), q.T @ q)
 
 
 @dataclass
@@ -191,8 +231,10 @@ def ensemble_moments(s0: Spectrum, plan: PropagationPlan) -> EnsembleStats:
     Sums are taken about a fixed shift h, the first realization's field:
     with D = F - h for a block F of BLOCK realizations (one flattened field
     per row) and Q = |D|^2, each block is reduced with D^T D*, D^T D,
-    Q^T Q and Q^T D, and the block partials are added in index order, so
-    the result is bit-reproducible.  The shift keeps the variances behind
+    Q^T D and Q^T Q, and the block partials are added in index order, so
+    the result is bit-reproducible.  The products come from
+    ``block_products``, from real products only (the module docstring
+    says why).  The shift keeps the variances behind
     the standard errors free of cancellation: an ensemble of identical
     realizations has standard errors of exactly zero.  The second and
     anomalous moments share every accumulator; their fourth-order terms
@@ -253,10 +295,11 @@ def ensemble_moments(s0: Spectrum, plan: PropagationPlan) -> EnsembleStats:
                 sum_g += np.sum(fields, axis=0)
                 sum_d += np.sum(d, axis=0)
                 sum_q += np.sum(q, axis=0)
-                sum_dd_c += d.T @ np.conj(d)
-                sum_dd += d.T @ d
-                sum_qd += q.T @ d
-                sum_qq += q.T @ q
+                dd_c, dd, qd, qq = block_products(d, q)
+                sum_dd_c += dd_c
+                sum_dd += dd
+                sum_qd += qd
+                sum_qq += qq
 
     mean_d = sum_d / n
     mean_q = sum_q / n

@@ -209,16 +209,20 @@ def test_screen_address_is_philox_state():
 
 def test_ranges_across_blocks_equal_single_draws():
     # A range drawn at once, across block boundaries, equals its screens
-    # drawn one at a time.
+    # drawn one at a time and the rows of fresh Philox blocks.  The first
+    # range has a partial head, two whole aligned blocks (drawn straight
+    # into the output) and a partial tail; the last ends with the whole
+    # block at the top of the index range.
     for dim, n in ((1, 32), (2, 8)):
         grid = FrequencyGrid(dim, n, 0.25, 1.55e-6)
         lattice = ScreenLattice(MODEL, grid, DZ)
-        for start, stop in ((BLOCK - 3, 2 * BLOCK + 2), (0, BLOCK + 1),
+        for start, stop in ((BLOCK - 3, 3 * BLOCK + 2), (0, BLOCK + 1),
                             (2**64 - BLOCK - 2, 2**64)):
             block = lattice.draw(5, 3, start, stop)
             assert block.shape == (stop - start,) + grid.shape
             for r, row in zip(range(start, stop), block):
                 assert np.array_equal(row, lattice.draw(5, 3, r, r + 1)[0])
+                assert np.array_equal(row, fresh_philox_screen(grid, 5, 3, r))
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 8)])

@@ -17,7 +17,8 @@ from ipfe import splitstep
 from ipfe.grid import FrequencyGrid, Spectrum, to_position
 from ipfe.phase_screen import ScreenLattice, ScreenRealization
 from ipfe.splitstep import (BLOCK, PropagationPlan, apply_screen,
-                            ensemble_moments, free_space_step, propagate)
+                            block_products, ensemble_moments,
+                            free_space_step, propagate)
 from ipfe.spectrum import SpectrumKind, TurbulenceModel
 
 GRID = FrequencyGrid(1, 64, 0.25, 1.55e-6)
@@ -420,3 +421,56 @@ def test_ensemble_moments_independent_of_blas_threads():
         digests.append(out.stdout)
     assert len(digests[0]) == 64  # a SHA-256 hex digest
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("rows,sites", [(BLOCK, 64), (40, 64), (BLOCK, 256)])
+def test_block_products_match_complex_products(rows, sites):
+    # A full block, a partial one and a 2-D n=16 block, shifted like the
+    # ensemble's rows.  The real-product forms round like the complex
+    # products to within 1e-15 of the largest entry; their bitwise
+    # agreement depends on the BLAS, so it is not asserted here.
+    rng = np.random.default_rng(rows * sites)
+    d = (rng.standard_normal((rows, sites))
+         + 1j * rng.standard_normal((rows, sites)) + (0.3 - 0.2j))
+    q = np.abs(d) ** 2
+    got = block_products(d, q)
+    want = (d.T @ np.conj(d), d.T @ d, q.T @ d, q.T @ q)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (sites, sites)
+        assert g.dtype == w.dtype
+        assert np.max(np.abs(g - w)) <= 1e-15 * np.max(np.abs(w))
+
+
+_SPIN_PROBE = """
+import sys, time
+from ipfe import validation
+from ipfe.grid import Spectrum
+from ipfe.splitstep import ensemble_moments
+plan = validation.REFERENCE
+ensemble_moments(Spectrum.gaussian(plan.grid, 1.5), plan)
+start = time.process_time()
+time.sleep(0.3)
+sys.stdout.write(repr(time.process_time() - start))
+"""
+
+
+def _numpy_uses_openblas():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(not _numpy_uses_openblas(),
+                    reason="the probe measures OpenBLAS's thread pool")
+def test_reference_ensemble_leaves_no_blas_thread_spinning():
+    # A complex matrix product of the ensemble's block size wakes
+    # OpenBLAS's pool, whose threads then spin for about 0.12 s of CPU
+    # after the call returns, on the cores the ensemble's workers use.
+    # The real products of block_products run on the calling thread.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _SPIN_PROBE], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300)
+    assert float(out.stdout) < 0.040
