@@ -38,7 +38,7 @@ from .arrayio import grid_metadata, read_array, write_array
 from .grid import FrequencyGrid, Spectrum
 from .moments import (MomentKernel, boundary_mass_fraction, evolve_kernel,
                       hermiticity_residual, kernel_trace, step_guard_values)
-from .phase_screen import as_u64, screen_statistics
+from .phase_screen import MIN_SAMPLES, as_u64, screen_statistics
 from .spectrum import SpectrumKind, TurbulenceModel, psd_transverse
 from .splitstep import PropagationPlan, ensemble_moments
 from .states import FockSpec, GaussianState, fock_generating, fock_wigner, \
@@ -268,12 +268,13 @@ def cmd_evolve_kernel(args) -> int:
     out = _out_dir(args, cfg)
     plan = cfg.plan
     values, _ = read_array(args.input)
-    m, n = (int(x) for x in args.orders.split(","))
-    kernel = MomentKernel((m, n), plan.grid, values)
+    m, n = args.orders
+    try:
+        kernel = MomentKernel((m, n), plan.grid, values)
+    except ValueError as exc:
+        raise ConfigError(f"{args.input}: {exc}") from exc
 
-    z_values = sorted(float(z) for z in args.z_list.split(","))
-    if z_values[0] < 0:
-        raise ConfigError("z values must be >= 0")
+    z_values = args.z_list
     rows = []
     snapshots = []
     current = kernel
@@ -427,6 +428,30 @@ def u64(text: str) -> int:
     return as_u64(int(text), "seed")
 
 
+def kernel_orders(text: str) -> tuple[int, int]:
+    """An --orders value: m,n with m, n >= 0 and 1 <= m + n <= 4."""
+    m, n = map(int, text.split(","))
+    if min(m, n) < 0 or not 1 <= m + n <= 4:
+        raise ValueError(text)
+    return m, n
+
+
+def distances(text: str) -> list[float]:
+    """A --z-list value: comma-separated finite distances >= 0, sorted."""
+    z = sorted(map(float, text.split(",")))
+    if not all(0.0 <= x < np.inf for x in z):
+        raise ValueError(text)
+    return z
+
+
+def screen_samples(text: str) -> int:
+    """A --samples value: an integer >= MIN_SAMPLES."""
+    samples = int(text)
+    if samples < MIN_SAMPLES:
+        raise ValueError(text)
+    return samples
+
+
 def _add_common(parser, config_required=True) -> None:
     parser.add_argument("--config", required=config_required,
                         help="path to the JSON run configuration")
@@ -459,9 +484,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--input", required=True,
                    help="binary tensor file with the initial kernel")
-    p.add_argument("--orders", default="1,1",
-                   help="kernel orders as m,n (default 1,1)")
-    p.add_argument("--z-list", default="0,500,1000", dest="z_list",
+    p.add_argument("--orders", type=kernel_orders, default="1,1",
+                   help="kernel orders as m,n with 1 <= m+n <= 4 (default "
+                        "1,1)")
+    p.add_argument("--z-list", type=distances, default="0,500,1000",
+                   dest="z_list",
                    help="comma-separated snapshot distances in meters")
     p.set_defaults(func=cmd_evolve_kernel)
 
@@ -474,8 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("screens", help="phase-screen statistics tables (CSV)")
     _add_common(p)
-    p.add_argument("--samples", type=int, default=10000,
-                   help="number of screens to draw (default 10000)")
+    p.add_argument("--samples", type=screen_samples, default=10000,
+                   help=f"number of screens to draw, at least {MIN_SAMPLES} "
+                        "(default 10000)")
     p.set_defaults(func=cmd_screens)
 
     p = sub.add_parser("spectrum-table",

@@ -44,11 +44,8 @@ only by the O(dz^2) Strang error the ensemble shares.
 
 Sectors never interact, so evolve_kernel runs chunks of whole sectors (at
 most _CHUNK_ELEMENTS elements each, or one sector if that is larger)
-through all steps on one thread per CPU, with no synchronisation between
-steps; a kernel that fits in one chunk runs on the calling thread.  The
-chunks are fixed by size, never by the number of threads, and each is
-evolved by the same operations whichever thread runs it, so the result is
-bit-identical for any worker count.  A kernel operation refuses, before
+through all steps under the worker contract of _run_chunks, with no
+synchronisation between steps.  A kernel operation refuses, before
 allocating, a tensor whose working set it estimates above
 MAX_KERNEL_BYTES.
 """
@@ -56,10 +53,10 @@ MAX_KERNEL_BYTES.
 from __future__ import annotations
 
 import os
-import threading
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -105,8 +102,9 @@ class MomentKernel:
     grid: FrequencyGrid
     values: np.ndarray = field(repr=False)
     z: float = 0.0
-    # Threads the evolve_kernel call that produced the values ran on (the
-    # calling thread included); 0 for values no evolve_kernel produced.
+    # Threads that ran chunks in the evolve_kernel call that produced the
+    # values (1: the calling thread alone); 0 for values no evolve_kernel
+    # produced.
     workers: int = 0
 
     def __post_init__(self) -> None:
@@ -349,9 +347,8 @@ class KernelGenerator:
     def evolve(self, sectors: np.ndarray, dz: float, n_steps: int) -> int:
         """n_steps Strang slabs S <- half * ifftn(exp(dz mult) * fftn(half
         * S)), half = exp(dz/2 diag), applied to sectors in place, chunk by
-        chunk of whole sectors on one thread per CPU (never more than
-        there are chunks).  Returns the number of threads, the calling one
-        included."""
+        chunk of whole sectors (_run_chunks).  Returns the number of
+        threads that ran chunks, 1 for the calling thread alone."""
         half = np.exp(0.5 * dz * self.diag)
         step = np.exp(dz * self.mult)
         axes = self.axes
@@ -361,43 +358,52 @@ class KernelGenerator:
 
         # Runs on worker threads: numpy only, in place on the caller's
         # arrays.
-        def run(share):
-            for chunk in share:
-                v, h = sectors[chunk], half[chunk]
-                for _ in range(n_steps):
-                    v *= h
-                    np.fft.fftn(v, axes=axes, out=v)
-                    v *= step
-                    np.fft.ifftn(v, axes=axes, out=v)
-                    v *= h
+        def run(chunk):
+            v, h = sectors[chunk], half[chunk]
+            for _ in range(n_steps):
+                v *= h
+                np.fft.fftn(v, axes=axes, out=v)
+                v *= step
+                np.fft.ifftn(v, axes=axes, out=v)
+                v *= h
 
-        _run_on_threads(run, [chunks[w::workers] for w in range(workers)])
+        for _ in _run_chunks(run, chunks, workers):
+            pass
         return workers
 
 
-def _run_on_threads(work, shares: list) -> None:
-    """work(share) for every share: the first on the calling thread, each
-    other one on a thread of its own.  An exception a thread raised is
-    re-raised here once every thread has ended."""
-    errors = []
+def _run_chunks(work, chunks, workers: int):
+    """Yield work(chunk) for every chunk, in chunk order, on the calling
+    thread: the worker contract of the split-step ensemble and evolve_kernel.
 
-    def guarded(share):
-        try:
-            work(share)
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
+    - Chunks hold whole units fixed by size, never by the thread count
+      (64-row blocks, each reduced on its own; sectors), and a chunk is
+      computed by the same operations whichever thread runs it, so results
+      are bit-identical for any worker count.
+    - One worker (always so for one chunk) runs the chunks inline and
+      starts no thread.
+    - Otherwise a pool of ``workers`` threads runs them, with at most one
+      chunk per worker submitted and not yet taken, so memory stays
+      bounded whatever the number of chunks.
+    - A chunk's exception is re-raised here once the pool's threads have
+      ended; a consumer that stops early closes the generator, which ends
+      them too.
+    """
+    if workers == 1:
+        yield from map(work, chunks)
+        return
+    # Imported per call, not at module level: concurrent.futures loads
+    # logging, 0.2 MB of resident memory that commands which never thread
+    # need not pay.
+    import concurrent.futures
 
-    threads = [threading.Thread(target=guarded, args=(share,))
-               for share in shares[1:]]
-    for thread in threads:
-        thread.start()
-    try:
-        work(shares[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    todo = iter(chunks)
+    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+        pending = deque(pool.submit(work, c) for c in islice(todo, workers))
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(work, c) for c in islice(todo, 1))
+            yield result
 
 
 def hierarchy_rhs(kernel: MomentKernel, model: TurbulenceModel) -> MomentKernel:

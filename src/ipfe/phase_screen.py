@@ -171,6 +171,9 @@ _STATISTICS_CHUNK = 4 * BLOCK
 # Random site pairs whose cross-covariance screen_statistics reports.
 _CROSS_PAIRS = 64
 
+# Fewest screens screen_statistics draws.
+MIN_SAMPLES = 100
+
 
 @dataclass
 class ScreenStatistics:
@@ -189,8 +192,8 @@ def screen_statistics(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
                       n_samples: int, seed: int) -> ScreenStatistics:
     """Per-mode sample variance against target, plus cross-mode covariances
     for a random sample of non-mirror site pairs."""
-    if n_samples < 100:
-        raise ValueError("n_samples must be >= 100")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"n_samples must be >= {MIN_SAMPLES}")
     lattice = ScreenLattice(model, grid, dz)
     target = lattice.variance
     axes = tuple(range(1, grid.dim + 1))

@@ -24,13 +24,12 @@ is bit-identical to ``plan.slab_screen(r, s)`` whatever block it is drawn
 in.  ``BLOCK`` is that contract's block, so each engine block of a slab is
 exactly one Philox block.
 
-``ensemble_moments`` propagates chunks of whole blocks on worker threads,
-one per CPU the process may use (numpy's FFTs, Philox draws and complex
-``exp`` release the GIL).  A chunk holds at most 2^14 field elements (or
-one block, if that is larger), and at most one chunk per worker is in
-flight, so memory stays bounded whatever the number of realizations.  A
-slab runs in place on its chunk: the FFTs write back into the field
-block and the screen factor exp(-i phi) goes to one buffer per chunk.
+``ensemble_moments`` propagates chunks of whole blocks, at most 2^14
+field elements each (or one block, if that is larger), under the worker
+contract of ``ipfe.moments._run_chunks`` (numpy's FFTs, Philox draws and
+complex ``exp`` release the GIL).  A slab runs in place on its chunk: the
+FFTs write back into the field block and the screen factor exp(-i phi)
+goes to one buffer per chunk.
 
 The calling thread reduces each ``BLOCK``-row slice of a chunk with
 ``block_products`` and adds the block partials in index order, so the
@@ -52,17 +51,16 @@ above ``MAX_ENSEMBLE_BYTES``.
 
 from __future__ import annotations
 
-from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import islice
+from functools import cached_property, partial
 
 import numpy as np
 
 from .grid import FrequencyGrid, Spectrum, to_frequency, to_position
 from .phase_screen import (BLOCK, ScreenLattice, ScreenRealization, as_u64,
                            phase_screen_position)
-from .moments import (_CHUNK_ELEMENTS, _cpu_count, step_guard,
+from .moments import (_CHUNK_ELEMENTS, _cpu_count, _run_chunks, step_guard,
                       step_guard_values)
 from .spectrum import TurbulenceModel
 
@@ -221,7 +219,8 @@ class EnsembleStats:
     second_moment_se: np.ndarray = field(repr=False)
     anomalous: np.ndarray = field(repr=False)
     anomalous_se: np.ndarray = field(repr=False)
-    # Worker threads that propagated the realizations.
+    # Threads that propagated chunks of realizations (1: the calling
+    # thread alone).
     workers: int
 
 
@@ -240,10 +239,8 @@ def ensemble_moments(s0: Spectrum, plan: PropagationPlan) -> EnsembleStats:
     anomalous moments share every accumulator; their fourth-order terms
     agree because |d_i d_j|^2 = |d_i d_j*|^2.
 
-    Realizations are propagated in chunks of whole blocks on one worker
-    thread per CPU (never more than there are chunks), with at most one
-    chunk per worker in flight; the moments do not depend on the worker
-    count.
+    Realizations are propagated in chunks of whole blocks
+    (``ipfe.moments._run_chunks`` states the worker contract).
     """
     if plan.n_realizations < 2:
         raise ValueError("n_realizations must be >= 2")
@@ -254,19 +251,14 @@ def ensemble_moments(s0: Spectrum, plan: PropagationPlan) -> EnsembleStats:
             f"ensemble moments on {size} sites need about "
             f"{estimate / 2 ** 30:.1f} GiB, above the "
             f"{MAX_ENSEMBLE_BYTES / 2 ** 30:.0f} GiB limit")
-    # Imported here, not at module level: concurrent.futures loads logging,
-    # about 1 MB of resident memory that commands without an ensemble
-    # need not pay.
-    from concurrent.futures import ThreadPoolExecutor
-
     engine = _BlockEngine(plan)
     n = plan.n_realizations
     n_blocks = -(-n // BLOCK)
     workers = min(_cpu_count(), n_blocks)
     chunk = BLOCK * max(1, min(-(-n_blocks // workers),
                                _CHUNK_ELEMENTS // (BLOCK * size)))
-    starts = range(0, n, chunk)
-    workers = min(workers, len(starts))
+    chunks = [range(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    workers = min(workers, len(chunks))
 
     sum_g = np.zeros(size, dtype=np.complex128)
     sum_d = np.zeros(size, dtype=np.complex128)
@@ -276,16 +268,9 @@ def ensemble_moments(s0: Spectrum, plan: PropagationPlan) -> EnsembleStats:
     sum_qd = np.zeros((size, size), dtype=np.complex128)
     sum_qq = np.zeros((size, size))
     h = None
-    with ThreadPoolExecutor(workers) as pool:
-        def submit(start):
-            return pool.submit(engine.run, s0,
-                               range(start, min(start + chunk, n)))
-
-        todo = iter(starts)
-        pending = deque(map(submit, islice(todo, workers)))
-        while pending:
-            rows = pending.popleft().result()
-            pending.extend(map(submit, islice(todo, 1)))
+    with closing(_run_chunks(partial(engine.run, s0), chunks,
+                             workers)) as results:
+        for rows in results:
             if h is None:
                 h = rows[0].copy()
             for lo in range(0, len(rows), BLOCK):

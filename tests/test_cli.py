@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -282,6 +283,37 @@ def test_seed_must_be_u64(tmp_path, monkeypatch, capsys):
     assert load_config(path).plan.master_seed == 2 ** 64 - 1
 
 
+@pytest.mark.parametrize("command,flags,message", [
+    ("evolve-kernel", ["--orders", "1,1,1"], "argument --orders"),
+    ("evolve-kernel", ["--orders", "x"], "argument --orders"),
+    ("evolve-kernel", ["--orders", "3,2"], "argument --orders"),
+    ("evolve-kernel", ["--orders=-1,1"], "argument --orders"),
+    ("evolve-kernel", ["--z-list", "a,b"], "argument --z-list"),
+    ("evolve-kernel", ["--z-list", ""], "argument --z-list"),
+    ("evolve-kernel", ["--z-list=-5,0"], "argument --z-list"),
+    # An 8x8 (1, 1) kernel file read as a (2, 2) kernel.
+    ("evolve-kernel", ["--orders", "2,2"], "configuration error: .*shape"),
+    ("screens", ["--samples", "5"], "argument --samples"),
+], ids=["orders-three", "orders-text", "orders-rank5", "orders-negative",
+        "z-text", "z-empty", "z-negative", "kernel-shape", "samples-few"])
+def test_malformed_arguments_exit_2(tmp_path, capsys, command, flags,
+                                    message):
+    cfg = write_config(tmp_path)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if command == "evolve-kernel":
+        kernel_path = tmp_path / "init.bin"
+        write_array(kernel_path, np.eye(8, dtype=complex))
+        argv += ["--input", str(kernel_path)]
+    try:
+        code = main(argv + flags)
+    except SystemExit as exc:  # argparse refuses the value itself
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.search(message, err), err
+    assert "Traceback" not in err
+
+
 def test_validate_exit_codes(tmp_path, monkeypatch):
     class FakeReport:
         passed = True
@@ -406,6 +438,21 @@ def test_numpy_is_the_only_runtime_dependency():
                          capture_output=True, text=True, check=True,
                          timeout=300)
     assert out.stdout == ""
+
+
+def test_cli_import_leaves_out_concurrent_futures():
+    # concurrent.futures loads logging, 0.2 MB of resident memory: it is
+    # imported when work first runs on worker threads, so commands that
+    # never thread start without it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, ipfe.cli; "
+            "sys.stdout.write(str('concurrent.futures' in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300)
+    assert out.stdout == "False"
 
 
 def test_traced_spans_resolve():

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ipfe import moments
+from ipfe import moments, splitstep
 from ipfe._accel import (pair_multiplier, pair_shift_sum_fft,
                          pair_shift_sum_loop, shift_coefficients)
 from ipfe.grid import FrequencyGrid, Spectrum
@@ -24,7 +24,8 @@ from ipfe.moments import (KernelGenerator, MomentKernel, biphoton_rhs,
 from ipfe.phase_screen import ScreenLattice
 from ipfe.spectrum import (DivergentLambdaError, SpectrumKind,
                            TurbulenceModel, lambda_grid, psd_lattice)
-from ipfe.splitstep import free_space_step
+from ipfe.splitstep import (PropagationPlan, ensemble_moments,
+                            free_space_step)
 from ipfe.validation import REFERENCE, _naive_rank4_rhs
 
 GRID8 = FrequencyGrid(1, 8, 0.25, 1.55e-6)
@@ -612,27 +613,49 @@ def test_evolve_kernel_independent_of_worker_count(monkeypatch):
 
 
 def test_one_chunk_kernel_starts_no_thread(monkeypatch):
-    # (1, 1) at n = 64 is 64 sectors of 64 elements: one chunk.
+    # (1, 1) at n = 64 is 64 sectors of 64 elements: one chunk.  Eight
+    # realizations are one block: one chunk of the ensemble.
     def refuse(*args, **kwargs):
-        raise AssertionError("thread started for a one-chunk kernel")
+        raise AssertionError("thread started for one chunk of work")
 
     monkeypatch.setattr(moments, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(splitstep, "_cpu_count", lambda: 4)
     monkeypatch.setattr(threading, "Thread", refuse)
     kernel = gaussian_kernel(1, 64, (1, 1))
     out = evolve_kernel(kernel, MODEL, 1000.0, 32)
     assert out.workers == 1
+    grid = REFERENCE.grid
+    plan = PropagationPlan(grid, MODEL, 1000.0, 32, 8, 5)
+    stats = ensemble_moments(Spectrum.gaussian(grid, 1.5), plan)
+    assert stats.workers == 1
 
 
 def test_worker_thread_error_reaches_the_caller(monkeypatch):
     fftn = np.fft.fftn
+    run = splitstep._BlockEngine.run
 
-    def fail_off_main(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            raise MemoryError("worker")
+    def off_main():
+        return threading.current_thread() is not threading.main_thread()
+
+    def fftn_fails_off_main(*args, **kwargs):
+        if off_main():
+            raise MemoryError("kernel worker")
         return fftn(*args, **kwargs)
 
+    def run_fails_off_main(*args, **kwargs):
+        if off_main():
+            raise MemoryError("ensemble worker")
+        return run(*args, **kwargs)
+
     monkeypatch.setattr(moments, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(np.fft, "fftn", fail_off_main)
+    monkeypatch.setattr(splitstep, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(np.fft, "fftn", fftn_fails_off_main)
+    monkeypatch.setattr(splitstep._BlockEngine, "run", run_fails_off_main)
     kernel = gaussian_kernel(1, 16, (2, 2))
-    with pytest.raises(MemoryError, match="worker"):
+    with pytest.raises(MemoryError, match="kernel worker"):
         evolve_kernel(kernel, MODEL, 500.0, 16)
+    # 333 realizations on two workers: two chunks of three blocks.
+    grid = REFERENCE.grid
+    plan = PropagationPlan(grid, MODEL, 125.0, 8, 333, 11)
+    with pytest.raises(MemoryError, match="ensemble worker"):
+        ensemble_moments(Spectrum.gaussian(grid, 1.5), plan)

@@ -6,6 +6,7 @@ import concurrent.futures
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -323,6 +324,31 @@ def test_ensemble_memory_does_not_grow_with_realizations(monkeypatch):
     monkeypatch.setattr(splitstep, "_cpu_count", lambda: 3)
     ensemble_moments(s0, plan)
     assert [(e.workers, e.most_pending) for e in executors] == [(3, 3)]
+
+
+def test_consumer_that_stops_early_leaves_no_thread(monkeypatch):
+    # The reduction fails on the calling thread at its second block, with
+    # the workers' other chunks in flight: 1000 realizations are four
+    # chunks of four blocks on three workers.  The pool's threads have
+    # ended by the time the error reaches the caller, which may hold on to
+    # it, and through its traceback to the frames the error left.
+    products = splitstep.block_products
+    calls = []
+
+    def fail_second(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise MemoryError("reduction")
+        return products(*args)
+
+    monkeypatch.setattr(splitstep, "block_products", fail_second)
+    monkeypatch.setattr(splitstep, "_cpu_count", lambda: 3)
+    plan = PropagationPlan(GRID, MODEL, 125.0, 8, 1000, 11)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="reduction") as failed:
+        ensemble_moments(Spectrum.gaussian(GRID, 1.5), plan)
+    assert threading.active_count() == before
+    assert failed.traceback
 
 
 def test_ensemble_memory_guard_refuses_before_allocating():
