@@ -67,15 +67,16 @@ def read_array(path):
         if len(dim_bytes) < 4 * rank:
             raise ArrayFormatError("truncated header: missing axis lengths")
         shape = struct.unpack(f"<{rank}I", dim_bytes)
-        count = int(np.prod(shape, dtype=np.int64)) * 2
-        payload = fh.read(count * 8)
-        if len(payload) < count * 8:
+        count = int(np.prod(shape, dtype=np.int64))
+        payload = fh.read(count * 16)
+        if len(payload) < count * 16:
             raise ArrayFormatError(
                 f"truncated payload: {len(payload)} bytes, expected "
-                f"{count * 8}")
-    flat = np.frombuffer(payload, dtype="<f8", count=count)
-    pairs = flat.reshape(shape + (2,))
-    values = (pairs[..., 0] + 1j * pairs[..., 1]).astype(np.complex128)
+                f"{count * 16}")
+    # The payload as written, converted once to native complex128: every
+    # bit of both parts survives, signed zeros, infinities and NaNs too.
+    values = np.frombuffer(payload, dtype="<c16", count=count).reshape(
+        shape).astype(np.complex128)
     sidecar = path.with_suffix(path.suffix + ".json")
     metadata = None
     if sidecar.exists():

@@ -33,11 +33,14 @@ in [0, 2^64).
 Drawing a block advances only the counter's first word, so two blocks of
 one key never share Philox output (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11): a screen depends only on its
-address, not on the range it is drawn in.  The split-step engine draws realization r in slab s
-at (master_seed, s, r), one block per BLOCK realizations, as does
-``PropagationPlan.slab_screen(r, s)``; ``draw_screen(seed)`` is the screen
-at (seed, 0, 0), and ``screen_statistics(seed)`` draws screen i at
-(seed, 0, i) and its site pairs from the generator of key (seed, 1).
+address, not on the range it is drawn in.  A draw moves one generator
+between its blocks by assigning its state (key, counter, empty buffer),
+which gives the same bits as a fresh generator per block.  The split-step
+engine draws realization r in slab s at (master_seed, s, r), one block per
+BLOCK realizations, as does ``PropagationPlan.slab_screen(r, s)``;
+``draw_screen(seed)`` is the screen at (seed, 0, 0), and
+``screen_statistics(seed)`` draws screen i at (seed, 0, i) and its site
+pairs from the generator of key (seed, 1).
 """
 
 from __future__ import annotations
@@ -130,10 +133,14 @@ class ScreenLattice:
             raise ValueError(f"screen index stop must be in [start, 2^64], "
                              f"got {stop}")
         normals = np.empty((stop - start, 2) + self.amplitude.shape)
+        # Building a Philox costs several times as much as assigning its
+        # state; the fresh state holds the empty buffer every block needs.
+        bitgen = np.random.Philox(key=key)
+        rng = np.random.Generator(bitgen)
+        state = bitgen.state
         for first in range(start - start % BLOCK, stop, BLOCK):
-            counter = np.array([0, first // BLOCK, 0, 0], dtype=np.uint64)
-            rng = np.random.Generator(np.random.Philox(key=key,
-                                                       counter=counter))
+            state["state"]["counter"][1] = first // BLOCK
+            bitgen.state = state
             lo, hi = max(start, first), min(stop, first + BLOCK)
             if hi - lo == BLOCK:
                 rng.standard_normal(out=normals[lo - start:hi - start])

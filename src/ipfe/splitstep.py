@@ -26,10 +26,12 @@ exactly one Philox block.
 
 ``ensemble_moments`` propagates chunks of whole blocks, at most 2^14
 field elements each (or one block, if that is larger), under the worker
-contract of ``ipfe.moments._run_chunks`` (numpy's FFTs, Philox draws and
-complex ``exp`` release the GIL).  A slab runs in place on its chunk: the
-FFTs write back into the field block and the screen factor exp(-i phi)
-goes to one buffer per chunk.
+contract of ``ipfe.moments._run_chunks`` (numpy's FFTs, Philox draws,
+``cos`` and ``sin`` release the GIL).  A slab runs in place on its chunk:
+the FFTs write back into the field block, and the screen factor
+exp(-i phi) goes to one buffer per chunk as cos(-phi) + i sin(-phi), which
+has the complex ``exp``'s bits (checked with numpy 2.4 on glibc over every
+screen of the reference plan) in less time.
 
 The calling thread reduces each ``BLOCK``-row slice of a chunk with
 ``block_products`` and adds the block partials in index order, so the
@@ -158,8 +160,9 @@ class _BlockEngine:
             for slab in range(plan.n_slabs):
                 phi = self.screens.draw(plan.master_seed, slab,
                                         realizations.start, realizations.stop)
-                phi *= grid.wavenumber
-                np.exp(np.multiply(phi, -1j, out=screen), out=screen)
+                phi *= -grid.wavenumber
+                np.cos(phi, out=screen.real)
+                np.sin(phi, out=screen.imag)
                 fields *= self.half_step
                 np.fft.fftn(fields, axes=axes, out=fields)
                 fields *= grid.cell

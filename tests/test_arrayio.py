@@ -17,13 +17,20 @@ def random_tensor(shape, seed=0):
 
 
 def test_roundtrip_bit_exact(tmp_path):
-    for shape in ((5,), (4, 6), (3, 3, 3), (2, 2, 2, 2)):
-        values = random_tensor(shape)
-        path = tmp_path / f"rank{len(shape)}.bin"
+    # The last tensor pairs each of +0.0, -0.0, +inf, -inf and nan in the
+    # real part with each of them in the imaginary part.
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    edges = np.empty((5, 5), dtype=np.complex128)
+    edges.real, edges.imag = special[:, None], special[None, :]
+    tensors = [random_tensor(shape)
+               for shape in ((5,), (4, 6), (3, 3, 3), (2, 2, 2, 2))]
+    for i, values in enumerate(tensors + [edges]):
+        path = tmp_path / f"tensor{i}.bin"
         write_array(path, values)
         back, meta = read_array(path)
         assert back.dtype == np.complex128
-        assert np.array_equal(back, values)
+        assert back.shape == values.shape
+        assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
         assert meta is None
 
 

@@ -225,6 +225,28 @@ def test_ranges_across_blocks_equal_single_draws():
                 assert np.array_equal(row, fresh_philox_screen(grid, 5, 3, r))
 
 
+def test_draw_builds_one_generator(monkeypatch):
+    # A draw moves one Philox generator from block to block by assigning
+    # its state, instead of building a generator per block.
+    # test_screen_address_is_philox_state and
+    # test_ranges_across_blocks_equal_single_draws pin the bits this gives.
+    built = []
+
+    class CountingPhilox(np.random.Philox):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+    lattice = ScreenLattice(MODEL, GRID, DZ)
+    for start, stop in ((BLOCK - 3, 6 * BLOCK + 2), (0, 5 * BLOCK),
+                        (2**64 - 5 * BLOCK - 2, 2**64)):
+        built.clear()
+        block = lattice.draw(5, 3, start, stop)
+        assert len(built) <= 1
+        assert block.shape == (stop - start,) + GRID.shape
+
+
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 8)])
 def test_drawn_screen_covariance_is_exact(dim, n):
     # The screen is linear in its unit normals, so pushing each one through

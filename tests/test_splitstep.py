@@ -299,6 +299,12 @@ def test_ensemble_moments_independent_of_worker_count(monkeypatch, dim, n,
 def test_ensemble_memory_does_not_grow_with_realizations(monkeypatch):
     # At most one chunk per worker is in flight, so the peak is set by the
     # (n^D)^2 accumulators and the chunks, not by the realization count.
+    # The chunks run on the calling thread as their results are taken, so
+    # which chunk buffers are alive at the peak does not depend on thread
+    # timing.
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        LazyExecutor)
+    monkeypatch.setattr(splitstep, "_cpu_count", lambda: 3)
     grid = FrequencyGrid(2, 16, 0.25, 1.55e-6)
     s0 = Spectrum.gaussian(grid, 0.5)
     peaks = []
@@ -321,7 +327,6 @@ def test_ensemble_memory_does_not_grow_with_realizations(monkeypatch):
         return executors[-1]
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
-    monkeypatch.setattr(splitstep, "_cpu_count", lambda: 3)
     ensemble_moments(s0, plan)
     assert [(e.workers, e.most_pending) for e in executors] == [(3, 3)]
 
