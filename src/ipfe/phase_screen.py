@@ -205,20 +205,33 @@ def screen_statistics(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
     target = lattice.variance
     axes = tuple(range(1, grid.dim + 1))
 
-    sum_sq = np.zeros(grid.shape)
-    sum_quad = np.zeros(grid.shape)
-
     rng = np.random.Generator(np.random.Philox(
         key=np.array([as_u64(seed, "seed"), 1], dtype=np.uint64)))
     flat_size = grid.n ** grid.dim
     sites = np.indices(grid.shape).reshape(grid.dim, -1)
     mirror_flat = np.ravel_multi_index((grid.n - sites) % grid.n, grid.shape)
-    sites_a, sites_b = [], []
-    while len(sites_a) < _CROSS_PAIRS:
-        i, j = rng.integers(0, flat_size, size=2)
-        if i != j and mirror_flat[i] != j:
-            sites_a.append(int(i))
-            sites_b.append(int(j))
+    # Candidate pairs (i, j) in stream order, dropping i = j and mirror
+    # pairs; one integers call per batch of pairs draws the same values as
+    # one call per pair.
+    pairs = np.empty((0, 2), dtype=np.int64)
+    while len(pairs) < _CROSS_PAIRS:
+        draw = rng.integers(0, flat_size, size=(_CROSS_PAIRS, 2))
+        keep = ((draw[:, 0] != draw[:, 1])
+                & (mirror_flat[draw[:, 0]] != draw[:, 1]))
+        pairs = np.concatenate([pairs, draw[keep]])
+    sites_a, sites_b = pairs[:_CROSS_PAIRS].T
+
+    def dft_position(flat_sites):  # DC-centred flat site -> DFT flat site
+        centred = np.unravel_index(flat_sites, grid.shape)
+        return np.ravel_multi_index(
+            [(c - grid.n // 2) % grid.n for c in centred], grid.shape)
+
+    dft_a, dft_b = dft_position(sites_a), dft_position(sites_b)
+    # The sums are taken in DFT order, the layout the inverse transform
+    # returns, and shifted to the DC-centred layout of target once, after
+    # the last chunk.
+    sum_sq = np.zeros(grid.shape)
+    sum_quad = np.zeros(grid.shape)
     cross_sum = np.zeros(_CROSS_PAIRS, dtype=np.complex128)
     cross_sq = np.zeros(_CROSS_PAIRS)
 
@@ -226,17 +239,19 @@ def screen_statistics(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
         fields = lattice.draw(seed, 0, start,
                               min(start + _STATISTICS_CHUNK, n_samples))
         # The grid's inverse transform (grid.to_frequency) of each screen,
-        # which is already in DFT order.
-        coeff = np.fft.fftshift(np.fft.ifftn(fields, axes=axes),
-                                axes=axes) * grid.delta_weight
+        # which is already in DFT order, left unshifted.
+        coeff = np.fft.ifftn(fields, axes=axes)
+        coeff *= grid.delta_weight
         p = np.abs(coeff) ** 2
         sum_sq += np.sum(p, axis=0)
         sum_quad += np.sum(p ** 2, axis=0)
         flat = coeff.reshape(len(coeff), flat_size)
-        prods = flat[:, sites_a] * np.conj(flat[:, sites_b])
+        prods = flat[:, dft_a] * np.conj(flat[:, dft_b])
         cross_sum += np.sum(prods, axis=0)
         cross_sq += np.sum(np.abs(prods) ** 2, axis=0)
 
+    sum_sq = np.fft.fftshift(sum_sq)
+    sum_quad = np.fft.fftshift(sum_quad)
     var = sum_sq / n_samples
     var_of_p = np.maximum(sum_quad / n_samples - var ** 2, 0.0)
     var_se = np.sqrt(var_of_p / n_samples)
@@ -256,6 +271,7 @@ def screen_statistics(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
         sample_variance=var,
         variance_se=var_se,
         max_rel_deviation=max_rel,
-        cross_pairs=list(zip(sites_a, sites_b, cross_mag, cross_se)),
+        cross_pairs=list(zip(sites_a.tolist(), sites_b.tolist(), cross_mag,
+                             cross_se)),
         max_cross_sigma=float(np.max(sigmas)),
     )

@@ -154,60 +154,43 @@ def _rounding_floor(se: np.ndarray, reference: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # naive loop oracles (independent of the spectral generator)
 
-def _naive_h11_rhs(values, grid, model) -> np.ndarray:
+def _naive_pair_rhs(values, grid, model, sign: int) -> np.ndarray:
+    """Right-hand side of a rank-2 kernel summed over the shift s by
+    cyclic shifts of the whole kernel (np.roll): sign -1 is the (1,1)
+    equation, whose second index moves with the first (values[i + s,
+    j + s]), sign +1 the (2,0) equation, whose second index moves against
+    it (values[i + s, j - s]).  The sum runs over s in lattice order for
+    all (i, j) at once."""
     n = grid.n
     asq = grid.freq_sq()
     phi = psd_lattice(model, grid)
     lam = lambda_grid(model, grid)
     k = grid.wavenumber
-    out = np.zeros_like(values)
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0j
-            for t in range(n):
-                s = t - n // 2
-                acc += phi[t] * values[(i + s) % n, (j + s) % n]
-            out[i, j] = (1j * np.pi * grid.wavelength * (asq[i] - asq[j])
-                         * values[i, j]
-                         - k ** 2 * lam * values[i, j]
-                         + k ** 2 * acc * grid.cell)
-    return out
-
-
-def _naive_h20_rhs(values, grid, model) -> np.ndarray:
-    n = grid.n
-    asq = grid.freq_sq()
-    phi = psd_lattice(model, grid)
-    lam = lambda_grid(model, grid)
-    k = grid.wavenumber
-    out = np.zeros_like(values)
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0j
-            for t in range(n):
-                s = t - n // 2
-                acc += phi[t] * values[(i + s) % n, (j - s) % n]
-            out[i, j] = (1j * np.pi * grid.wavelength * (asq[i] + asq[j])
-                         * values[i, j]
-                         - k ** 2 * lam * values[i, j]
-                         - k ** 2 * acc * grid.cell)
-    return out
+    acc = np.zeros_like(values)
+    for t in range(n):
+        s = t - n // 2
+        acc += phi[t] * np.roll(values, (-s, sign * s), axis=(0, 1))
+    scatter = k ** 2 * acc * grid.cell
+    return (1j * np.pi * grid.wavelength
+            * (asq[:, None] + sign * asq[None, :]) * values
+            - k ** 2 * lam * values
+            + (scatter if sign < 0 else -scatter))
 
 
 def _naive_rank4_rhs(values, grid, model) -> np.ndarray:
     """Two-photon right-hand side written directly as the seven-term
     bracket under one scattering integral (an independent formulation of
     the same equation the general-order code assembles pairwise), summed
-    over the shift by modular indexing, for all sites at once."""
+    over the shift by cyclic shifts of the whole kernel (np.roll), for all
+    sites at once."""
     n = grid.n
     asq = grid.freq_sq()
     phi = psd_lattice(model, grid)
     k = grid.wavenumber
     f = values
-    i = np.arange(n)
 
-    def shifted(*idx):
-        return f[np.ix_(*(j % n for j in idx))]
+    def shifted(*steps):  # f at (b1 + steps[0], ..., k2 + steps[3]) mod n
+        return np.roll(f, [-step for step in steps], axis=(0, 1, 2, 3))
 
     acc = np.zeros_like(values)
     for t in range(n):
@@ -217,12 +200,12 @@ def _naive_rank4_rhs(values, grid, model) -> np.ndarray:
             continue
         acc += w * (
             2.0 * f
-            - shifted(i - s, i, i - s, i)
-            - shifted(i, i - s, i, i - s)
-            - shifted(i - s, i, i, i - s)
-            - shifted(i, i - s, i - s, i)
-            + shifted(i - s, i + s, i, i)
-            + shifted(i, i, i - s, i + s))
+            - shifted(-s, 0, -s, 0)
+            - shifted(0, -s, 0, -s)
+            - shifted(-s, 0, 0, -s)
+            - shifted(0, -s, -s, 0)
+            + shifted(-s, s, 0, 0)
+            + shifted(0, 0, -s, s))
     drift = (asq[:, None, None, None] + asq[None, :, None, None]
              - asq[None, None, :, None] - asq[None, None, None, :])
     return (1j * np.pi * grid.wavelength * drift * f
@@ -421,7 +404,7 @@ def check_rhs_oracles(plan: PropagationPlan = REFERENCE
 
     t0 = time.perf_counter()
     h11 = moments.MomentKernel((1, 1), grid, _random_hermitian(8, rng))
-    oracle11 = _naive_h11_rhs(h11.values, grid, model)
+    oracle11 = _naive_pair_rhs(h11.values, grid, model, -1)
     err = float(np.max(np.abs(moments.h11_rhs(h11, model).values
                               - oracle11)))
 
@@ -429,7 +412,7 @@ def check_rhs_oracles(plan: PropagationPlan = REFERENCE
     h20 = moments.MomentKernel((2, 0), grid, raw + raw.T)
     err = max(err, float(np.max(np.abs(
         moments.hierarchy_rhs(h20, model).values
-        - _naive_h20_rhs(h20.values, grid, model)))))
+        - _naive_pair_rhs(h20.values, grid, model, 1)))))
 
     raw4 = (rng.standard_normal((8,) * 4) + 1j * rng.standard_normal((8,) * 4))
     sym = raw4 + raw4.transpose(1, 0, 2, 3)
@@ -572,13 +555,11 @@ def check_duality(plan: PropagationPlan = REFERENCE) -> list[CheckResult]:
 
 def environment_manifest(plan: PropagationPlan,
                          stats: splitstep.EnsembleStats) -> dict:
-    try:
-        from importlib.metadata import version
-        pkg_version = version("ipfe")
-    except Exception:
-        pkg_version = "unknown"
+    # Imported here: the package imports this module before it defines
+    # __version__.
+    from . import __version__
     return {
-        "package_version": pkg_version,
+        "package_version": __version__,
         "numpy_version": np.__version__,
         "platform": platform.platform(),
         "master_seed": plan.master_seed,

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ipfe
 from ipfe import splitstep
 from ipfe.grid import FrequencyGrid, Spectrum
 from ipfe.phase_screen import screen_statistics
@@ -18,7 +19,8 @@ from ipfe.validation import (REFERENCE, REFERENCE_SOURCE_SIGMA_A,
                              check_first_moment, check_free_space,
                              check_mutual_coherence, check_rhs_oracles,
                              check_screens, check_stationarity,
-                             check_wigner_formulas, run_validate)
+                             check_wigner_formulas, environment_manifest,
+                             run_validate)
 
 # Monte-Carlo values (measured, standard error) reported at the reference
 # configuration, with the screen of realization r in slab s at address
@@ -171,6 +173,11 @@ def test_run_validate_reports_ensemble_stage():
     text = result.to_text()
     assert (f"[boundary-mass] mutual-coherence/monte-carlo: "
             f"{mass['mutual-coherence/monte-carlo']:.2e}") in text
+
+
+def test_report_records_the_package_version(reference_ensemble):
+    environment = environment_manifest(REFERENCE, reference_ensemble)
+    assert environment["package_version"] == ipfe.__version__
 
 
 def test_run_validate_on_2d_plan():

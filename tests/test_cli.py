@@ -455,6 +455,24 @@ def test_cli_import_leaves_out_concurrent_futures():
     assert out.stdout == "False"
 
 
+def test_validate_leaves_out_importlib_metadata(tmp_path):
+    # importlib.metadata costs about 20 ms to import and finds no
+    # distribution for a source checkout; the report takes the version
+    # from ipfe.__version__ instead.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from ipfe.cli import main; "
+            f"status = main(['validate', '--out', {str(tmp_path)!r}]); "
+            "sys.stdout.write(f'{status} ' "
+            "+ str('importlib.metadata' in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300)
+    assert out.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "validation_report.json").exists()
+
+
 def test_traced_spans_resolve():
     # perfbench's traced mode wraps every WRAPPED name by getattr; a name
     # removed from ipfe would break `perfbench/run.py --trace 1`.

@@ -26,7 +26,7 @@ from ipfe.spectrum import (DivergentLambdaError, SpectrumKind,
                            TurbulenceModel, lambda_grid, psd_lattice)
 from ipfe.splitstep import (PropagationPlan, ensemble_moments,
                             free_space_step)
-from ipfe.validation import REFERENCE, _naive_rank4_rhs
+from ipfe.validation import REFERENCE, _naive_pair_rhs, _naive_rank4_rhs
 
 GRID8 = FrequencyGrid(1, 8, 0.25, 1.55e-6)
 MODEL = TurbulenceModel(SpectrumKind.VON_KARMAN, 9.2e-15, 1.0)
@@ -216,6 +216,64 @@ def test_rank4_oracle_is_the_seven_term_loop():
     f = rng.standard_normal((4,) * 4) + 1j * rng.standard_normal((4,) * 4)
     assert np.array_equal(_naive_rank4_rhs(f, grid, MODEL),
                           seven_term_loop_rhs(f, grid, MODEL))
+
+
+def h11_loop_rhs(values, grid, model):
+    """The (1,1) right-hand side of validation._naive_pair_rhs (sign -1)
+    as the scalar triple loop over (i, j) and the shift it was first
+    written as."""
+    n = grid.n
+    asq = grid.freq_sq()
+    phi = psd_lattice(model, grid)
+    lam = lambda_grid(model, grid)
+    k = grid.wavenumber
+    out = np.zeros_like(values)
+    for i in range(n):
+        for j in range(n):
+            acc = 0.0j
+            for t in range(n):
+                s = t - n // 2
+                acc += phi[t] * values[(i + s) % n, (j + s) % n]
+            out[i, j] = (1j * np.pi * grid.wavelength * (asq[i] - asq[j])
+                         * values[i, j]
+                         - k ** 2 * lam * values[i, j]
+                         + k ** 2 * acc * grid.cell)
+    return out
+
+
+def h20_loop_rhs(values, grid, model):
+    """The (2,0) right-hand side of validation._naive_pair_rhs (sign +1)
+    as the same scalar triple loop."""
+    n = grid.n
+    asq = grid.freq_sq()
+    phi = psd_lattice(model, grid)
+    lam = lambda_grid(model, grid)
+    k = grid.wavenumber
+    out = np.zeros_like(values)
+    for i in range(n):
+        for j in range(n):
+            acc = 0.0j
+            for t in range(n):
+                s = t - n // 2
+                acc += phi[t] * values[(i + s) % n, (j - s) % n]
+            out[i, j] = (1j * np.pi * grid.wavelength * (asq[i] + asq[j])
+                         * values[i, j]
+                         - k ** 2 * lam * values[i, j]
+                         - k ** 2 * acc * grid.cell)
+    return out
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_pair_oracle_is_the_triple_loop(n):
+    # The vectorized rank-2 oracle of the rhs-oracles check sums the
+    # shifts in the loop's order, so it equals it bit for bit.
+    grid = FrequencyGrid(1, n, 0.25, 1.55e-6)
+    rng = np.random.default_rng(11)
+    f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for sign, loop in ((-1, h11_loop_rhs), (1, h20_loop_rhs)):
+        got = _naive_pair_rhs(f, grid, MODEL, sign)
+        want = loop(f, grid, MODEL)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_biphoton_product_delta_kernel_stationary():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from ipfe.grid import FrequencyGrid, to_frequency
-from ipfe.phase_screen import (BLOCK, ScreenLattice, ScreenRealization,
-                               draw_screen, draw_screens,
-                               phase_screen_position, screen_statistics)
+from ipfe.phase_screen import (_CROSS_PAIRS, _STATISTICS_CHUNK, BLOCK,
+                               ScreenLattice, ScreenRealization, draw_screen,
+                               draw_screens, phase_screen_position,
+                               screen_statistics)
 from ipfe.spectrum import SpectrumKind, TurbulenceModel, psd_lattice
 from ipfe.splitstep import PropagationPlan
 
@@ -169,6 +170,79 @@ def test_screen_statistics_pinned_values():
                                                      rel=1e-12)
     assert stats2.max_cross_sigma == pytest.approx(2.099297357737349,
                                                    rel=1e-12)
+
+
+def shifted_chunk_statistics(model, grid, dz, n_samples, seed):
+    """screen_statistics with its site pairs drawn one pair per call and
+    every chunk's coefficients shifted to the DC-centred layout before
+    they are summed, the way it was first written; returns its arrays and
+    maxima in the order of ScreenStatistics."""
+    lattice = ScreenLattice(model, grid, dz)
+    target = lattice.variance
+    axes = tuple(range(1, grid.dim + 1))
+    sum_sq = np.zeros(grid.shape)
+    sum_quad = np.zeros(grid.shape)
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([seed, 1], dtype=np.uint64)))
+    flat_size = grid.n ** grid.dim
+    sites = np.indices(grid.shape).reshape(grid.dim, -1)
+    mirror_flat = np.ravel_multi_index((grid.n - sites) % grid.n, grid.shape)
+    sites_a, sites_b = [], []
+    while len(sites_a) < _CROSS_PAIRS:
+        i, j = rng.integers(0, flat_size, size=2)
+        if i != j and mirror_flat[i] != j:
+            sites_a.append(int(i))
+            sites_b.append(int(j))
+    cross_sum = np.zeros(_CROSS_PAIRS, dtype=np.complex128)
+    cross_sq = np.zeros(_CROSS_PAIRS)
+    for start in range(0, n_samples, _STATISTICS_CHUNK):
+        fields = lattice.draw(seed, 0, start,
+                              min(start + _STATISTICS_CHUNK, n_samples))
+        coeff = np.fft.fftshift(np.fft.ifftn(fields, axes=axes),
+                                axes=axes) * grid.delta_weight
+        p = np.abs(coeff) ** 2
+        sum_sq += np.sum(p, axis=0)
+        sum_quad += np.sum(p ** 2, axis=0)
+        flat = coeff.reshape(len(coeff), flat_size)
+        prods = flat[:, sites_a] * np.conj(flat[:, sites_b])
+        cross_sum += np.sum(prods, axis=0)
+        cross_sq += np.sum(np.abs(prods) ** 2, axis=0)
+    var = sum_sq / n_samples
+    var_se = np.sqrt(np.maximum(sum_quad / n_samples - var ** 2, 0.0)
+                     / n_samples)
+    max_rel = float(np.max(np.abs(var / target - 1.0)))
+    cross_mag = np.abs(cross_sum / n_samples)
+    cross_se = np.sqrt(np.maximum(cross_sq / n_samples - cross_mag ** 2, 0.0)
+                       / n_samples)
+    sigmas = np.divide(cross_mag, cross_se, out=np.zeros_like(cross_se),
+                       where=cross_se > 0)
+    return (target, var, var_se, max_rel,
+            list(zip(sites_a, sites_b, cross_mag, cross_se)),
+            float(np.max(sigmas)))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 32), (2, 8)])
+@pytest.mark.parametrize("n_samples", [1000, 2 * _STATISTICS_CHUNK])
+def test_screen_statistics_matches_shifted_chunk_sums(dim, n, n_samples):
+    # Summing in DFT order and shifting once permutes the sites, not the
+    # order of any addition, so every array keeps its bits.
+    grid = FrequencyGrid(dim, n, 0.25, 1.55e-6)
+    stats = screen_statistics(MODEL, grid, DZ, n_samples, 11)
+    target, var, var_se, max_rel, pairs, max_sigma = \
+        shifted_chunk_statistics(MODEL, grid, DZ, n_samples, 11)
+    for got, want in ((stats.target_variance, target),
+                      (stats.sample_variance, var),
+                      (stats.variance_se, var_se)):
+        assert got.shape == want.shape == grid.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert stats.max_rel_deviation == max_rel
+    assert stats.max_cross_sigma == max_sigma
+    assert len(stats.cross_pairs) == len(pairs) == _CROSS_PAIRS
+    assert [p[:2] for p in stats.cross_pairs] == [p[:2] for p in pairs]
+    assert all(type(site) is int for p in stats.cross_pairs for site in p[:2])
+    got = np.array([p[2:] for p in stats.cross_pairs])
+    want = np.array([p[2:] for p in pairs])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def fresh_philox_screen(grid, seed, stream, index):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from ipfe.grid import FrequencyGrid, Spectrum
+from ipfe.moments import MomentKernel, hierarchy_rhs
 from ipfe.spectrum import (SpectrumKind, TurbulenceModel, lambda_grid,
                            psd_lattice)
-from ipfe.states import (DEFAULT_N0, FockSpec, GaussianState, LinearProcess,
+from ipfe.states import (_DRIFT_PROBE_SEED, _DRIFT_PROBES, DEFAULT_N0,
+                         FockSpec, GaussianState, LinearProcess,
                          characteristic_of_gaussian,
                          evaluate_linear_process, fock_generating,
                          fock_wigner, free_space_gaussian, gaussian_drift,
@@ -89,6 +91,75 @@ def test_gaussian_drift_loop_oracle():
                             - k ** 2 * lam * state.a_kernel[i, j]
                             + k ** 2 * acc * GRID.cell)
     assert np.max(np.abs(rhs - oracle)) < 1e-12 * np.max(np.abs(oracle))
+
+
+def drift_probe_loop(state, model):
+    """gaussian_drift with its probes drawn and correlated one at a time,
+    the way it was first written."""
+    grid = state.grid
+    size = grid.n ** grid.dim
+    a_mat = state.a_kernel
+    lam_d = lambda_grid(model, grid)
+    phi = psd_lattice(model, grid)
+    h11 = MomentKernel((1, 1), grid, a_mat.reshape(grid.shape * 2))
+    rhs = hierarchy_rhs(h11, model).values.reshape(size, size)
+
+    def correlate(x, y):
+        x, y = x.reshape(grid.shape), y.reshape(grid.shape)
+        return np.fft.fftshift(np.fft.ifftn(
+            np.fft.fftn(x) * np.conj(np.fft.fftn(np.conj(y)))))
+
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([_DRIFT_PROBE_SEED, 0], dtype=np.uint64)))
+    n = grid.n
+    cell = grid.cell
+    residuals = []
+    for _ in range(_DRIFT_PROBES):
+        av = (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        q = correlate(np.conj(av) @ a_mat, av) * cell ** 2
+        r = correlate(a_mat @ av, np.conj(av)) * cell ** 2
+        qn = float(np.abs(np.conj(av)) @ np.abs(a_mat) @ np.abs(av)
+                   * cell ** 2)
+        neg = np.ix_(*[(n - np.arange(n)) % n] * grid.dim)
+        bracket = q * q[neg] + r * r[neg] - 2.0 * r * q
+        raw = np.abs(np.sum(phi * bracket) * cell)
+        denom = lam_d * qn ** 2
+        residuals.append(raw / denom if denom > 0 else raw)
+    return rhs, float(np.sqrt(np.mean(np.square(residuals))))
+
+
+def drift_states(grid):
+    """The vacuum, three thermal widths, the perturbed vacuum of the
+    stationarity check and a random Hermitian kernel on grid."""
+    cases = [GaussianState.vacuum(grid)]
+    cases += [GaussianState.thermal(grid, w) for w in (1.0, 3.0, 5.0)]
+    perturbed = GaussianState.thermal(grid, 2.0)
+    i, j = grid.n // 2 + 1, grid.n // 2 - 2
+    perturbed.a_kernel[i, j] += 1e-3 * grid.delta_weight
+    perturbed.a_kernel[j, i] += 1e-3 * grid.delta_weight
+    cases.append(perturbed)
+    size = grid.n ** grid.dim
+    rng = np.random.default_rng(2)
+    m = rng.standard_normal((size, size)) + 1j * rng.standard_normal(
+        (size, size))
+    a = 2.0 * grid.delta_weight * np.eye(size) + 0.15 * (m + m.conj().T)
+    zeros = np.zeros((size, size), dtype=complex)
+    cases.append(GaussianState(grid, a, zeros.copy(), zeros.copy(),
+                               np.zeros(size), np.zeros(size)))
+    return cases
+
+
+@pytest.mark.parametrize("grid", [GRID, FrequencyGrid(1, 32, 0.25, 1.55e-6),
+                                  FrequencyGrid(2, 4, 0.25, 1.55e-6)],
+                         ids=["1d-8", "1d-32", "2d-4"])
+def test_gaussian_drift_matches_probe_loop(grid):
+    # The batched probes keep the per-probe arithmetic, so both outputs
+    # keep every bit.
+    for state in drift_states(grid):
+        rhs, fourth = gaussian_drift(state, MODEL)
+        want_rhs, want_fourth = drift_probe_loop(state, MODEL)
+        assert np.array_equal(rhs.view(np.uint64), want_rhs.view(np.uint64))
+        assert fourth == want_fourth
 
 
 def test_gaussian_drift_rejects_shifts_and_kolmogorov():
