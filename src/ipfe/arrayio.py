@@ -11,11 +11,19 @@ Layout (all integers little-endian unsigned 32-bit):
 
 The format is bit-exact and trivially parseable from any language.  The
 sidecar <path>.json carries grid metadata and units.
+
+Every file the package writes (tensors, sidecars, manifests, CSV tables
+and reports) goes through write_in_place, which overwrites an existing
+file in place instead of truncating it first; write_json gives the JSON
+ones their one layout.  A write is not crash-atomic: a write cut short
+can leave a file that mixes new and old bytes, as a truncating write
+could leave a partial one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -29,6 +37,26 @@ class ArrayFormatError(ValueError):
     """Bad magic, unsupported version, or truncated payload."""
 
 
+def write_in_place(path, *parts) -> None:
+    """Make the file at path (a symlink's target, if it is one) hold the
+    bytes of parts, concatenated: open it without O_TRUNC, creating it if
+    needed, write, then cut it to the new length.  Truncating an existing
+    file to zero first makes ext4 (auto_da_alloc) flush it on close: about
+    ten times the cost of the in-place write, for a 600-byte file and a
+    1-MiB one alike."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        for part in parts:
+            fh.write(part)
+        fh.truncate()
+
+
+def write_json(path, data) -> None:
+    """data as indented, key-sorted JSON text with a final newline, written
+    in one piece (json.dump with indent writes it in hundreds)."""
+    write_in_place(path, (json.dumps(data, indent=2, sort_keys=True)
+                          + "\n").encode())
+
+
 def write_array(path, values: np.ndarray, metadata: dict | None = None) -> None:
     """Write a complex tensor; metadata (if any) goes to <path>.json."""
     path = Path(path)
@@ -37,14 +65,9 @@ def write_array(path, values: np.ndarray, metadata: dict | None = None) -> None:
     values = np.asarray(values, dtype="<c16", order="C")
     header = MAGIC + struct.pack("<II", FORMAT_VERSION, values.ndim)
     header += struct.pack(f"<{values.ndim}I", *values.shape)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(values.data)
+    write_in_place(path, header, values.data)
     if metadata is not None:
-        sidecar = path.with_suffix(path.suffix + ".json")
-        with open(sidecar, "w") as fh:
-            json.dump(metadata, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path.with_suffix(path.suffix + ".json"), metadata)
 
 
 def read_array(path):

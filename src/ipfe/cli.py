@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import sys
 import time
@@ -34,7 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from . import validation
-from .arrayio import grid_metadata, read_array, write_array
+from .arrayio import (grid_metadata, read_array, write_array, write_in_place,
+                      write_json)
 from .grid import FrequencyGrid, Spectrum
 from .moments import (MomentKernel, boundary_mass_fraction, evolve_kernel,
                       hermiticity_residual, kernel_trace, step_guard_values)
@@ -211,17 +213,13 @@ def _apply_seed(cfg: RunConfig, args) -> RunConfig:
     return replace(cfg, plan=replace(cfg.plan, master_seed=args.seed))
 
 
-def _write_json(path, data) -> None:
-    # One write of the whole text: json.dump with indent writes it in
-    # hundreds of pieces.
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    # The csv module's own line ends (\r\n), written in one piece.
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_in_place(path, text.getvalue().encode())
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +254,7 @@ def cmd_simulate(args) -> int:
         "guards": plan.guard_values(),
         "grid": meta["grid"],
     }
-    _write_json(out / "manifest.json", manifest)
+    write_json(out / "manifest.json", manifest)
     print(f"wrote ensemble moments for {plan.n_realizations} realizations "
           f"to {out} ({manifest['wall_time_s']:.1f} s)")
     return 0
@@ -286,7 +284,7 @@ def cmd_evolve_kernel(args) -> int:
     meta = grid_metadata(plan.grid, orders=[m, n])
     for z in z_values:
         span = z - z_prev
-        steps = 0
+        steps = evolved = filled = 0
         if span > 0:
             dz_cfg = plan.dz if plan.z_total > 0 else span
             steps = max(1, int(np.ceil(span / dz_cfg)))
@@ -295,6 +293,7 @@ def cmd_evolve_kernel(args) -> int:
             evolve_s += time.perf_counter() - t1
             dz_max = max(dz_max, span / steps)
             workers = max(workers, current.workers)
+            evolved, filled = current.sectors_evolved, current.sectors_filled
         z_prev = z
         write_array(out / f"kernel_z{z:g}.bin", current.values, meta)
         trace = kernel_trace(current).real if m == n else float("nan")
@@ -304,6 +303,8 @@ def cmd_evolve_kernel(args) -> int:
         snapshots.append({
             "z_m": z,
             "steps": steps,
+            "sectors_evolved": evolved,
+            "sectors_filled": filled,
             "trace_drift": (abs(trace - trace0) / abs(trace0)
                             if trace0 else None),
             "hermiticity_residual": herm if m == n else None,
@@ -321,7 +322,7 @@ def cmd_evolve_kernel(args) -> int:
         "snapshots": snapshots,
         "grid": meta["grid"],
     }
-    _write_json(out / "manifest.json", manifest)
+    write_json(out / "manifest.json", manifest)
     print(f"wrote {len(z_values)} kernel snapshots to {out}")
     return 0
 
@@ -413,10 +414,9 @@ def cmd_validate(args) -> int:
                 else replace(validation.REFERENCE, master_seed=args.seed))
     out = _out_dir(args, cfg)
     report = validation.run_validate(plan, source)
-    _write_json(out / "validation_report.json", report.to_json_dict())
+    write_json(out / "validation_report.json", report.to_json_dict())
     text = report.to_text()
-    with open(out / "validation_report.txt", "w") as fh:
-        fh.write(text + "\n")
+    write_in_place(out / "validation_report.txt", (text + "\n").encode())
     print(text)
     return 0 if report.passed else 1
 

@@ -48,6 +48,20 @@ through all steps under the worker contract of _run_chunks, with no
 synchronisation between steps.  A kernel operation refuses, before
 allocating, a tensor whose working set it estimates above
 MAX_KERNEL_BYTES.
+
+The (n, n) kernels come from a real Wigner functional and are Hermitian,
+and the equation commutes with the conjugate transpose (bra <-> ket),
+which maps sector K to -K.  So under turbulence, evolve_kernel evolves an
+(n, n) kernel whose sectors K != -K are bit for bit the conjugate
+transposes of their partners (a bitwise Hermitian kernel, or an output of
+this path) on the half K <= -K in flat order only, self-conjugate K
+included, and fills the other sectors by conjugate transpose: 9 of 16
+sectors for (2, 2) at n = 16.  Its held sectors are the all-sector path's
+bits; the filled ones agree with it to rounding.  Hermiticity then holds
+exactly outside the self-conjugate sectors, so a Hermiticity residual
+measures only those.  Every other kernel (m != n, cn2 = 0, or a kernel
+Hermitian only to rounding, as a complex source's outer(s, conj(s)) read
+from a file) evolves every sector.
 """
 
 from __future__ import annotations
@@ -76,11 +90,11 @@ _CHUNK_ELEMENTS = 2 ** 14
 
 # Largest working set a kernel operation may estimate for itself (bytes).
 # Per element of the full n^(D(m+n)) tensor, input included, tracemalloc
-# reports a peak of 88 B for evolve_kernel (input, sector data, gather
-# index, diag, exp(dz/2 diag) and output) and 120 B for a right-hand-side
-# evaluation, at (2, 2) n=16 and 32 and at 2-D (1, 1) n=16 and 32.  The
-# limit admits the (2, 2) kernel at n = 32 (128 MiB) and refuses it at
-# n = 64 (2 GiB).
+# reports a peak of 88 B for evolve_kernel on every sector (input, sector
+# data, gather index, diag, exp(dz/2 diag) and output), 68-84 B on the
+# Hermitian half, and 120 B for a right-hand-side evaluation, at (2, 2)
+# n=16 and 32 and at 2-D (1, 1) n=16 and 32.  The limit admits the (2, 2)
+# kernel at n = 32 (128 MiB) and refuses it at n = 64 (2 GiB).
 MAX_KERNEL_BYTES = 2 ** 30
 _KERNEL_BYTES_PER_ELEMENT = 128
 
@@ -106,6 +120,11 @@ class MomentKernel:
     # values (1: the calling thread alone); 0 for values no evolve_kernel
     # produced.
     workers: int = 0
+    # Sectors that evolve_kernel call evolved, and sectors it filled by
+    # conjugate transpose (the Hermitian half); 0 for values no
+    # evolve_kernel produced.
+    sectors_evolved: int = 0
+    sectors_filled: int = 0
 
     def __post_init__(self) -> None:
         m, n = self.orders
@@ -200,25 +219,6 @@ def boundary_mass_fraction(kernel: MomentKernel) -> float:
     return (total - inner) / total
 
 
-def _drift_factor(kernel: MomentKernel) -> np.ndarray:
-    """sum_bra |a|^2 - sum_ket |a'|^2 broadcast over the kernel tensor."""
-    m, n = kernel.orders
-    asq = kernel.grid.freq_sq()
-    d = kernel.grid.dim
-    total = np.zeros(kernel.values.shape)
-    for i in range(m):
-        shape = [1] * kernel.values.ndim
-        for j, ax in enumerate(kernel.bra_axes(i)):
-            shape[ax] = kernel.grid.n
-        total = total + asq.reshape(shape)
-    for i in range(n):
-        shape = [1] * kernel.values.ndim
-        for j, ax in enumerate(kernel.ket_axes(i)):
-            shape[ax] = kernel.grid.n
-        total = total - asq.reshape(shape)
-    return total
-
-
 def _check_kernel_bytes(kernel: MomentKernel) -> None:
     """Refuse, before allocating, a kernel whose working set is estimated
     above MAX_KERNEL_BYTES."""
@@ -230,34 +230,59 @@ def _check_kernel_bytes(kernel: MomentKernel) -> None:
             f"{MAX_KERNEL_BYTES / 2 ** 30:.0f} GiB limit")
 
 
-def _sector_index(orders: tuple[int, int], grid: FrequencyGrid) -> np.ndarray:
-    """Flat full-tensor position of every sector-layout element
-    S[K, i_1 ... i_{r-1}], r = m + n: the dropped last index is
-    i_r = s_r (K - sum_{j<r} s_j i_j) mod n per grid axis, with s = +1 on
-    bra and -1 on ket indices.  Shape (n^D,) + (n,) * D(r-1); the (0, 0)
-    kernel is one sector of one element."""
-    m, n_ket = orders
+def _sector_layout(kernel: MomentKernel,
+                   ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat full-tensor position and drift factor sum_bra |a|^2 -
+    sum_ket |a'|^2 of every sector-layout element S[k, i_1 ... i_{r-1}],
+    r = m + n, where sector k has the total frequency K = ks[:, k] (D
+    lattice-index components).  The stored indices are the element's own
+    axes; the dropped last index is i_r = s_r (K - sum_{j<r} s_j i_j) mod n
+    per grid axis, with s = +1 on bra and -1 on ket indices.  Both arrays
+    have shape (S,) + (n,) * D(r-1); the (0, 0) kernel is one sector of one
+    element."""
+    m, n_ket = kernel.orders
     r = m + n_ket
     if r == 0:
-        return np.zeros(1, dtype=np.intp)
-    n, d = grid.n, grid.dim
+        return np.zeros(1, dtype=np.intp), np.zeros(1)
+    n, d = kernel.grid.n, kernel.grid.dim
     signs = [1] * m + [-1] * n_ket
-    ndim = d + d * (r - 1)
+    ndim = 1 + d * (r - 1)
 
     def along(axis):
         shape = [1] * ndim
         shape[axis] = n
         return np.arange(n, dtype=np.intp).reshape(shape)
 
-    kept = [along(axis) for axis in range(d, ndim)]
+    sites = [[along(1 + i * d + j) for j in range(d)] for i in range(r - 1)]
+    k = ks.reshape((d, -1) + (1,) * (ndim - 1))
+    sites.append([signs[-1] * (k[j] - sum(
+        s * site[j] for s, site in zip(signs, sites))) % n for j in range(d)])
     flat = np.zeros((1,) * ndim, dtype=np.intp)
-    for site in kept:
-        flat = flat * n + site
-    for j in range(d):
-        others = sum(s * kept[i * d + j] for i, s in enumerate(signs[:-1]))
-        flat = flat * n + signs[-1] * (along(j) - others) % n
-    return np.broadcast_to(flat, (n,) * ndim).reshape(
-        (n ** d,) + (n,) * (ndim - d))
+    for site in sites:
+        for axis in site:
+            flat = flat * n + axis
+    # Summed in index order from 0, as over the full tensor: the same bits
+    # at every element.
+    asq = kernel.grid.freq_sq()
+    drift = 0.0
+    for s, site in zip(signs, sites):
+        drift = drift + s * asq[tuple(site)]
+    return flat, drift
+
+
+def _total_frequencies(grid: FrequencyGrid, half: bool) -> np.ndarray:
+    """Every total frequency K, as (D, n^D) lattice-index components in
+    flat order; with half, only the Hermitian half flat K <= flat(-K mod n
+    per axis): one of each conjugate pair K, -K, and every self-conjugate
+    K (components 0 or n/2)."""
+    n, d = grid.n, grid.dim
+    ks = np.indices((n,) * d, dtype=np.intp).reshape(d, -1)
+    if not half:
+        return ks
+    flat = np.zeros(1, dtype=np.intp)
+    for k in -ks % n:
+        flat = flat * n + k
+    return ks[:, np.arange(n ** d) <= flat]
 
 
 @dataclass(frozen=True)
@@ -276,16 +301,23 @@ class KernelGenerator:
     enter with +.  It has n^(D(m+n-1)) entries and serves every sector.
     mult is None when nothing scatters (cn2 = 0, or fewer than two
     indices).
+
+    With half, the generator of an (n, n) kernel holds only the Hermitian
+    half of the sectors (_total_frequencies; 9 of 16 for (2, 2) at n = 16,
+    34 of 64 for 2-D (1, 1) at n = 8), and from_sectors fills
+    every other sector K by the conjugate transpose (bra <-> ket) of its
+    partner -K, which the evolution of a Hermitian kernel commutes with.
     """
 
     index: np.ndarray = field(repr=False)
     diag: np.ndarray = field(repr=False)
     mult: np.ndarray | None = field(repr=False)
     shape: tuple[int, ...]
+    half: bool = False
 
     @classmethod
-    def build(cls, kernel: MomentKernel,
-              model: TurbulenceModel) -> "KernelGenerator":
+    def build(cls, kernel: MomentKernel, model: TurbulenceModel,
+              half: bool = False) -> "KernelGenerator":
         m, n = kernel.orders
         if m + n > 4:
             raise ValueError(
@@ -293,18 +325,19 @@ class KernelGenerator:
         if m + n >= 3 and kernel.grid.dim != 1:
             raise ValueError(
                 "rank >= 3 kernels are supported on 1-D grids only")
+        if half and (m != n or m == 0):
+            raise ValueError("the Hermitian half needs m == n >= 1")
         _check_kernel_bytes(kernel)
         grid = kernel.grid
         k = grid.wavenumber
-        index = _sector_index(kernel.orders, grid)
-        diag = (1j * np.pi * grid.wavelength * _drift_factor(kernel)
+        index, drift = _sector_layout(kernel, _total_frequencies(grid, half))
+        diag = (1j * np.pi * grid.wavelength * drift
                 - 0.5 * k ** 2 * lambda_grid(model, grid) * (m + n))
-        diag = diag.reshape(-1)[index]
         shape = kernel.values.shape
         phi = psd_lattice(model, grid)
         pairs = list(combinations(range(m + n), 2))
         if not pairs or not np.any(phi):
-            return cls(index, diag, None, shape)
+            return cls(index, diag, None, shape, half)
         # Pair sums run over every distinct index pair: the pairings are
         # distinct tensors even for symmetric kernels, so no multiplicity
         # shortcut applies.  Index i < m+n-1 sits on stored axes
@@ -319,7 +352,7 @@ class KernelGenerator:
             mult += sign * pair_multiplier(c, mult.ndim, axes[i], axes[j],
                                            sign)
         mult *= k ** 2 * grid.cell
-        return cls(index, diag, mult, shape)
+        return cls(index, diag, mult, shape, half)
 
     @property
     def axes(self) -> tuple[int, ...]:
@@ -331,10 +364,20 @@ class KernelGenerator:
         return values.reshape(-1)[self.index]
 
     def from_sectors(self, sectors: np.ndarray) -> np.ndarray:
-        """A sector-layout array scattered back into the full tensor."""
-        out = np.empty(self.index.size, dtype=np.complex128)
-        out[self.index] = sectors
-        return out.reshape(self.shape)
+        """A sector-layout array scattered back into the full tensor, the
+        sectors it does not hold (half) filled by conjugate transpose."""
+        out = np.empty(self.shape, dtype=np.complex128)
+        out.reshape(-1)[self.index] = sectors
+        if not self.half:
+            return out
+        # Every unheld element is the conjugate of its bra <-> ket image in
+        # a held sector; the unset elements' images are overwritten.
+        group = len(self.shape) // 2
+        perm = list(range(group, 2 * group)) + list(range(group))
+        full = np.conjugate(np.transpose(out, perm),
+                            out=np.empty_like(out))
+        full.reshape(-1)[self.index] = sectors
+        return full
 
     def __call__(self, sectors: np.ndarray) -> np.ndarray:
         out = self.diag * sectors
@@ -492,7 +535,12 @@ def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,
     (KernelGenerator.evolve): the expectation of the split-step ensemble
     over the same slabs (a single multiply by exp(z diag) when nothing
     scatters).  A (2, 2) kernel must meet the bounds biphoton_rhs
-    enforces."""
+    enforces.
+
+    An (n, n) kernel under turbulence that its own conjugate-transpose
+    fill reproduces bit for bit evolves only the Hermitian half of its
+    sectors (module docstring); any other kernel evolves every sector.
+    The output records both counts."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if kernel.orders == (2, 2):
@@ -500,8 +548,15 @@ def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,
     dz = z_total / n_steps
     if z_total > 0.0:
         step_guard(kernel.grid, model, dz)
-    gen = KernelGenerator.build(kernel, model)
+    m, n = kernel.orders
+    half = m == n > 0 and model.cn2 != 0.0
+    gen = KernelGenerator.build(kernel, model, half)
     sectors = gen.to_sectors(kernel.values)
+    # The fill replaces the sectors K > -K: only values they already hold
+    # may be replaced.
+    if half and not np.all(gen.from_sectors(sectors) == kernel.values):
+        gen = KernelGenerator.build(kernel, model)
+        sectors = gen.to_sectors(kernel.values)
     if gen.mult is None:
         # exp(z diag) stays the left operand: numpy's complex multiply
         # need not round a * b as b * a.
@@ -509,8 +564,9 @@ def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,
         workers = 1
     else:
         workers = gen.evolve(sectors, dz, n_steps)
+    filled = kernel.grid.n ** kernel.grid.dim - len(sectors) if gen.half else 0
     out = MomentKernel(kernel.orders, kernel.grid, gen.from_sectors(sectors),
-                       kernel.z + z_total, workers)
+                       kernel.z + z_total, workers, len(sectors), filled)
     frac = monitored_boundary_mass(out, model)
     if frac > BOUNDARY_MASS_TOLERANCE:
         warnings.warn(

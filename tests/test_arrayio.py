@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ipfe.arrayio import (ArrayFormatError, FORMAT_VERSION, MAGIC,
-                          grid_metadata, read_array, write_array)
+                          grid_metadata, read_array, write_array,
+                          write_in_place)
 from ipfe.grid import FrequencyGrid
 
 
@@ -51,6 +52,40 @@ def test_sidecar_metadata_roundtrip(tmp_path):
     assert read_meta == meta
     assert read_meta["grid"]["n"] == 8
     assert read_meta["units"]["delta_a"] == "cycles/m"
+
+
+def test_rewrite_leaves_exactly_the_new_bytes(tmp_path):
+    # A shorter tensor and sidecar written over longer ones: the files hold
+    # what a write into a fresh directory holds, with no old tail.
+    grid = FrequencyGrid(1, 8, 0.25, 1.55e-6)
+    path = tmp_path / "old" / "field.bin"
+    path.parent.mkdir()
+    write_array(path, random_tensor((8, 8)),
+                grid_metadata(grid, note="x" * 500))
+    fresh = tmp_path / "fresh" / "field.bin"
+    fresh.parent.mkdir()
+    values, meta = random_tensor((8,), seed=1), grid_metadata(grid)
+    for target in (path, fresh):
+        write_array(target, values, meta)
+    for suffix in ("", ".json"):
+        old, new = (p.with_name(p.name + suffix) for p in (path, fresh))
+        assert old.read_bytes() == new.read_bytes(), suffix
+    back, read_meta = read_array(path)
+    assert np.array_equal(back, values) and read_meta == meta
+
+
+def test_write_in_place_pieces_and_symlinks(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_bytes(b"0123456789" * 10)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    write_in_place(link, b"ab", memoryview(b"cd"), b"")
+    assert link.is_symlink()
+    assert target.read_bytes() == b"abcd"
+    write_in_place(tmp_path / "new.txt", b"new")
+    assert (tmp_path / "new.txt").read_bytes() == b"new"
+    write_in_place(target)
+    assert target.read_bytes() == b""
 
 
 def test_bad_magic(tmp_path):

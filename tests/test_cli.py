@@ -205,8 +205,9 @@ def test_evolve_kernel_command(tmp_path):
 
 @pytest.mark.filterwarnings("ignore:kernel boundary mass")
 def test_evolve_kernel_manifest_of_a_biphoton_kernel(tmp_path, monkeypatch):
-    # A (2, 2) kernel at n = 16 is four chunks of sectors, so it runs on
-    # as many threads as the process may use, up to four.
+    # A Hermitian (2, 2) kernel at n = 16 evolves 9 sectors in three chunks
+    # of 4, 4 and 1, so it runs on as many threads as the process may use,
+    # up to three.
     monkeypatch.setattr(moments, "_cpu_count", lambda: 3)
     cfg = write_config(tmp_path, grid={"n": 16})
     grid = FrequencyGrid(1, 16, 0.25, 1.55e-6)
@@ -226,6 +227,85 @@ def test_evolve_kernel_manifest_of_a_biphoton_kernel(tmp_path, monkeypatch):
     assert snap["trace_drift"] < 1e-12
     assert snap["hermiticity_residual"] < 1e-12
     assert 0.0 < snap["boundary_mass_fraction"] < 1.0
+
+
+@pytest.mark.filterwarnings("ignore:kernel boundary mass")
+def test_evolve_kernel_manifest_counts_sectors(tmp_path):
+    # Every span of a bitwise Hermitian (2, 2) kernel evolves the 9
+    # sectors K <= -K and fills the other 7; a complex source's
+    # outer(s, conj(s)) is Hermitian only to rounding and evolves all 16.
+    cfg = write_config(tmp_path, grid={"n": 16})
+    grid = FrequencyGrid(1, 16, 0.25, 1.55e-6)
+    g = np.exp(-grid.freq_sq() / 0.3).astype(complex)
+    counts = {}
+    for label, s in (("hermitian", g),
+                     ("near", g * np.exp(0.3j * np.arange(16)))):
+        pair = np.multiply.outer(s, s)
+        kernel_path = tmp_path / f"{label}.bin"
+        write_array(kernel_path, np.multiply.outer(pair, np.conj(pair)))
+        out = tmp_path / label
+        assert main(["evolve-kernel", "--config", str(cfg),
+                     "--input", str(kernel_path), "--orders", "2,2",
+                     "--z-list", "0,250,500", "--out", str(out)]) == 0
+        snaps = json.loads((out / "manifest.json").read_text())["snapshots"]
+        counts[label] = [(s["sectors_evolved"], s["sectors_filled"])
+                         for s in snaps]
+    assert counts["hermitian"] == [(0, 0), (9, 7), (9, 7)]
+    assert counts["near"] == [(0, 0), (16, 0), (16, 0)]
+
+
+@pytest.mark.filterwarnings("ignore:kernel boundary mass")
+def test_rerun_overwrites_outputs_exactly(tmp_path):
+    # Outputs written over longer files of the same names hold exactly the
+    # new bytes; a second evolve-kernel run into the same directory writes
+    # the same snapshots, sidecars and CSV, and a manifest that parses.
+    cfg = write_config(tmp_path)
+    kernel_path = tmp_path / "init.bin"
+    write_array(kernel_path, np.eye(8, dtype=complex))
+    names = ["kernel_z0.bin", "kernel_z0.bin.json", "kernel_z1000.bin",
+             "kernel_z1000.bin.json", "kernel_evolution.csv",
+             "manifest.json"]
+    stale, fresh = tmp_path / "stale", tmp_path / "fresh"
+    stale.mkdir()
+    for name in names:
+        (stale / name).write_bytes(b"\xff" * 2 ** 16)
+    runs = []
+    for out in (stale, fresh, fresh):
+        assert main(["evolve-kernel", "--config", str(cfg),
+                     "--input", str(kernel_path), "--z-list", "0,1000",
+                     "--out", str(out)]) == 0
+        runs.append({name: (out / name).read_bytes() for name in names})
+    for run in runs[1:]:
+        for name in names[:-1]:
+            assert run[name] == runs[0][name], name
+    manifests = [json.loads(run["manifest.json"]) for run in runs]
+    for manifest in manifests:
+        manifest.pop("evolve_s"), manifest.pop("wall_time_s")
+    assert manifests[0] == manifests[1] == manifests[2]
+    csv_bytes = runs[0]["kernel_evolution.csv"]
+    assert csv_bytes.count(b"\r\n") == 3 and b"\xff" not in csv_bytes
+
+
+def test_validate_rewrites_its_reports_exactly(tmp_path, monkeypatch):
+    class FakeReport:
+        passed = True
+
+        def to_json_dict(self):
+            return {"passed": True}
+
+        def to_text(self):
+            return "[PASS] fake"
+
+    monkeypatch.setattr(validation, "run_validate",
+                        lambda plan, source=None: FakeReport())
+    out = tmp_path / "val"
+    out.mkdir()
+    for name in ("validation_report.json", "validation_report.txt"):
+        (out / name).write_bytes(b"x" * 4096)
+    assert main(["validate", "--out", str(out)]) == 0
+    assert (out / "validation_report.json").read_bytes() \
+        == b'{\n  "passed": true\n}\n'
+    assert (out / "validation_report.txt").read_bytes() == b"[PASS] fake\n"
 
 
 def test_simulate_command_and_determinism(tmp_path):

@@ -552,6 +552,20 @@ def test_slab_multiplier_is_the_screen_expectation(orders, n):
             expectation), t
 
 
+def full_tensor_drift(kernel):
+    """sum_bra |a|^2 - sum_ket |a'|^2 broadcast over the full tensor."""
+    m, n = kernel.orders
+    asq = kernel.grid.freq_sq()
+    total = np.zeros(kernel.values.shape)
+    for i in range(m + n):
+        axes = kernel.bra_axes(i) if i < m else kernel.ket_axes(i - m)
+        shape = [1] * kernel.values.ndim
+        for ax in axes:
+            shape[ax] = kernel.grid.n
+        total = total + (1 if i < m else -1) * asq.reshape(shape)
+    return total
+
+
 def full_tensor_generator(kernel, model):
     """The generator on the full tensor, as evolve_kernel ran before the
     sector layout: the site-local factor and the n^(D(m+n)) Fourier
@@ -559,7 +573,7 @@ def full_tensor_generator(kernel, model):
     m, n = kernel.orders
     grid = kernel.grid
     k = grid.wavenumber
-    diag = (1j * np.pi * grid.wavelength * moments._drift_factor(kernel)
+    diag = (1j * np.pi * grid.wavelength * full_tensor_drift(kernel)
             - 0.5 * k ** 2 * lambda_grid(model, grid) * (m + n))
     axes = ([kernel.bra_axes(i) for i in range(m)]
             + [kernel.ket_axes(j) for j in range(n)])
@@ -649,9 +663,104 @@ def gaussian_kernel(dim, n, orders):
     return MomentKernel(orders, grid, values)
 
 
+def every_sector_evolve(kernel, z_total, n_steps):
+    """The all-sector path, the oracle of the Hermitian half: every sector
+    evolved directly, none filled."""
+    gen = KernelGenerator.build(kernel, MODEL)
+    sectors = gen.to_sectors(kernel.values)
+    gen.evolve(sectors, z_total / n_steps, n_steps)
+    return gen.from_sectors(sectors)
+
+
+def evolve_quietly(kernel, z_total, n_steps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # boundary mass
+        return evolve_kernel(kernel, MODEL, z_total, n_steps)
+
+
+HALF_CASES = [(1, 64, (1, 1), 33), (2, 8, (1, 1), 34), (1, 8, (2, 2), 5),
+              (1, 16, (2, 2), 9)]
+
+
+@pytest.mark.parametrize("dim, n, orders, held", HALF_CASES,
+                         ids=[f"{d}d-n{n}-{o[0]}-{o[1]}"
+                              for d, n, o, _ in HALF_CASES])
+def test_hermitian_half_matches_every_sector(dim, n, orders, held):
+    # K <= -K in flat order: n/2 + 1 of n sectors in 1-D; in 2-D the four
+    # self-conjugate K and one of each other pair, 4 + 60/2 of 64.
+    kernel = gaussian_kernel(dim, n, orders)
+    want = every_sector_evolve(kernel, 1000.0, 32)
+    out = evolve_quietly(kernel, 1000.0, 32)
+    assert (out.sectors_evolved, out.sectors_filled) == (held, n ** dim - held)
+    assert np.max(np.abs(out.values - want)) <= 1e-14 * np.max(np.abs(want))
+    # The held sectors are the all-sector path's bits; the others are
+    # conjugate transposes, so Hermiticity is exact outside the
+    # self-conjugate sectors.
+    half = KernelGenerator.build(kernel, MODEL, half=True)
+    assert len(half.index) == held
+    assert np.array_equal(half.to_sectors(out.values), half.to_sectors(want))
+    m = orders[0]
+    perm = list(range(dim * m, 2 * dim * m)) + list(range(dim * m))
+    dual = np.conj(np.transpose(out.values, perm))
+    sites = np.argwhere(out.values != dual).reshape(-1, 2 * m, dim)
+    total = sites[:, :m].sum(axis=1) - sites[:, m:].sum(axis=1)
+    assert np.all(2 * total % n == 0)
+
+
+def test_hermitian_half_output_stays_on_the_half():
+    # An output of the half path is its own fill bit for bit, although its
+    # self-conjugate sectors are Hermitian only to rounding, so a chained
+    # span (as evolve-kernel runs its z-list) takes the half path again.
+    kernel = gaussian_kernel(1, 16, (2, 2))
+    first = evolve_quietly(kernel, 500.0, 16)
+    assert hermiticity_residual(first) > 0.0
+    second = evolve_quietly(first, 500.0, 16)
+    assert (second.sectors_evolved, second.sectors_filled) == (9, 7)
+    want = every_sector_evolve(first, 500.0, 16)
+    assert np.max(np.abs(second.values - want)) <= 1e-14 * np.max(
+        np.abs(want))
+
+
+def test_non_hermitian_input_evolves_every_sector():
+    # outer(s, conj(s)) of a complex s is Hermitian only to rounding, so it
+    # and an m != n kernel take the all-sector path: the same bits as
+    # evolving every sector, nothing filled.
+    grid = FrequencyGrid(1, 16, 0.25, 1.55e-6)
+    s = np.exp(-grid.freq_sq() / 2.0) * np.exp(0.3j * np.arange(16))
+    pair = np.multiply.outer(s, s)
+    near = MomentKernel((2, 2), grid, np.multiply.outer(pair, np.conj(pair)))
+    dual = np.conj(np.transpose(near.values, (2, 3, 0, 1)))
+    assert not np.array_equal(near.values, dual)
+    assert np.max(np.abs(near.values - dual)) <= 1e-15
+    rng = np.random.default_rng(23)
+    mixed = MomentKernel((2, 1), grid, rng.standard_normal((16,) * 3)
+                         + 1j * rng.standard_normal((16,) * 3))
+    for kernel in (near, mixed):
+        out = evolve_quietly(kernel, 500.0, 16)
+        assert (out.sectors_evolved, out.sectors_filled) == (16, 0)
+        want = every_sector_evolve(kernel, 500.0, 16)
+        assert np.array_equal(out.values.view(np.uint64),
+                              want.view(np.uint64))
+
+
+def test_hermitian_half_peak_memory_below_every_sector():
+    kernel = gaussian_kernel(1, 16, (2, 2))
+    peaks = []
+    for run in (lambda: evolve_quietly(kernel, 500.0, 16),
+                lambda: every_sector_evolve(kernel, 500.0, 16)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
+
+
 def test_evolve_kernel_independent_of_worker_count(monkeypatch):
-    # Four chunks of whole sectors each: 16 sectors of 16^3 elements, and
-    # 256 sectors of 16^2.  One, two and three threads give the same bits.
+    # Three chunks of whole sectors each: the Hermitian half's 9 sectors of
+    # 16^3 elements (4, 4 and 1), and its 130 sectors of 16^2 (64, 64 and
+    # 2).  One, two and three threads give the same bits.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
