@@ -15,9 +15,14 @@ sidecar <path>.json carries grid metadata and units.
 Every file the package writes (tensors, sidecars, manifests, CSV tables
 and reports) goes through write_in_place, which overwrites an existing
 file in place instead of truncating it first; write_json gives the JSON
-ones their one layout.  A write is not crash-atomic: a write cut short
-can leave a file that mixes new and old bytes, as a truncating write
-could leave a partial one.
+ones their one layout.  That trades durability for speed.  A write is not
+crash-atomic, and a crash (of the machine, not of the process) before the
+kernel writes the new bytes back to disk can leave the file holding the
+previous run's bytes: all of them, a well-formed earlier tensor that
+read_array accepts without complaint, or some of them mixed with new
+ones.  A truncating rewrite, which ext4 flushes on close, could leave
+only an empty or short file, which read_array rejects.  Write into a
+fresh directory when stale results must not survive a crash.
 """
 
 from __future__ import annotations

@@ -61,7 +61,9 @@ bits; the filled ones agree with it to rounding.  Hermiticity then holds
 exactly outside the self-conjugate sectors, so a Hermiticity residual
 measures only those.  Every other kernel (m != n, cn2 = 0, or a kernel
 Hermitian only to rounding, as a complex source's outer(s, conj(s)) read
-from a file) evolves every sector.
+from a file) evolves every sector.  Both paths build the all-sector
+generator once; the half is its restriction, so a kernel that does not
+qualify costs one conjugate-transpose comparison more than before.
 """
 
 from __future__ import annotations
@@ -270,19 +272,24 @@ def _sector_layout(kernel: MomentKernel,
     return flat, drift
 
 
-def _total_frequencies(grid: FrequencyGrid, half: bool) -> np.ndarray:
+def _total_frequencies(grid: FrequencyGrid) -> np.ndarray:
     """Every total frequency K, as (D, n^D) lattice-index components in
-    flat order; with half, only the Hermitian half flat K <= flat(-K mod n
-    per axis): one of each conjugate pair K, -K, and every self-conjugate
-    K (components 0 or n/2)."""
+    flat order."""
     n, d = grid.n, grid.dim
-    ks = np.indices((n,) * d, dtype=np.intp).reshape(d, -1)
-    if not half:
-        return ks
+    return np.indices((n,) * d, dtype=np.intp).reshape(d, -1)
+
+
+def hermitian_sectors(grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Two masks over the flat total frequencies K of grid: the Hermitian
+    half flat K <= flat(-K mod n per axis), one of each conjugate pair K,
+    -K and every self-conjugate K, and the self-conjugate K = -K
+    (components 0 or n/2) alone."""
+    n = grid.n
     flat = np.zeros(1, dtype=np.intp)
-    for k in -ks % n:
+    for k in -_total_frequencies(grid) % n:
         flat = flat * n + k
-    return ks[:, np.arange(n ** d) <= flat]
+    own = np.arange(n ** grid.dim)
+    return own <= flat, own == flat
 
 
 @dataclass(frozen=True)
@@ -302,11 +309,12 @@ class KernelGenerator:
     mult is None when nothing scatters (cn2 = 0, or fewer than two
     indices).
 
-    With half, the generator of an (n, n) kernel holds only the Hermitian
-    half of the sectors (_total_frequencies; 9 of 16 for (2, 2) at n = 16,
-    34 of 64 for 2-D (1, 1) at n = 8), and from_sectors fills
-    every other sector K by the conjugate transpose (bra <-> ket) of its
-    partner -K, which the evolution of a Hermitian kernel commutes with.
+    build holds every sector; select restricts it to some.  The half
+    generator of an (n, n) kernel (hermitian_half) holds only the Hermitian
+    half of the sectors (hermitian_sectors; 9 of 16 for (2, 2) at n = 16,
+    34 of 64 for 2-D (1, 1) at n = 8), and its from_sectors fills every
+    other sector K by the conjugate transpose (bra <-> ket) of its partner
+    -K, which the evolution of a Hermitian kernel commutes with.
     """
 
     index: np.ndarray = field(repr=False)
@@ -316,8 +324,8 @@ class KernelGenerator:
     half: bool = False
 
     @classmethod
-    def build(cls, kernel: MomentKernel, model: TurbulenceModel,
-              half: bool = False) -> "KernelGenerator":
+    def build(cls, kernel: MomentKernel,
+              model: TurbulenceModel) -> "KernelGenerator":
         m, n = kernel.orders
         if m + n > 4:
             raise ValueError(
@@ -325,19 +333,17 @@ class KernelGenerator:
         if m + n >= 3 and kernel.grid.dim != 1:
             raise ValueError(
                 "rank >= 3 kernels are supported on 1-D grids only")
-        if half and (m != n or m == 0):
-            raise ValueError("the Hermitian half needs m == n >= 1")
         _check_kernel_bytes(kernel)
         grid = kernel.grid
         k = grid.wavenumber
-        index, drift = _sector_layout(kernel, _total_frequencies(grid, half))
+        index, drift = _sector_layout(kernel, _total_frequencies(grid))
         diag = (1j * np.pi * grid.wavelength * drift
                 - 0.5 * k ** 2 * lambda_grid(model, grid) * (m + n))
         shape = kernel.values.shape
         phi = psd_lattice(model, grid)
         pairs = list(combinations(range(m + n), 2))
         if not pairs or not np.any(phi):
-            return cls(index, diag, None, shape, half)
+            return cls(index, diag, None, shape)
         # Pair sums run over every distinct index pair: the pairings are
         # distinct tensors even for symmetric kernels, so no multiplicity
         # shortcut applies.  Index i < m+n-1 sits on stored axes
@@ -352,7 +358,35 @@ class KernelGenerator:
             mult += sign * pair_multiplier(c, mult.ndim, axes[i], axes[j],
                                            sign)
         mult *= k ** 2 * grid.cell
-        return cls(index, diag, mult, shape, half)
+        return cls(index, diag, mult, shape)
+
+    def select(self, keep: np.ndarray, half: bool = False
+               ) -> "KernelGenerator":
+        """This generator on the sectors K that keep (a mask over flat K)
+        selects; with half, keep must be the Hermitian half."""
+        return KernelGenerator(self.index[keep], self.diag[keep], self.mult,
+                               self.shape, half)
+
+    def hermitian_half(self, kernel: MomentKernel
+                       ) -> "KernelGenerator | None":
+        """This all-sector generator of an (n, n) kernel on the Hermitian
+        half, if the fill reproduces the kernel bit for bit: every element
+        of every sector K != -K equal (==) to the conjugate of its
+        bra <-> ket image.  That holds for every bitwise Hermitian kernel,
+        and for every output of the half, whose self-conjugate sectors are
+        Hermitian only to rounding.  None for any other kernel."""
+        half, own = hermitian_sectors(kernel.grid)
+        values = kernel.values
+        group = values.ndim // 2
+        perm = list(range(group, 2 * group)) + list(range(group))
+        dual = np.conjugate(np.transpose(values, perm),
+                            out=np.empty(self.shape, dtype=np.complex128))
+        # The self-conjugate sectors are evolved, never filled: any values.
+        held = self.index[own]
+        dual.reshape(-1)[held] = values.reshape(-1)[held]
+        if not np.all(dual == values):
+            return None
+        return self.select(half, half=True)
 
     @property
     def axes(self) -> tuple[int, ...]:
@@ -549,14 +583,12 @@ def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,
     if z_total > 0.0:
         step_guard(kernel.grid, model, dz)
     m, n = kernel.orders
-    half = m == n > 0 and model.cn2 != 0.0
-    gen = KernelGenerator.build(kernel, model, half)
+    gen = KernelGenerator.build(kernel, model)
+    if m == n and gen.mult is not None:
+        half = gen.hermitian_half(kernel)
+        if half is not None:
+            gen = half
     sectors = gen.to_sectors(kernel.values)
-    # The fill replaces the sectors K > -K: only values they already hold
-    # may be replaced.
-    if half and not np.all(gen.from_sectors(sectors) == kernel.values):
-        gen = KernelGenerator.build(kernel, model)
-        sectors = gen.to_sectors(kernel.values)
     if gen.mult is None:
         # exp(z diag) stays the left operand: numpy's complex multiply
         # need not round a * b as b * a.

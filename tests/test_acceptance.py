@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ipfe
-from ipfe import splitstep
+from ipfe import moments, splitstep
 from ipfe.grid import FrequencyGrid, Spectrum
 from ipfe.phase_screen import screen_statistics
 from ipfe.validation import (REFERENCE, REFERENCE_SOURCE_SIGMA_A,
@@ -97,6 +97,29 @@ def test_mutual_coherence_matches_ensemble(coherence_run):
 def test_trace_and_hermiticity_conserved(coherence_run):
     _, evolved, initial = coherence_run
     report(check_conservation(REFERENCE, evolved, initial))
+
+
+def test_hermiticity_check_measures_the_filled_sectors(coherence_run,
+                                                      monkeypatch):
+    # One real factor on the (2,2) sectors K = 1 and -1 keeps the kernel
+    # exactly Hermitian and its trace (all in K = 0), so only the filled
+    # sector -1, held to its direct evolution, shows it.
+    _, evolved, initial = coherence_run
+    evolve = moments.evolve_kernel
+
+    def skewed(kernel, *args):
+        out = evolve(kernel, *args)
+        if out.orders == (2, 2):
+            i, j, k, m = np.indices(out.values.shape)
+            total = (i + j - k - m) % out.grid.n
+            out.values[(total == 1) | (total == out.grid.n - 1)] *= 1 + 1e-6
+        return out
+
+    monkeypatch.setattr(moments, "evolve_kernel", skewed)
+    passed = {r.name: r.passed
+              for r in check_conservation(REFERENCE, evolved, initial)}
+    assert passed == {"conservation/trace": True,
+                      "conservation/hermiticity": False}
 
 
 def test_thermal_kernels_are_stationary_points():

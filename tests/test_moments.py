@@ -696,7 +696,7 @@ def test_hermitian_half_matches_every_sector(dim, n, orders, held):
     # The held sectors are the all-sector path's bits; the others are
     # conjugate transposes, so Hermiticity is exact outside the
     # self-conjugate sectors.
-    half = KernelGenerator.build(kernel, MODEL, half=True)
+    half = KernelGenerator.build(kernel, MODEL).hermitian_half(kernel)
     assert len(half.index) == held
     assert np.array_equal(half.to_sectors(out.values), half.to_sectors(want))
     m = orders[0]
@@ -721,22 +721,34 @@ def test_hermitian_half_output_stays_on_the_half():
         np.abs(want))
 
 
-def test_non_hermitian_input_evolves_every_sector():
-    # outer(s, conj(s)) of a complex s is Hermitian only to rounding, so it
-    # and an m != n kernel take the all-sector path: the same bits as
-    # evolving every sector, nothing filled.
+def near_hermitian_kernel():
+    """The (2, 2) kernel outer(s, conj(s)) of a complex s = Gaussian times
+    exp(0.3i index) at n = 16: Hermitian only to rounding."""
     grid = FrequencyGrid(1, 16, 0.25, 1.55e-6)
     s = np.exp(-grid.freq_sq() / 2.0) * np.exp(0.3j * np.arange(16))
     pair = np.multiply.outer(s, s)
-    near = MomentKernel((2, 2), grid, np.multiply.outer(pair, np.conj(pair)))
+    return MomentKernel((2, 2), grid, np.multiply.outer(pair, np.conj(pair)))
+
+
+def test_non_hermitian_input_evolves_every_sector(monkeypatch):
+    # outer(s, conj(s)) of a complex s is Hermitian only to rounding, so it
+    # and an m != n kernel take the all-sector path: the same bits as
+    # evolving every sector, nothing filled, from the one generator built.
+    near = near_hermitian_kernel()
     dual = np.conj(np.transpose(near.values, (2, 3, 0, 1)))
     assert not np.array_equal(near.values, dual)
     assert np.max(np.abs(near.values - dual)) <= 1e-15
     rng = np.random.default_rng(23)
-    mixed = MomentKernel((2, 1), grid, rng.standard_normal((16,) * 3)
+    mixed = MomentKernel((2, 1), near.grid, rng.standard_normal((16,) * 3)
                          + 1j * rng.standard_normal((16,) * 3))
+    build = KernelGenerator.build
     for kernel in (near, mixed):
+        builds = []
+        monkeypatch.setattr(KernelGenerator, "build",
+                            lambda *args: builds.append(args) or build(*args))
         out = evolve_quietly(kernel, 500.0, 16)
+        monkeypatch.undo()
+        assert len(builds) == 1
         assert (out.sectors_evolved, out.sectors_filled) == (16, 0)
         want = every_sector_evolve(kernel, 500.0, 16)
         assert np.array_equal(out.values.view(np.uint64),
@@ -758,14 +770,16 @@ def test_hermitian_half_peak_memory_below_every_sector():
 
 
 def test_evolve_kernel_independent_of_worker_count(monkeypatch):
-    # Three chunks of whole sectors each: the Hermitian half's 9 sectors of
-    # 16^3 elements (4, 4 and 1), and its 130 sectors of 16^2 (64, 64 and
-    # 2).  One, two and three threads give the same bits.
+    # Three chunks of whole sectors each on the Hermitian half: 9 sectors of
+    # 16^3 elements (4, 4 and 1), and 130 sectors of 16^2 (64, 64 and 2).
+    # Four chunks of 4 on every sector of the near-Hermitian (2, 2) kernel.
+    # One, two and three threads give the same bits.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for dim, orders in ((1, (2, 2)), (2, (1, 1))):
-            kernel = gaussian_kernel(dim, 16, orders)
+        for kernel in (gaussian_kernel(1, 16, (2, 2)),
+                       gaussian_kernel(2, 16, (1, 1)),
+                       near_hermitian_kernel()):
             runs = []
             for workers in (1, 2, 3):
                 monkeypatch.setattr(moments, "_cpu_count", lambda: workers)
@@ -774,7 +788,9 @@ def test_evolve_kernel_independent_of_worker_count(monkeypatch):
                     runs.append(evolve_kernel(kernel, MODEL, 500.0, 32))
                 assert runs[-1].workers == workers
             for run in runs[1:]:
-                assert np.array_equal(run.values, runs[0].values), dim
+                assert run.sectors_evolved == runs[0].sectors_evolved
+                assert np.array_equal(run.values, runs[0].values)
+        assert runs[0].sectors_evolved == 16
     finally:
         sys.setswitchinterval(interval)
 
