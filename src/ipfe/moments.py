@@ -71,7 +71,7 @@ from __future__ import annotations
 import os
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations, islice
 
 import numpy as np
@@ -309,12 +309,12 @@ class KernelGenerator:
     mult is None when nothing scatters (cn2 = 0, or fewer than two
     indices).
 
-    build holds every sector; select restricts it to some.  The half
-    generator of an (n, n) kernel (hermitian_half) holds only the Hermitian
-    half of the sectors (hermitian_sectors; 9 of 16 for (2, 2) at n = 16,
-    34 of 64 for 2-D (1, 1) at n = 8), and its from_sectors fills every
-    other sector K by the conjugate transpose (bra <-> ket) of its partner
-    -K, which the evolution of a Hermitian kernel commutes with.
+    build holds every sector.  The half generator of an (n, n) kernel
+    (hermitian_half) holds only the Hermitian half of the sectors
+    (hermitian_sectors; 9 of 16 for (2, 2) at n = 16, 34 of 64 for 2-D
+    (1, 1) at n = 8), and its from_sectors fills every other sector K by
+    the conjugate transpose (bra <-> ket) of its partner -K, which the
+    evolution of a Hermitian kernel commutes with.
     """
 
     index: np.ndarray = field(repr=False)
@@ -360,13 +360,6 @@ class KernelGenerator:
         mult *= k ** 2 * grid.cell
         return cls(index, diag, mult, shape)
 
-    def select(self, keep: np.ndarray, half: bool = False
-               ) -> "KernelGenerator":
-        """This generator on the sectors K that keep (a mask over flat K)
-        selects; with half, keep must be the Hermitian half."""
-        return KernelGenerator(self.index[keep], self.diag[keep], self.mult,
-                               self.shape, half)
-
     def hermitian_half(self, kernel: MomentKernel
                        ) -> "KernelGenerator | None":
         """This all-sector generator of an (n, n) kernel on the Hermitian
@@ -386,7 +379,8 @@ class KernelGenerator:
         dual.reshape(-1)[held] = values.reshape(-1)[held]
         if not np.all(dual == values):
             return None
-        return self.select(half, half=True)
+        return replace(self, index=self.index[half], diag=self.diag[half],
+                       half=True)
 
     @property
     def axes(self) -> tuple[int, ...]:

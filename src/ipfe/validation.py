@@ -324,7 +324,8 @@ def _fill_residual(plan: PropagationPlan, evolved: moments.MomentKernel,
     if not evolved.sectors_filled:
         return 0.0
     half, _ = moments.hermitian_sectors(initial.grid)
-    gen = moments.KernelGenerator.build(initial, plan.model).select(~half)
+    gen = moments.KernelGenerator.build(initial, plan.model)
+    gen = replace(gen, index=gen.index[~half], diag=gen.diag[~half])
     direct = gen.to_sectors(initial.values)
     gen.evolve(direct, plan.z_total / plan.n_slabs, plan.n_slabs)
     return float(np.max(np.abs(gen.to_sectors(evolved.values) - direct))
