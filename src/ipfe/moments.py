@@ -44,10 +44,10 @@ only by the O(dz^2) Strang error the ensemble shares.
 
 Sectors never interact, so evolve_kernel runs chunks of whole sectors (at
 most _CHUNK_ELEMENTS elements each, or one sector if that is larger)
-through all steps under the worker contract of _run_chunks, with no
-synchronisation between steps.  A kernel operation refuses, before
-allocating, a tensor whose working set it estimates above
-MAX_KERNEL_BYTES.
+through all steps under the worker contract of _run_chunks, the calling
+thread evolving its share of them, with no synchronisation between
+steps.  A kernel operation refuses, before allocating, a tensor whose
+working set it estimates above MAX_KERNEL_BYTES.
 
 The (n, n) kernels come from a real Wigner functional and are Hermitian,
 and the equation commutes with the conjugate transpose (bra <-> ket),
@@ -72,7 +72,7 @@ import os
 import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 
@@ -119,8 +119,8 @@ class MomentKernel:
     values: np.ndarray = field(repr=False)
     z: float = 0.0
     # Threads that ran chunks in the evolve_kernel call that produced the
-    # values (1: the calling thread alone); 0 for values no evolve_kernel
-    # produced.
+    # values, the calling thread included (1: the calling thread alone); 0
+    # for values no evolve_kernel produced.
     workers: int = 0
     # Sectors that evolve_kernel call evolved, and sectors it filled by
     # conjugate transpose (the Hermitian half); 0 for values no
@@ -419,7 +419,8 @@ class KernelGenerator:
         """n_steps Strang slabs S <- half * ifftn(exp(dz mult) * fftn(half
         * S)), half = exp(dz/2 diag), applied to sectors in place, chunk by
         chunk of whole sectors (_run_chunks).  Returns the number of
-        threads that ran chunks, 1 for the calling thread alone."""
+        threads that ran chunks, the calling thread included: 1 for the
+        calling thread alone."""
         half = np.exp(0.5 * dz * self.diag)
         step = np.exp(dz * self.mult)
         axes = self.axes
@@ -444,8 +445,9 @@ class KernelGenerator:
 
 
 def _run_chunks(work, chunks, workers: int):
-    """Yield work(chunk) for every chunk, in chunk order, on the calling
-    thread: the worker contract of the split-step ensemble and evolve_kernel.
+    """Yield work(chunk) for every chunk of the sequence chunks, in chunk
+    order, on the calling thread: the worker contract of the split-step
+    ensemble and evolve_kernel.
 
     - Chunks hold whole units fixed by size, never by the thread count
       (64-row blocks, each reduced on its own; sectors), and a chunk is
@@ -453,12 +455,16 @@ def _run_chunks(work, chunks, workers: int):
       are bit-identical for any worker count.
     - One worker (always so for one chunk) runs the chunks inline and
       starts no thread.
-    - Otherwise a pool of ``workers`` threads runs them, with at most one
-      chunk per worker submitted and not yet taken, so memory stays
-      bounded whatever the number of chunks.
-    - A chunk's exception is re-raised here once the pool's threads have
-      ended; a consumer that stops early closes the generator, which ends
-      them too.
+    - Otherwise ``workers`` threads run them: the calling thread runs every
+      ``workers``-th chunk from the first, in place of waiting, and a pool
+      of ``workers - 1`` threads runs the others.  One chunk per pool
+      thread is submitted before the calling thread starts its own, and at
+      most one chunk per worker, the caller's included, is in flight (run
+      or submitted and not yet taken), so memory stays bounded whatever
+      the number of chunks.
+    - A chunk's exception, on either side, is re-raised here once the
+      pool's threads have ended; a consumer that stops early closes the
+      generator, which ends them too.
     """
     if workers == 1:
         yield from map(work, chunks)
@@ -468,12 +474,17 @@ def _run_chunks(work, chunks, workers: int):
     # need not pay.
     import concurrent.futures
 
-    todo = iter(chunks)
-    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        pending = deque(pool.submit(work, c) for c in islice(todo, workers))
-        while pending:
-            result = pending.popleft().result()
-            pending.extend(pool.submit(work, c) for c in islice(todo, 1))
+    with concurrent.futures.ThreadPoolExecutor(workers - 1) as pool:
+        # None marks a chunk of the calling thread's, run when it is due.
+        def start(i):
+            return None if i % workers == 0 else pool.submit(work, chunks[i])
+
+        ahead = deque(map(start, range(min(workers, len(chunks)))))
+        for i, chunk in enumerate(chunks):
+            future = ahead.popleft()
+            result = work(chunk) if future is None else future.result()
+            if i + workers < len(chunks):
+                ahead.append(start(i + workers))
             yield result
 
 

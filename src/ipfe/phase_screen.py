@@ -33,11 +33,13 @@ in [0, 2^64).
 Drawing a block advances only the counter's first word, so two blocks of
 one key never share Philox output (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11): a screen depends only on its
-address, not on the range it is drawn in.  A draw moves one generator
-between its blocks by assigning its state (key, counter, empty buffer),
-which gives the same bits as a fresh generator per block.  The split-step
-engine draws realization r in slab s at (master_seed, s, r), one block per
-BLOCK realizations, as does ``PropagationPlan.slab_screen(r, s)``;
+address, not on the range it is drawn in.  Each thread builds one
+generator per ``ScreenLattice``, with a fixed seed so that no OS entropy
+is read, and moves it to every key and block by assigning its state (key,
+counter, empty buffer), which gives the same bits as a fresh generator
+per block.  The split-step engine draws realization r in slab s at
+(master_seed, s, r), one block per BLOCK realizations, as does
+``PropagationPlan.slab_screen(r, s)``;
 ``draw_screen(seed)`` is the screen at (seed, 0, 0), and
 ``screen_statistics(seed)`` draws screen i at (seed, 0, i) and its site
 pairs from the generator of key (seed, 1).
@@ -46,6 +48,7 @@ pairs from the generator of key (seed, 1).
 from __future__ import annotations
 
 import operator
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -107,6 +110,27 @@ class ScreenLattice:
         half = np.fft.ifftshift(self.variance)[..., :grid.n // 2 + 1]
         self.amplitude = np.sqrt(half / 2.0)
         self.amplitude[..., [0, grid.n // 2]] *= np.sqrt(2.0)
+        # Each thread's generator and its state dict: the ensemble's worker
+        # threads share the lattice, and building a Philox costs several
+        # times as much as assigning its state.
+        self._local = threading.local()
+
+    def generator(self, seed: int, stream: int,
+                  block: int = 0) -> np.random.Generator:
+        """This thread's generator at Philox key (seed, stream), counter
+        (0, block, 0, 0) and an empty buffer: a fresh generator of that key
+        moved to the block.  A thread builds it once, with a fixed seed so
+        that no OS entropy is read."""
+        try:
+            rng, state = self._local.philox
+        except AttributeError:
+            rng = np.random.Generator(np.random.Philox(0))
+            state = rng.bit_generator.state
+            self._local.philox = rng, state
+        state["state"]["key"][:] = seed, stream
+        state["state"]["counter"][1] = block
+        rng.bit_generator.state = state
+        return rng
 
     def fields(self, normals: np.ndarray) -> np.ndarray:
         """Screens, shape (B,) + grid shape in DFT order, from a
@@ -125,22 +149,15 @@ class ScreenLattice:
              stop: int) -> np.ndarray:
         """The screens at indices start..stop-1 of Philox key
         (seed, stream), shape (stop - start,) + grid shape in DFT order."""
-        key = np.array([as_u64(seed, "seed"), as_u64(stream, "stream")],
-                       dtype=np.uint64)
+        seed, stream = as_u64(seed, "seed"), as_u64(stream, "stream")
         start = as_u64(start, "screen index")
         stop = operator.index(stop)
         if not start <= stop <= 2 ** 64:
             raise ValueError(f"screen index stop must be in [start, 2^64], "
                              f"got {stop}")
         normals = np.empty((stop - start, 2) + self.amplitude.shape)
-        # Building a Philox costs several times as much as assigning its
-        # state; the fresh state holds the empty buffer every block needs.
-        bitgen = np.random.Philox(key=key)
-        rng = np.random.Generator(bitgen)
-        state = bitgen.state
         for first in range(start - start % BLOCK, stop, BLOCK):
-            state["state"]["counter"][1] = first // BLOCK
-            bitgen.state = state
+            rng = self.generator(seed, stream, first // BLOCK)
             lo, hi = max(start, first), min(stop, first + BLOCK)
             if hi - lo == BLOCK:
                 rng.standard_normal(out=normals[lo - start:hi - start])
@@ -205,8 +222,8 @@ def screen_statistics(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
     target = lattice.variance
     axes = tuple(range(1, grid.dim + 1))
 
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([as_u64(seed, "seed"), 1], dtype=np.uint64)))
+    # The pairs are drawn before any screen: the draws move this generator.
+    rng = lattice.generator(as_u64(seed, "seed"), 1)
     flat_size = grid.n ** grid.dim
     sites = np.indices(grid.shape).reshape(grid.dim, -1)
     mirror_flat = np.ravel_multi_index((grid.n - sites) % grid.n, grid.shape)

@@ -26,14 +26,17 @@ exactly one Philox block.
 
 ``ensemble_moments`` propagates chunks of whole blocks, at most 2^14
 field elements each (or one block, if that is larger), under the worker
-contract of ``ipfe.moments._run_chunks`` (numpy's FFTs, Philox draws,
-``cos`` and ``sin`` release the GIL).  A slab runs in place on its chunk:
+contract of ``ipfe.moments._run_chunks``: the calling thread propagates
+its share of the chunks and a pool of one thread fewer than the workers
+the rest (numpy's FFTs, Philox draws, ``cos`` and ``sin`` release the
+GIL).  Each thread draws its screens from a Philox generator of its own
+(``ScreenLattice.generator``).  A slab runs in place on its chunk:
 the FFTs write back into the field block, and the screen factor
 exp(-i phi) goes to one buffer per chunk as cos(-phi) + i sin(-phi), which
 has the complex ``exp``'s bits (checked with numpy 2.4 on glibc over every
 screen of the reference plan) in less time.
 
-The calling thread reduces each ``BLOCK``-row slice of a chunk with
+The calling thread also reduces each ``BLOCK``-row slice of a chunk with
 ``block_products`` and adds the block partials in index order, so the
 moments are bit-reproducible, independent of the worker count, and differ
 from a one-realization-at-a-time sum only by the rounding of the
@@ -222,8 +225,8 @@ class EnsembleStats:
     second_moment_se: np.ndarray = field(repr=False)
     anomalous: np.ndarray = field(repr=False)
     anomalous_se: np.ndarray = field(repr=False)
-    # Threads that propagated chunks of realizations (1: the calling
-    # thread alone).
+    # Threads that propagated chunks of realizations, the calling thread
+    # included (1: the calling thread alone).
     workers: int
 
 

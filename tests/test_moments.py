@@ -842,3 +842,75 @@ def test_worker_thread_error_reaches_the_caller(monkeypatch):
     plan = PropagationPlan(grid, MODEL, 125.0, 8, 333, 11)
     with pytest.raises(MemoryError, match="ensemble worker"):
         ensemble_moments(Spectrum.gaussian(grid, 1.5), plan)
+
+
+def test_calling_thread_runs_every_workers_th_chunk(monkeypatch):
+    # With two or more workers the calling thread runs chunks 0, w, 2w, ...
+    # in place of waiting, and a pool of w - 1 threads runs the others; the
+    # results come back in chunk order.
+    caller = threading.get_ident()
+    before = threading.active_count()
+    for workers in (2, 3):
+        chunks = list(range(8))
+        got = list(moments._run_chunks(
+            lambda c: (c, threading.get_ident()), chunks, workers))
+        assert [c for c, _ in got] == chunks
+        assert [c for c, t in got if t == caller] == chunks[::workers]
+        assert len({t for _, t in got} - {caller}) <= workers - 1
+        assert threading.active_count() == before
+    # 333 realizations on two workers: two chunks of three blocks, the
+    # first propagated by the calling thread.
+    run = splitstep._BlockEngine.run
+    starts = []
+
+    def recording_run(engine, s0, rows):
+        if threading.get_ident() == caller:
+            starts.append(rows.start)
+        return run(engine, s0, rows)
+
+    monkeypatch.setattr(splitstep, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(splitstep._BlockEngine, "run", recording_run)
+    grid = REFERENCE.grid
+    plan = PropagationPlan(grid, MODEL, 125.0, 8, 333, 11)
+    assert ensemble_moments(Spectrum.gaussian(grid, 1.5), plan).workers == 2
+    assert starts == [0]
+
+
+def test_calling_thread_error_reaches_the_caller(monkeypatch):
+    # The calling thread's own first chunk fails while the pool's thread
+    # runs the second; the error reaches the caller once that thread has
+    # run its chunk and ended.
+    caller = threading.get_ident()
+    fftn = np.fft.fftn
+    run = splitstep._BlockEngine.run
+    off_caller = []
+
+    def fftn_fails_on_caller(*args, **kwargs):
+        if threading.get_ident() == caller:
+            raise MemoryError("kernel caller")
+        off_caller.append("fftn")
+        return fftn(*args, **kwargs)
+
+    def run_fails_on_caller(*args, **kwargs):
+        if threading.get_ident() == caller:
+            raise MemoryError("ensemble caller")
+        off_caller.append("run")
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(moments, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(splitstep, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(np.fft, "fftn", fftn_fails_on_caller)
+    monkeypatch.setattr(splitstep._BlockEngine, "run", run_fails_on_caller)
+    before = threading.active_count()
+    # The Hermitian half of (2, 2) at n = 16: three chunks on two workers.
+    with pytest.raises(MemoryError, match="kernel caller"):
+        evolve_kernel(gaussian_kernel(1, 16, (2, 2)), MODEL, 500.0, 16)
+    assert threading.active_count() == before
+    assert "fftn" in off_caller
+    off_caller.clear()
+    grid = REFERENCE.grid
+    plan = PropagationPlan(grid, MODEL, 125.0, 8, 333, 11)
+    with pytest.raises(MemoryError, match="ensemble caller"):
+        ensemble_moments(Spectrum.gaussian(grid, 1.5), plan)
+    assert threading.active_count() == before
+    assert "run" in off_caller

@@ -1,5 +1,7 @@
 """Phase-screen generation and statistics tests."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -300,8 +302,9 @@ def test_ranges_across_blocks_equal_single_draws():
 
 
 def test_draw_builds_one_generator(monkeypatch):
-    # A draw moves one Philox generator from block to block by assigning
-    # its state, instead of building a generator per block.
+    # Each thread builds one Philox generator per lattice and moves it from
+    # block to block, and from draw to draw, by assigning its state, instead
+    # of building a generator per block or per draw.
     # test_screen_address_is_philox_state and
     # test_ranges_across_blocks_equal_single_draws pin the bits this gives.
     built = []
@@ -313,12 +316,19 @@ def test_draw_builds_one_generator(monkeypatch):
 
     monkeypatch.setattr(np.random, "Philox", CountingPhilox)
     lattice = ScreenLattice(MODEL, GRID, DZ)
-    for start, stop in ((BLOCK - 3, 6 * BLOCK + 2), (0, 5 * BLOCK),
-                        (2**64 - 5 * BLOCK - 2, 2**64)):
-        built.clear()
-        block = lattice.draw(5, 3, start, stop)
-        assert len(built) <= 1
-        assert block.shape == (stop - start,) + GRID.shape
+
+    def draws():
+        for start, stop in ((BLOCK - 3, 6 * BLOCK + 2), (0, 5 * BLOCK),
+                            (2**64 - 5 * BLOCK - 2, 2**64)):
+            block = lattice.draw(5, 3, start, stop)
+            assert block.shape == (stop - start,) + GRID.shape
+
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        pool.submit(draws).result()
+    assert len(built) == 1
+    draws()
+    draws()
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 8)])
@@ -387,7 +397,13 @@ def test_screen_statistics_needs_no_seed_sequence(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("SeedSequence built on the screen path")
 
+    def no_entropy(*args, **kwargs):
+        raise AssertionError("OS entropy read on the screen path")
+
+    # A Philox built without a seed reads its entropy through randbits, not
+    # through np.random.SeedSequence.
     monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
     got = screen_statistics(MODEL, grid2, DZ, 1500, 7)
     assert np.array_equal(got.sample_variance, want.sample_variance)
     assert np.array_equal(got.variance_se, want.variance_se)

@@ -231,8 +231,16 @@ def test_ensemble_needs_no_seed_sequence(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("SeedSequence built on the screen path")
 
+    def no_entropy(*args, **kwargs):
+        raise AssertionError("OS entropy read on the screen path")
+
+    # A Philox built without a seed reads its entropy through randbits, not
+    # through np.random.SeedSequence.  Both workers draw screens.
     monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
+    monkeypatch.setattr(splitstep, "_cpu_count", lambda: 2)
     got = ensemble_moments(s0, plan)
+    assert got.workers == 2
     for name in STATS:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
@@ -318,8 +326,10 @@ def test_ensemble_memory_does_not_grow_with_realizations(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0]
-    # The 2000 realizations are 32 one-block chunks; three workers have at
-    # most three of them submitted and not yet reduced.
+    # The 2000 realizations are 32 one-block chunks.  Three workers are the
+    # calling thread and a pool of two, which has at most two of them
+    # submitted and not yet taken while the caller runs its own: one chunk
+    # per worker in flight.
     executors = []
 
     def recording(workers):
@@ -328,7 +338,7 @@ def test_ensemble_memory_does_not_grow_with_realizations(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
     ensemble_moments(s0, plan)
-    assert [(e.workers, e.most_pending) for e in executors] == [(3, 3)]
+    assert [(e.workers, e.most_pending) for e in executors] == [(2, 2)]
 
 
 def test_consumer_that_stops_early_leaves_no_thread(monkeypatch):
