@@ -2,11 +2,9 @@
 turbulence, cross-validated against a split-step Monte-Carlo propagator."""
 
 from .grid import FrequencyGrid, Spectrum, contract, to_frequency, to_position
-from .moments import (MomentKernel, biphoton_rhs, delta_diagonal_kernel,
-                      evolve_h10, evolve_h11, evolve_kernel, h11_rhs,
-                      hierarchy_rhs, kernel_trace)
-from .phase_screen import (ScreenRealization, draw_screen, draw_screens,
-                           screen_statistics)
+from .moments import (MomentKernel, biphoton_rhs, evolve_h10, evolve_h11,
+                      evolve_kernel, h11_rhs, hierarchy_rhs, kernel_trace)
+from .phase_screen import ScreenRealization, draw_screen, screen_statistics
 from .spectrum import (DivergentLambdaError, SpectrumKind, TurbulenceModel,
                        lambda_grid, lambda_total, lambda_total_1d,
                        psd_transverse)
@@ -34,9 +32,7 @@ __all__ = [
     "biphoton_rhs",
     "characteristic_of_gaussian",
     "contract",
-    "delta_diagonal_kernel",
     "draw_screen",
-    "draw_screens",
     "ensemble_moments",
     "evolve_h10",
     "evolve_h11",

@@ -2,8 +2,9 @@
 
 Subcommands
 -----------
-simulate        split-step Monte-Carlo run; writes ensemble moments in the
-                binary tensor format plus a JSON run manifest
+simulate        split-step Monte-Carlo run; writes the mean field, the
+                second moment and their standard errors in the binary
+                tensor format plus a JSON run manifest
 evolve-kernel   integrate a moment kernel read from a binary tensor file;
                 writes snapshots, a CSV of conserved-quantity diagnostics
                 and a JSON manifest (worker threads, timings, guards and
@@ -241,7 +242,6 @@ def cmd_simulate(args) -> int:
     write_array(out / "second_moment.bin", stats.second_moment, meta)
     write_array(out / "second_moment_se.bin",
                 stats.second_moment_se.astype(np.complex128), meta)
-    write_array(out / "anomalous.bin", stats.anomalous, meta)
 
     manifest = {
         "master_seed": plan.master_seed,

@@ -78,8 +78,7 @@ import numpy as np
 
 from ._accel import pair_multiplier, shift_coefficients
 from .grid import FrequencyGrid, Spectrum
-from .spectrum import (DivergentLambdaError, SpectrumKind, TurbulenceModel,
-                       lambda_grid, psd_lattice)
+from .spectrum import TurbulenceModel, lambda_grid, psd_lattice
 
 BOUNDARY_MASS_TOLERANCE = 1e-6
 
@@ -143,46 +142,21 @@ class MomentKernel:
     def rank(self) -> int:
         return sum(self.orders)
 
-    def bra_axes(self, index: int):
-        d = self.grid.dim
-        return list(range(index * d, (index + 1) * d))
-
-    def ket_axes(self, index: int):
-        d = self.grid.dim
-        m = self.orders[0]
-        return list(range((m + index) * d, (m + index + 1) * d))
-
     def conjugate_transpose(self) -> "MomentKernel":
         """H_{n,m} derived from H_{m,n} by conjugation and bra/ket swap."""
         m, n = self.orders
-        d = self.grid.dim
-        perm = list(range(m * d, (m + n) * d)) + list(range(m * d))
         return MomentKernel((n, m), self.grid,
-                            np.conj(np.transpose(self.values, perm)), self.z)
+                            _bra_ket_dual(self.values, m * self.grid.dim),
+                            self.z)
 
 
-def delta_diagonal_kernel(grid: FrequencyGrid, value: float = 1.0,
-                          orders: tuple[int, int] = (1, 1)) -> MomentKernel:
-    """Kernel proportional to a product of discrete deltas pairing bra and
-    ket indices (the maximally mixed stationary point for (1,1))."""
-    m, n = orders
-    if m != n:
-        raise ValueError("delta-diagonal kernel needs m == n")
-    size = grid.n ** grid.dim
-    eye = np.eye(size) * value * grid.delta_weight
-    out = eye
-    for _ in range(m - 1):
-        out = np.multiply.outer(out, eye)
-    # outer product layout is (bra, ket, bra, ket, ...): regroup to
-    # (bra..., ket...)
-    perm = []
-    for i in range(m):
-        perm.append(2 * i)
-    for i in range(m):
-        perm.append(2 * i + 1)
-    out = np.transpose(out.reshape((size,) * (2 * m)), perm)
-    shape = (grid.n,) * (grid.dim * 2 * m)
-    return MomentKernel(orders, grid, out.reshape(shape))
+def _bra_ket_dual(values: np.ndarray, bra_axes: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The conjugate of values with its first bra_axes axes (the bra
+    indices) moved behind the others (the ket indices): the bra <-> ket
+    image of a full-layout tensor, into out if given."""
+    perm = list(range(bra_axes, values.ndim)) + list(range(bra_axes))
+    return np.conjugate(np.transpose(values, perm), out=out)
 
 
 def kernel_trace(kernel: MomentKernel) -> complex:
@@ -370,10 +344,8 @@ class KernelGenerator:
         Hermitian only to rounding.  None for any other kernel."""
         half, own = hermitian_sectors(kernel.grid)
         values = kernel.values
-        group = values.ndim // 2
-        perm = list(range(group, 2 * group)) + list(range(group))
-        dual = np.conjugate(np.transpose(values, perm),
-                            out=np.empty(self.shape, dtype=np.complex128))
+        dual = _bra_ket_dual(values, values.ndim // 2,
+                             out=np.empty(self.shape, dtype=np.complex128))
         # The self-conjugate sectors are evolved, never filled: any values.
         held = self.index[own]
         dual.reshape(-1)[held] = values.reshape(-1)[held]
@@ -400,10 +372,7 @@ class KernelGenerator:
             return out
         # Every unheld element is the conjugate of its bra <-> ket image in
         # a held sector; the unset elements' images are overwritten.
-        group = len(self.shape) // 2
-        perm = list(range(group, 2 * group)) + list(range(group))
-        full = np.conjugate(np.transpose(out, perm),
-                            out=np.empty_like(out))
+        full = _bra_ket_dual(out, out.ndim // 2, out=np.empty_like(out))
         full.reshape(-1)[self.index] = sectors
         return full
 
@@ -533,8 +502,6 @@ def evolve_h10(b10: Spectrum, model: TurbulenceModel, z: float) -> Spectrum:
     exactly; it converges to the continuum Lambda with grid refinement.
     """
     grid = b10.grid
-    if model.kind is SpectrumKind.KOLMOGOROV and model.cn2 != 0.0:
-        raise DivergentLambdaError("Lambda divergent for pure Kolmogorov")
     lam = lambda_grid(model, grid)
     phase = np.exp(1j * np.pi * grid.wavelength * z * grid.freq_sq())
     decay = np.exp(-0.5 * grid.wavenumber ** 2 * lam * z)

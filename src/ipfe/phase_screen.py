@@ -42,7 +42,9 @@ per block.  The split-step engine draws realization r in slab s at
 ``PropagationPlan.slab_screen(r, s)``;
 ``draw_screen(seed)`` is the screen at (seed, 0, 0), and
 ``screen_statistics(seed)`` draws screen i at (seed, 0, i) and its site
-pairs from the generator of key (seed, 1).
+pairs from the generator of key (seed, 1).  ``keyed_generator`` builds
+a generator at a key the same way, for keyed data that are not screens
+(the checks' own test data, ``gaussian_drift``'s probes).
 """
 
 from __future__ import annotations
@@ -96,16 +98,14 @@ class ScreenLattice:
                  dz: float) -> None:
         if dz <= 0.0:
             raise ValueError("dz must be positive")
-        if model.kind is SpectrumKind.KOLMOGOROV and model.cn2 != 0.0:
-            raise ValueError(
-                "Kolmogorov model rejected: divergent DC screen variance")
         if (model.kind is SpectrumKind.VON_KARMAN
                 and model.outer_scale > 1.0 / grid.delta_a):
             warnings.warn(
                 "outer scale exceeds grid support (L0 > 1/delta_a); screen "
                 "statistics will miss the largest eddies", stacklevel=2)
         self.grid = grid
-        # Per-site E|N~(a)|^2, DC-centred.
+        # Per-site E|N~(a)|^2, DC-centred; psd_lattice refuses a divergent
+        # (Kolmogorov) spectrum.
         self.variance = psd_lattice(model, grid) * dz * grid.delta_weight
         half = np.fft.ifftshift(self.variance)[..., :grid.n // 2 + 1]
         self.amplitude = np.sqrt(half / 2.0)
@@ -167,19 +167,22 @@ class ScreenLattice:
         return self.fields(normals)
 
 
-def draw_screens(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
-                 seeds) -> np.ndarray:
-    """draw_screen's n_slab for each seed, stacked on axis 0."""
-    lattice = ScreenLattice(model, grid, dz)
-    return np.array([np.fft.fftshift(lattice.draw(seed, 0, 0, 1)[0])
-                     for seed in seeds]).reshape((-1,) + grid.shape)
+def keyed_generator(seed: int, stream: int) -> np.random.Generator:
+    """A fresh generator at Philox key (seed, stream), counter 0: the bits
+    of ``Philox(key=...)``, built with a fixed seed and then keyed, so that
+    no OS entropy is read."""
+    rng = np.random.Generator(np.random.Philox(0))
+    state = rng.bit_generator.state
+    state["state"]["key"][:] = seed, stream
+    rng.bit_generator.state = state
+    return rng
 
 
 def draw_screen(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
                 seed: int) -> ScreenRealization:
     """Draw the Gaussian slab screen at address (seed, 0, 0)."""
-    return ScreenRealization(grid, draw_screens(model, grid, dz, [seed])[0],
-                             dz, seed)
+    field_x = ScreenLattice(model, grid, dz).draw(seed, 0, 0, 1)[0]
+    return ScreenRealization(grid, np.fft.fftshift(field_x), dz, seed)
 
 
 def phase_screen_position(screen: ScreenRealization, k: float) -> np.ndarray:

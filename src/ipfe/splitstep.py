@@ -71,9 +71,10 @@ from .spectrum import TurbulenceModel
 
 # Largest working set ensemble_moments may estimate for itself (bytes).  Per
 # element of an (n^D)^2 moment it holds 56 B of accumulators (three complex,
-# one real) and about ten complex temporaries while finishing the moments:
-# 216 B, the peak tracemalloc reports at 2-D n=32 (216 MiB).  The limit
-# admits 2-D n=32 and refuses 2-D n=64 (3.4 GiB).
+# one real) and complex temporaries while finishing the moments: the peak
+# tracemalloc reports at 2-D n=32 is 187-188 B (about 187 MiB) under 1, 2
+# and 3 workers, which 216 B bounds.  The limit admits 2-D n=32 and
+# refuses 2-D n=64 (3.4 GiB).
 MAX_ENSEMBLE_BYTES = 2 ** 30
 _ENSEMBLE_BYTES_PER_ELEMENT = 56 + 10 * 16
 
@@ -213,8 +214,7 @@ class EnsembleStats:
     """Monte-Carlo moments with per-element standard errors.
 
     second_moment[i, j] estimates <G(a_i) G*(a_j)> over flattened lattice
-    sites; it is bitwise Hermitian with a real diagonal.  anomalous[i, j]
-    estimates <G(a_i) G(a_j)>.
+    sites; it is bitwise Hermitian with a real diagonal.
     """
 
     n_samples: int
@@ -223,8 +223,6 @@ class EnsembleStats:
     mean_field_se: np.ndarray = field(repr=False)
     second_moment: np.ndarray = field(repr=False)
     second_moment_se: np.ndarray = field(repr=False)
-    anomalous: np.ndarray = field(repr=False)
-    anomalous_se: np.ndarray = field(repr=False)
     # Threads that propagated chunks of realizations, the calling thread
     # included (1: the calling thread alone).
     workers: int
@@ -241,9 +239,8 @@ def ensemble_moments(s0: Spectrum, plan: PropagationPlan) -> EnsembleStats:
     ``block_products``, from real products only (the module docstring
     says why).  The shift keeps the variances behind
     the standard errors free of cancellation: an ensemble of identical
-    realizations has standard errors of exactly zero.  The second and
-    anomalous moments share every accumulator; their fourth-order terms
-    agree because |d_i d_j|^2 = |d_i d_j*|^2.
+    realizations has standard errors of exactly zero.  D^T D enters only
+    the second moment's standard error, through E|y|^2 below.
 
     Realizations are propagated in chunks of whole blocks
     (``ipfe.moments._run_chunks`` states the worker contract).
@@ -286,39 +283,34 @@ def ensemble_moments(s0: Spectrum, plan: PropagationPlan) -> EnsembleStats:
                 sum_g += np.sum(fields, axis=0)
                 sum_d += np.sum(d, axis=0)
                 sum_q += np.sum(q, axis=0)
-                dd_c, dd, qd, qq = block_products(d, q)
-                sum_dd_c += dd_c
-                sum_dd += dd
-                sum_qd += qd
-                sum_qq += qq
+                # No block's products outlive its sums: the next block's
+                # products would otherwise share the peak with them.
+                for total, part in zip((sum_dd_c, sum_dd, sum_qd, sum_qq),
+                                       block_products(d, q)):
+                    total += part
 
     mean_d = sum_d / n
     mean_q = sum_q / n
     dd_c = sum_dd_c / n
     dd = sum_dd / n
-    # Moments of y = g_i g_j* - h_i h_j* = h_i d_j* + d_i h_j* + d_i d_j*
-    # and y' = g_i g_j - h_i h_j = h_i d_j + d_i h_j + d_i d_j.  E|y|^2 and
-    # E|y'|^2 share |h_i|^2 E q_j + |h_j|^2 E q_i + E q_i q_j and the cross
-    # terms 2 Re(h_j* E[q_i d_j]) + (i <-> j); they differ only in the
-    # cross term of their two first-order parts.
+    # Moments of y = g_i g_j* - h_i h_j* = h_i d_j* + d_i h_j* + d_i d_j*:
+    # E|y|^2 = |h_i|^2 E q_j + |h_j|^2 E q_i + E q_i q_j, the cross terms
+    # 2 Re(h_j* E[q_i d_j]) + (i <-> j), and the cross term
+    # 2 Re(h_i h_j E[d_i* d_j*]) of its two first-order parts.
     y_c = np.outer(h, np.conj(mean_d)) + np.outer(mean_d, np.conj(h)) + dd_c
-    y_a = np.outer(h, mean_d) + np.outer(mean_d, h) + dd
     h_sq = np.abs(h) ** 2
     cross = np.real(np.conj(h)[None, :] * sum_qd / n)
-    y2_shared = (np.outer(h_sq, mean_q) + np.outer(mean_q, h_sq)
-                 + sum_qq / n + 2.0 * (cross + cross.T))
-    y2_c = y2_shared + 2.0 * np.real(np.outer(h, h) * np.conj(dd))
-    y2_a = y2_shared + 2.0 * np.real(np.outer(h, np.conj(h)) * dd_c.T)
+    y2_c = (np.outer(h_sq, mean_q) + np.outer(mean_q, h_sq)
+            + sum_qq / n + 2.0 * (cross + cross.T)
+            + 2.0 * np.real(np.outer(h, h) * np.conj(dd)))
 
     moment_c = np.outer(h, np.conj(h)) + y_c
     # Averaging with the conjugate transpose is exact in IEEE arithmetic:
     # the result is bitwise Hermitian with a real diagonal.
     moment_c = 0.5 * (moment_c + moment_c.conj().T)
-    moment = np.outer(h, h) + y_a
 
     se_g = np.sqrt(np.maximum(mean_q - np.abs(mean_d) ** 2, 0.0) / n)
     se_c = np.sqrt(np.maximum(y2_c - np.abs(y_c) ** 2, 0.0) / n)
-    se_a = np.sqrt(np.maximum(y2_a - np.abs(y_a) ** 2, 0.0) / n)
 
     return EnsembleStats(
         n_samples=n,
@@ -327,7 +319,5 @@ def ensemble_moments(s0: Spectrum, plan: PropagationPlan) -> EnsembleStats:
         mean_field_se=se_g.reshape(plan.grid.shape),
         second_moment=moment_c,
         second_moment_se=se_c,
-        anomalous=moment,
-        anomalous_se=se_a,
         workers=workers,
     )

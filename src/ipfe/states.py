@@ -23,6 +23,7 @@ from numpy.polynomial.laguerre import lagval
 
 from .grid import FrequencyGrid, Spectrum, contract
 from .moments import MomentKernel, hierarchy_rhs
+from .phase_screen import keyed_generator
 from .spectrum import (SpectrumKind, TurbulenceModel, lambda_grid,
                        psd_lattice)
 
@@ -108,8 +109,6 @@ def gaussian_drift(state: GaussianState, model: TurbulenceModel):
     (n, n) matmul rounds differently, and the residual keeps the bits it
     has with the probes taken one at a time.
     """
-    if model.kind is SpectrumKind.KOLMOGOROV and model.cn2 != 0.0:
-        raise ValueError("Kolmogorov model rejected: Lambda divergent")
     grid = state.grid
     for name, arr in (("B", state.b_kernel), ("C", state.c_kernel)):
         if np.any(arr != 0):
@@ -139,9 +138,8 @@ def gaussian_drift(state: GaussianState, model: TurbulenceModel):
             * np.conj(np.fft.fftn(np.conj(y), axes=axes)), axes=axes),
             axes=axes)
 
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([_DRIFT_PROBE_SEED, 0], dtype=np.uint64)))
-    normals = rng.standard_normal((_DRIFT_PROBES, 2, size))
+    normals = keyed_generator(_DRIFT_PROBE_SEED, 0).standard_normal(
+        (_DRIFT_PROBES, 2, size))
     av = normals[:, 0] + 1j * normals[:, 1]
     cell = grid.cell
     abs_a = np.abs(a_mat)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import moments, splitstep, states
 from .grid import FrequencyGrid, Spectrum
-from .phase_screen import screen_statistics
+from .phase_screen import keyed_generator, screen_statistics
 from .spectrum import SpectrumKind, TurbulenceModel, lambda_grid, psd_lattice
 from .splitstep import PropagationPlan
 
@@ -131,9 +131,7 @@ def _bound(name, description, measured, tolerance, lower_bound=None,
 
 def _check_rng(plan: PropagationPlan, offset: int) -> np.random.Generator:
     """Philox key ((master_seed + offset) mod 2^64, 0) of a check's data."""
-    key = [(plan.master_seed + offset) % 2 ** 64, 0]
-    return np.random.Generator(np.random.Philox(
-        key=np.array(key, dtype=np.uint64)))
+    return keyed_generator((plan.master_seed + offset) % 2 ** 64, 0)
 
 
 def _random_hermitian(n: int, rng) -> np.ndarray:

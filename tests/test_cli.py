@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ipfe
 from ipfe import moments, validation
 from ipfe.arrayio import read_array, write_array
 from ipfe.cli import ConfigError, build_parser, load_config, main
@@ -336,6 +337,17 @@ def test_simulate_command_and_determinism(tmp_path):
     assert meta_c["master_seed"] == 8
 
 
+def test_simulate_writes_exactly_its_tensors_and_manifest(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    tensors = ["mean_field", "mean_field_se", "second_moment",
+               "second_moment_se"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"{t}.bin" for t in tensors] + [f"{t}.bin.json" for t in tensors]
+        + ["manifest.json"])
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, model={"cn2": -1.0})
     assert main(["simulate", "--config", str(path)]) == 2
@@ -568,3 +580,11 @@ def test_traced_spans_resolve():
                 assert hasattr(owner, attr), f"ipfe.{modname}.{qual}"
                 owner = getattr(owner, attr)
             assert callable(owner), f"ipfe.{modname}.{qual}"
+
+
+def test_package_exports_resolve():
+    # `from ipfe import *` fails on a name left in __all__ after its
+    # definition or import is removed.
+    missing = [name for name in ipfe.__all__ if not hasattr(ipfe, name)]
+    assert not missing
+    assert len(set(ipfe.__all__)) == len(ipfe.__all__)

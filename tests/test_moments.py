@@ -17,10 +17,9 @@ from ipfe._accel import (pair_multiplier, pair_shift_sum_fft,
                          pair_shift_sum_loop, shift_coefficients)
 from ipfe.grid import FrequencyGrid, Spectrum
 from ipfe.moments import (KernelGenerator, MomentKernel, biphoton_rhs,
-                          boundary_mass_fraction, delta_diagonal_kernel,
-                          evolve_h10, evolve_h11, evolve_kernel, h11_rhs,
-                          hermiticity_residual, hierarchy_rhs, kernel_trace,
-                          step_guard)
+                          boundary_mass_fraction, evolve_h10, evolve_h11,
+                          evolve_kernel, h11_rhs, hermiticity_residual,
+                          hierarchy_rhs, kernel_trace, step_guard)
 from ipfe.phase_screen import ScreenLattice
 from ipfe.spectrum import (DivergentLambdaError, SpectrumKind,
                            TurbulenceModel, lambda_grid, psd_lattice)
@@ -36,6 +35,18 @@ def random_hermitian(n, seed):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (m + m.conj().T)
+
+
+def delta_diagonal(value, orders=(1, 1)):
+    """The (1, 1) or (2, 2) kernel on GRID8 that pairs bra index i with
+    ket index i by discrete deltas, value * delta_weight each: the
+    maximally mixed stationary point, and its two-photon product."""
+    eye = np.eye(GRID8.n) * value * GRID8.delta_weight
+    if orders == (1, 1):
+        return MomentKernel(orders, GRID8, eye)
+    # (bra 1, ket 1, bra 2, ket 2) regrouped to (bra 1, bra 2, ket 1, ket 2)
+    return MomentKernel(orders, GRID8,
+                        np.multiply.outer(eye, eye).transpose(0, 2, 1, 3))
 
 
 def rk4(rhs, values, dz, n_steps):
@@ -94,7 +105,7 @@ def loop_rhs(values, grid, model, orders):
 
 
 def test_delta_diagonal_is_stationary():
-    kernel = delta_diagonal_kernel(GRID8, 1.3)
+    kernel = delta_diagonal(1.3)
     rhs = h11_rhs(kernel, MODEL)
     scale = (GRID8.wavenumber ** 2 * lambda_grid(MODEL, GRID8)
              * np.max(np.abs(kernel.values)))
@@ -278,7 +289,7 @@ def test_pair_oracle_is_the_triple_loop(n):
 
 def test_biphoton_product_delta_kernel_stationary():
     # exchange-symmetrized product of pairing deltas
-    product = delta_diagonal_kernel(GRID8, 0.9, orders=(2, 2)).values
+    product = delta_diagonal(0.9, orders=(2, 2)).values
     f = MomentKernel((2, 2), GRID8, product + product.transpose(0, 1, 3, 2))
     rhs = biphoton_rhs(f, MODEL)
     scale = (GRID8.wavenumber ** 2 * lambda_grid(MODEL, GRID8)
@@ -434,7 +445,7 @@ def test_strang_second_order_convergence():
 
 
 def test_trace_properties():
-    kernel = delta_diagonal_kernel(GRID8, 2.0)
+    kernel = delta_diagonal(2.0)
     assert kernel_trace(kernel) == pytest.approx(8 * 2.0, rel=1e-14)
     a = MomentKernel((1, 1), GRID8, random_hermitian(8, 8))
     b = MomentKernel((1, 1), GRID8, random_hermitian(8, 9))
@@ -552,13 +563,18 @@ def test_slab_multiplier_is_the_screen_expectation(orders, n):
             expectation), t
 
 
+def index_axes(kernel):
+    """The D full-tensor axes of each bra index, then of each ket index."""
+    d = kernel.grid.dim
+    return [list(range(i * d, (i + 1) * d)) for i in range(kernel.rank)]
+
+
 def full_tensor_drift(kernel):
     """sum_bra |a|^2 - sum_ket |a'|^2 broadcast over the full tensor."""
-    m, n = kernel.orders
+    m = kernel.orders[0]
     asq = kernel.grid.freq_sq()
     total = np.zeros(kernel.values.shape)
-    for i in range(m + n):
-        axes = kernel.bra_axes(i) if i < m else kernel.ket_axes(i - m)
+    for i, axes in enumerate(index_axes(kernel)):
         shape = [1] * kernel.values.ndim
         for ax in axes:
             shape[ax] = kernel.grid.n
@@ -575,8 +591,7 @@ def full_tensor_generator(kernel, model):
     k = grid.wavenumber
     diag = (1j * np.pi * grid.wavelength * full_tensor_drift(kernel)
             - 0.5 * k ** 2 * lambda_grid(model, grid) * (m + n))
-    axes = ([kernel.bra_axes(i) for i in range(m)]
-            + [kernel.ket_axes(j) for j in range(n)])
+    axes = index_axes(kernel)
     c = shift_coefficients(psd_lattice(model, grid))
     scatter = np.zeros(kernel.values.shape, dtype=np.complex128)
     for i, j in combinations(range(m + n), 2):

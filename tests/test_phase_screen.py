@@ -8,10 +8,13 @@ import pytest
 from ipfe.grid import FrequencyGrid, to_frequency
 from ipfe.phase_screen import (_CROSS_PAIRS, _STATISTICS_CHUNK, BLOCK,
                                ScreenLattice, ScreenRealization, draw_screen,
-                               draw_screens, phase_screen_position,
+                               keyed_generator, phase_screen_position,
                                screen_statistics)
-from ipfe.spectrum import SpectrumKind, TurbulenceModel, psd_lattice
+from ipfe.spectrum import (DivergentLambdaError, SpectrumKind,
+                           TurbulenceModel, psd_lattice)
 from ipfe.splitstep import PropagationPlan
+from ipfe.states import GaussianState, gaussian_drift
+from ipfe.validation import check_free_space
 
 GRID = FrequencyGrid(1, 32, 0.25, 1.55e-6)
 MODEL = TurbulenceModel(SpectrumKind.VON_KARMAN, 9.2e-15, 1.0)
@@ -34,7 +37,8 @@ def test_determinism():
 
 
 def test_kolmogorov_rejected():
-    with pytest.raises(ValueError, match="divergent"):
+    # psd_lattice refuses the divergent spectrum before any screen work.
+    with pytest.raises(DivergentLambdaError, match="divergent"):
         draw_screen(TurbulenceModel(SpectrumKind.KOLMOGOROV, 1e-14),
                     GRID, DZ, 0)
 
@@ -127,18 +131,6 @@ def test_screen_statistics_contract():
     zero = TurbulenceModel(SpectrumKind.VON_KARMAN, 0.0, 1.0)
     stats0 = screen_statistics(zero, GRID, DZ, 400, 123)
     assert np.all(stats0.sample_variance == 0.0)
-
-
-def test_draw_screens_bit_identical_to_draw_screen():
-    seeds = [3, 2**63 + 5, 0, 77]
-    for dim, n in ((1, 32), (2, 8)):
-        grid = FrequencyGrid(dim, n, 0.25, 1.55e-6)
-        block = draw_screens(MODEL, grid, DZ, seeds)
-        assert block.shape == (len(seeds),) + grid.shape
-        for i, seed in enumerate(seeds):
-            assert np.array_equal(
-                block[i], draw_screen(MODEL, grid, DZ, seed).n_slab)
-        assert draw_screens(MODEL, grid, DZ, []).shape == (0,) + grid.shape
 
 
 def test_draw_screen_pinned_values():
@@ -301,6 +293,29 @@ def test_ranges_across_blocks_equal_single_draws():
                 assert np.array_equal(row, fresh_philox_screen(grid, 5, 3, r))
 
 
+def test_keyed_generator_is_the_keyed_philox():
+    for key in ((0, 0), (2024, 0), (20240118, 0), (2**64 - 1, 7)):
+        want = np.random.Generator(np.random.Philox(
+            key=np.array(key, dtype=np.uint64)))
+        got = keyed_generator(*key)
+        assert np.array_equal(got.standard_normal(301),
+                              want.standard_normal(301))
+        assert np.array_equal(got.integers(0, 2**63, 5),
+                              want.integers(0, 2**63, 5))
+
+
+def test_keyed_data_read_no_os_entropy(monkeypatch):
+    # Every keyed generator outside the screens is keyed_generator's: no
+    # construction reads the OS entropy that its key would override.
+    def refuse(*args):
+        raise AssertionError("OS entropy read")
+
+    monkeypatch.setattr(np.random.bit_generator, "randbits", refuse)
+    _, residual = gaussian_drift(GaussianState.vacuum(GRID), MODEL)
+    assert residual < 1e-12
+    assert all(c.passed for c in check_free_space())
+
+
 def test_draw_builds_one_generator(monkeypatch):
     # Each thread builds one Philox generator per lattice and moves it from
     # block to block, and from draw to draw, by assigning its state, instead
@@ -354,9 +369,8 @@ def test_draw_matches_one_fresh_generator_per_seed():
     # draw_screen(seed) is the screen at (seed, 0, 0): row 0 of the Philox
     # block of key (seed, 0) at counter 0, which is also realization 0 in
     # slab 0 of a plan with that master seed.
-    seeds = [0, 1, 42, 2**32, 2**63 + 5, 2**64 - 1]
-    block = draw_screens(MODEL, GRID, DZ, seeds)
-    for seed, got in zip(seeds, block):
+    for seed in (0, 1, 42, 2**32, 2**63 + 5, 2**64 - 1):
+        got = draw_screen(MODEL, GRID, DZ, seed).n_slab
         want = np.fft.fftshift(fresh_philox_screen(GRID, seed, 0, 0))
         assert np.array_equal(got, want)
         plan = PropagationPlan(GRID, MODEL, 32 * DZ, 32, 2, seed)

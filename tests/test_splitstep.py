@@ -24,8 +24,7 @@ from ipfe.spectrum import SpectrumKind, TurbulenceModel
 
 GRID = FrequencyGrid(1, 64, 0.25, 1.55e-6)
 MODEL = TurbulenceModel(SpectrumKind.VON_KARMAN, 9.2e-15, 1.0)
-STATS = ("mean_field", "mean_field_se", "second_moment", "second_moment_se",
-         "anomalous", "anomalous_se")
+STATS = ("mean_field", "mean_field_se", "second_moment", "second_moment_se")
 
 
 def test_free_space_multiplier_values():
@@ -175,8 +174,7 @@ def test_ensemble_cn2_zero_moments_exact():
                        np.outer(fs, np.conj(fs)), rtol=1e-12, atol=1e-14)
     assert np.max(stats.second_moment_se) < 1e-14
     # Identical realizations: every variance vanishes exactly.
-    for se in (stats.mean_field_se, stats.second_moment_se,
-               stats.anomalous_se):
+    for se in (stats.mean_field_se, stats.second_moment_se):
         assert np.all(se == 0.0)
 
 
@@ -382,6 +380,27 @@ def test_ensemble_memory_guard_refuses_before_allocating():
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_ensemble_memory_within_its_estimate(monkeypatch, workers):
+    # The guard's estimate bounds the peak it guards.  At 2-D n=32 the
+    # (n^D)^2 accumulators and finishing temporaries dominate (1 MiB per
+    # byte of the per-element estimate), not the 1-MiB chunks: three
+    # chunks of one block each, so three workers have one each.
+    monkeypatch.setattr(splitstep, "_cpu_count", lambda: workers)
+    grid = FrequencyGrid(2, 32, 0.25, 1.55e-6)
+    plan = PropagationPlan(grid, MODEL, 20.0, 2, 3 * BLOCK, 3)
+    s0 = Spectrum.gaussian(grid, 0.5)
+    tracemalloc.start()
+    try:
+        stats = ensemble_moments(s0, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.workers == workers
+    size = grid.n ** grid.dim
+    assert peak <= splitstep._ENSEMBLE_BYTES_PER_ELEMENT * size ** 2
+
+
 def loop_propagate(s0, plan, realization):
     """Per-realization oracle built from the single-spectrum primitives,
     with the realization's screen drawn alone in every slab."""
@@ -411,7 +430,6 @@ def test_engine_matches_per_realization_loop(dim, n, sigma_a):
     stats = ensemble_moments(s0, plan)
     mean = fields.mean(axis=0)
     second = np.einsum("ri,rj->ij", fields, np.conj(fields)) / n_real
-    anomalous = np.einsum("ri,rj->ij", fields, fields) / n_real
     pair_power = np.einsum("ri,rj->ij", np.abs(fields) ** 2,
                            np.abs(fields) ** 2) / n_real
     mean_se = np.sqrt((np.mean(np.abs(fields) ** 2, axis=0)
@@ -419,11 +437,8 @@ def test_engine_matches_per_realization_loop(dim, n, sigma_a):
     close(stats.mean_field.ravel(), mean)
     close(stats.mean_field_se.ravel(), mean_se)
     close(stats.second_moment, second)
-    close(stats.anomalous, anomalous)
     close(stats.second_moment_se,
           np.sqrt((pair_power - np.abs(second) ** 2) / n_real))
-    close(stats.anomalous_se,
-          np.sqrt((pair_power - np.abs(anomalous) ** 2) / n_real))
     sm = stats.second_moment
     assert np.array_equal(sm, sm.conj().T)
     assert np.all(np.imag(np.diagonal(sm)) == 0.0)
@@ -443,7 +458,7 @@ s0 = Spectrum.gaussian(grid, 0.5)
 stats = ensemble_moments(s0, PropagationPlan(grid, model, 250.0, 16, 150, 3))
 digest = hashlib.sha256()
 for a in (stats.mean_field, stats.mean_field_se, stats.second_moment,
-          stats.second_moment_se, stats.anomalous, stats.anomalous_se):
+          stats.second_moment_se):
     digest.update(np.ascontiguousarray(a).tobytes())
 sys.stdout.write(digest.hexdigest())
 """

@@ -6,8 +6,8 @@ import pytest
 
 from ipfe.grid import FrequencyGrid, Spectrum
 from ipfe.moments import MomentKernel, hierarchy_rhs
-from ipfe.spectrum import (SpectrumKind, TurbulenceModel, lambda_grid,
-                           psd_lattice)
+from ipfe.spectrum import (DivergentLambdaError, SpectrumKind,
+                           TurbulenceModel, lambda_grid, psd_lattice)
 from ipfe.states import (_DRIFT_PROBE_SEED, _DRIFT_PROBES, DEFAULT_N0,
                          FockSpec, GaussianState, LinearProcess,
                          characteristic_of_gaussian,
@@ -167,7 +167,7 @@ def test_gaussian_drift_rejects_shifts_and_kolmogorov():
     state.beta[0] = 1.0
     with pytest.raises(ValueError, match="beta"):
         gaussian_drift(state, MODEL)
-    with pytest.raises(ValueError, match="divergent"):
+    with pytest.raises(DivergentLambdaError, match="divergent"):
         gaussian_drift(GaussianState.vacuum(GRID),
                        TurbulenceModel(SpectrumKind.KOLMOGOROV, 1e-14))
 
