@@ -7,8 +7,8 @@ simulate        split-step Monte-Carlo run; writes the mean field, the
                 tensor format plus a JSON run manifest
 evolve-kernel   integrate a moment kernel read from a binary tensor file;
                 writes snapshots, a CSV of conserved-quantity diagnostics
-                and a JSON manifest (worker threads, timings, guards and
-                the diagnostics of every snapshot)
+                and a JSON manifest (worker threads, generators built,
+                timings, guards and the diagnostics of every snapshot)
 states          Fock-state Wigner/generating-function sweep (CSV), or the
                 Gaussian stationarity residual table with --stationarity
 screens         screen-statistics tables (per-mode variance, cross-mode
@@ -265,22 +265,25 @@ def cmd_evolve_kernel(args) -> int:
     cfg = _apply_seed(load_config(args.config), args)
     out = _out_dir(args, cfg)
     plan = cfg.plan
-    values, _ = read_array(args.input)
     m, n = args.orders
+    # The input is held as current alone, so the first span's output
+    # replaces it in memory.
     try:
-        kernel = MomentKernel((m, n), plan.grid, values)
+        current = MomentKernel((m, n), plan.grid, read_array(args.input)[0])
     except ValueError as exc:
         raise ConfigError(f"{args.input}: {exc}") from exc
 
     z_values = args.z_list
     rows = []
     snapshots = []
-    current = kernel
-    trace0 = kernel_trace(kernel).real if m == n else None
+    trace0 = kernel_trace(current).real if m == n else None
     z_prev = 0.0
     dz_max = 0.0
     workers = 0
     evolve_s = 0.0
+    # Every generator the spans used: evolve_kernel carries one from span
+    # to span, so a command builds one.
+    generators = []
     meta = grid_metadata(plan.grid, orders=[m, n])
     for z in z_values:
         span = z - z_prev
@@ -294,12 +297,18 @@ def cmd_evolve_kernel(args) -> int:
             dz_max = max(dz_max, span / steps)
             workers = max(workers, current.workers)
             evolved, filled = current.sectors_evolved, current.sectors_filled
+            if not any(g is current.generator for g in generators):
+                generators.append(current.generator)
         z_prev = z
         write_array(out / f"kernel_z{z:g}.bin", current.values, meta)
         trace = kernel_trace(current).real if m == n else float("nan")
-        herm = hermiticity_residual(current) if m == n else float("nan")
-        mass = boundary_mass_fraction(current)
-        rows.append([z, trace, herm, mass])
+        if current.boundary_mass is None:
+            # The input, which no evolve_kernel call produced.
+            herm = hermiticity_residual(current) if m == n else None
+            mass = boundary_mass_fraction(current)
+        else:
+            herm, mass = current.hermiticity, current.boundary_mass
+        rows.append([z, trace, float("nan") if herm is None else herm, mass])
         snapshots.append({
             "z_m": z,
             "steps": steps,
@@ -307,7 +316,7 @@ def cmd_evolve_kernel(args) -> int:
             "sectors_filled": filled,
             "trace_drift": (abs(trace - trace0) / abs(trace0)
                             if trace0 else None),
-            "hermiticity_residual": herm if m == n else None,
+            "hermiticity_residual": herm,
             "boundary_mass_fraction": mass,
         })
     _write_csv(out / "kernel_evolution.csv",
@@ -316,6 +325,7 @@ def cmd_evolve_kernel(args) -> int:
     manifest = {
         "orders": [m, n],
         "kernel_workers": workers,
+        "generator_builds": len(generators),
         "evolve_s": evolve_s,
         "wall_time_s": time.perf_counter() - t0,
         "guards": step_guard_values(plan.grid, plan.model, dz_max),

@@ -54,16 +54,22 @@ and the equation commutes with the conjugate transpose (bra <-> ket),
 which maps sector K to -K.  So under turbulence, evolve_kernel evolves an
 (n, n) kernel whose sectors K != -K are bit for bit the conjugate
 transposes of their partners (a bitwise Hermitian kernel, or an output of
-this path) on the half K <= -K in flat order only, self-conjugate K
-included, and fills the other sectors by conjugate transpose: 9 of 16
-sectors for (2, 2) at n = 16.  Its held sectors are the all-sector path's
-bits; the filled ones agree with it to rounding.  Hermiticity then holds
-exactly outside the self-conjugate sectors, so a Hermiticity residual
-measures only those.  Every other kernel (m != n, cn2 = 0, or a kernel
-Hermitian only to rounding, as a complex source's outer(s, conj(s)) read
-from a file) evolves every sector.  Both paths build the all-sector
-generator once; the half is its restriction, so a kernel that does not
-qualify costs one conjugate-transpose comparison more than before.
+this path) on the half K <= -K only, self-conjugate K included, and fills
+the other sectors by conjugate transpose: 9 of 16 sectors for (2, 2) at
+n = 16.  Its held sectors are the all-sector path's bits; the filled ones
+agree with it to rounding.  Hermiticity then holds exactly outside the
+self-conjugate sectors, so the residual evolve_kernel stores with its
+output is computed over those alone.  Every other kernel (m != n, cn2 = 0,
+or a kernel Hermitian only to rounding, as a complex source's
+outer(s, conj(s)) read from a file) evolves every sector.
+
+Both paths use one all-sector generator, which the output carries: a
+chain of evolve_kernel calls on the same orders, grid and model, as
+evolve-kernel runs its z-list span by span, builds it once.  The half is a
+prefix of it, and its index pairs, built once with it, make the test for
+the half a comparison of the unheld elements with their partners (about
+0.25 ms per (2, 2) n = 16 span, whether or not the kernel qualifies) and
+the fill a gather of the partners.
 """
 
 from __future__ import annotations
@@ -91,11 +97,13 @@ _CHUNK_ELEMENTS = 2 ** 14
 
 # Largest working set a kernel operation may estimate for itself (bytes).
 # Per element of the full n^(D(m+n)) tensor, input included, tracemalloc
-# reports a peak of 88 B for evolve_kernel on every sector (input, sector
-# data, gather index, diag, exp(dz/2 diag) and output), 68-84 B on the
-# Hermitian half, and 120 B for a right-hand-side evaluation, at (2, 2)
-# n=16 and 32 and at 2-D (1, 1) n=16 and 32.  The limit admits the (2, 2)
-# kernel at n = 32 (128 MiB) and refuses it at n = 64 (2 GiB).
+# reports a peak of 100-103 B for evolve_kernel on every sector (input,
+# the all-sector generator's index and diag, the Hermitian half's index
+# pairs, sector data, exp(dz/2 diag), output and the output's diagnostics),
+# 84-91 B on the Hermitian half, and 120 B for a right-hand-side
+# evaluation, at (2, 2) n=16 and 32 and at 2-D (1, 1) n=16 and 32.  The
+# limit admits the (2, 2) kernel at n = 32 (128 MiB) and refuses it at
+# n = 64 (2 GiB).
 MAX_KERNEL_BYTES = 2 ** 30
 _KERNEL_BYTES_PER_ELEMENT = 128
 
@@ -126,6 +134,17 @@ class MomentKernel:
     # evolve_kernel produced.
     sectors_evolved: int = 0
     sectors_filled: int = 0
+    # The all-sector KernelGenerator that evolve_kernel call used: a later
+    # evolve_kernel of these values under the same model reuses it.
+    generator: KernelGenerator | None = field(default=None, repr=False,
+                                              compare=False)
+    # boundary_mass_fraction and, for m == n, hermiticity_residual of the
+    # values, computed once by the evolve_kernel call that produced them;
+    # None for values no evolve_kernel produced.
+    boundary_mass: float | None = field(default=None, repr=False,
+                                        compare=False)
+    hermiticity: float | None = field(default=None, repr=False,
+                                      compare=False)
 
     def __post_init__(self) -> None:
         m, n = self.orders
@@ -150,13 +169,12 @@ class MomentKernel:
                             self.z)
 
 
-def _bra_ket_dual(values: np.ndarray, bra_axes: int,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def _bra_ket_dual(values: np.ndarray, bra_axes: int) -> np.ndarray:
     """The conjugate of values with its first bra_axes axes (the bra
     indices) moved behind the others (the ket indices): the bra <-> ket
-    image of a full-layout tensor, into out if given."""
+    image of a full-layout tensor."""
     perm = list(range(bra_axes, values.ndim)) + list(range(bra_axes))
-    return np.conjugate(np.transpose(values, perm), out=out)
+    return np.conjugate(np.transpose(values, perm))
 
 
 def kernel_trace(kernel: MomentKernel) -> complex:
@@ -246,24 +264,24 @@ def _sector_layout(kernel: MomentKernel,
     return flat, drift
 
 
-def _total_frequencies(grid: FrequencyGrid) -> np.ndarray:
-    """Every total frequency K, as (D, n^D) lattice-index components in
-    flat order."""
+def sector_order(grid: FrequencyGrid) -> tuple[np.ndarray, int, int]:
+    """Every total frequency K of grid, as (D, n^D) lattice-index
+    components in the sector order of KernelGenerator, and two counts.
+    The self-conjugate K = -K (components 0 or n/2) come first, then
+    K < -K, then K > -K, each group in flat order; the first count is the
+    self-conjugate sectors, the second the Hermitian half K <= -K that
+    they open (one of each conjugate pair K, -K and every self-conjugate
+    K)."""
     n, d = grid.n, grid.dim
-    return np.indices((n,) * d, dtype=np.intp).reshape(d, -1)
-
-
-def hermitian_sectors(grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Two masks over the flat total frequencies K of grid: the Hermitian
-    half flat K <= flat(-K mod n per axis), one of each conjugate pair K,
-    -K and every self-conjugate K, and the self-conjugate K = -K
-    (components 0 or n/2) alone."""
-    n = grid.n
-    flat = np.zeros(1, dtype=np.intp)
-    for k in -_total_frequencies(grid) % n:
-        flat = flat * n + k
-    own = np.arange(n ** grid.dim)
-    return own <= flat, own == flat
+    ks = np.indices((n,) * d, dtype=np.intp).reshape(d, -1)
+    flat = np.arange(n ** d)
+    dual = np.zeros(1, dtype=np.intp)
+    for k in -ks % n:
+        dual = dual * n + k
+    groups = (flat == dual, flat < dual, flat > dual)
+    order = np.concatenate([np.flatnonzero(g) for g in groups])
+    own = int(np.count_nonzero(groups[0]))
+    return ks[:, order], own, own + int(np.count_nonzero(groups[1]))
 
 
 @dataclass(frozen=True)
@@ -283,19 +301,36 @@ class KernelGenerator:
     mult is None when nothing scatters (cn2 = 0, or fewer than two
     indices).
 
-    build holds every sector.  The half generator of an (n, n) kernel
-    (hermitian_half) holds only the Hermitian half of the sectors
-    (hermitian_sectors; 9 of 16 for (2, 2) at n = 16, 34 of 64 for 2-D
-    (1, 1) at n = 8), and its from_sectors fills every other sector K by
-    the conjugate transpose (bra <-> ket) of its partner -K, which the
+    build holds every sector, in sector_order.  The half generator of an
+    (n, n) kernel (hermitian_half) holds only the Hermitian half of the
+    sectors, which lead that order (9 of 16 for (2, 2) at n = 16, 34 of
+    64 for 2-D (1, 1) at n = 8), so its index and diag are views of the
+    all-sector ones.  Its from_sectors fills every other sector K by the
+    conjugate transpose (bra <-> ket) of its partner -K, which the
     evolution of a Hermitian kernel commutes with.
+
+    A generator keeps what depends only on its orders, grid and model,
+    computed on the calling thread when first needed: the half generator
+    with its index pairs, and exp(dz/2 diag) and exp(dz mult) for the
+    last dz evolved.
     """
 
     index: np.ndarray = field(repr=False)
     diag: np.ndarray = field(repr=False)
     mult: np.ndarray | None = field(repr=False)
-    shape: tuple[int, ...]
-    half: bool = False
+    orders: tuple[int, int]
+    grid: FrequencyGrid
+    model: TurbulenceModel
+    # The half generator's flat full-layout index pairs: every unheld
+    # element with its bra <-> ket partner, which is held, and every
+    # element of a self-conjugate sector with its partner.  None for a
+    # generator of every sector.
+    fill: tuple[np.ndarray, np.ndarray] | None = field(default=None,
+                                                       repr=False)
+    self_conjugate: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @classmethod
     def build(cls, kernel: MomentKernel,
@@ -310,14 +345,13 @@ class KernelGenerator:
         _check_kernel_bytes(kernel)
         grid = kernel.grid
         k = grid.wavenumber
-        index, drift = _sector_layout(kernel, _total_frequencies(grid))
+        index, drift = _sector_layout(kernel, sector_order(grid)[0])
         diag = (1j * np.pi * grid.wavelength * drift
                 - 0.5 * k ** 2 * lambda_grid(model, grid) * (m + n))
-        shape = kernel.values.shape
         phi = psd_lattice(model, grid)
         pairs = list(combinations(range(m + n), 2))
         if not pairs or not np.any(phi):
-            return cls(index, diag, None, shape)
+            return cls(index, diag, None, kernel.orders, grid, model)
         # Pair sums run over every distinct index pair: the pairings are
         # distinct tensors even for symmetric kernels, so no multiplicity
         # shortcut applies.  Index i < m+n-1 sits on stored axes
@@ -332,27 +366,63 @@ class KernelGenerator:
             mult += sign * pair_multiplier(c, mult.ndim, axes[i], axes[j],
                                            sign)
         mult *= k ** 2 * grid.cell
-        return cls(index, diag, mult, shape)
+        return cls(index, diag, mult, kernel.orders, grid, model)
+
+    def built_for(self, kernel: MomentKernel,
+                  model: TurbulenceModel) -> bool:
+        """Whether this generator serves kernel under model: the same
+        orders, grid and model it was built for."""
+        return ((self.orders, self.grid, self.model)
+                == (kernel.orders, kernel.grid, model))
 
     def hermitian_half(self, kernel: MomentKernel
                        ) -> "KernelGenerator | None":
         """This all-sector generator of an (n, n) kernel on the Hermitian
-        half, if the fill reproduces the kernel bit for bit: every element
-        of every sector K != -K equal (==) to the conjugate of its
-        bra <-> ket image.  That holds for every bitwise Hermitian kernel,
-        and for every output of the half, whose self-conjugate sectors are
-        Hermitian only to rounding.  None for any other kernel."""
-        half, own = hermitian_sectors(kernel.grid)
-        values = kernel.values
-        dual = _bra_ket_dual(values, values.ndim // 2,
-                             out=np.empty(self.shape, dtype=np.complex128))
-        # The self-conjugate sectors are evolved, never filled: any values.
-        held = self.index[own]
-        dual.reshape(-1)[held] = values.reshape(-1)[held]
-        if not np.all(dual == values):
-            return None
-        return replace(self, index=self.index[half], diag=self.diag[half],
-                       half=True)
+        half, if the fill reproduces the kernel bit for bit: every unheld
+        element equal (==) to the conjugate of its bra <-> ket partner, and
+        no NaN in a self-conjugate sector (which is evolved, never filled).
+        That is the comparison of the whole kernel with its fill: a held
+        element of a sector K != -K compares with its unheld partner as
+        that partner compares with it.  It holds for every bitwise
+        Hermitian kernel, and for every output of the half, whose
+        self-conjugate sectors are Hermitian only to rounding.  None for
+        any other kernel."""
+        half = self._cache.get("half")
+        if half is None:
+            half = self._cache["half"] = self._restrict_to_half()
+        values = kernel.values.reshape(-1)
+        unheld, partner = half.fill
+        own = half.self_conjugate[0]
+        if (np.all(values[unheld] == np.conjugate(values[partner]))
+                and not np.any(np.isnan(values[own]))):
+            return half
+        return None
+
+    def _restrict_to_half(self) -> "KernelGenerator":
+        """This all-sector generator on the Hermitian half, with the index
+        pairs of its fill and of its self-conjugate sectors."""
+        _, own, held = sector_order(self.grid)
+        # A flat position is bra * block + ket, and its bra <-> ket image
+        # ket * block + bra.
+        block = self.grid.n ** (self.grid.dim * self.orders[0])
+
+        def pairs(positions):
+            return positions, positions % block * block + positions // block
+
+        return replace(self, index=self.index[:held], diag=self.diag[:held],
+                       fill=pairs(self.index[held:].reshape(-1)),
+                       self_conjugate=pairs(self.index[:own].reshape(-1)))
+
+    @property
+    def half(self) -> bool:
+        """Whether this generator holds only the Hermitian half."""
+        return self.fill is not None
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The full-layout shape of the kernel."""
+        grid = self.grid
+        return (grid.n,) * (grid.dim * sum(self.orders))
 
     @property
     def axes(self) -> tuple[int, ...]:
@@ -367,14 +437,35 @@ class KernelGenerator:
         """A sector-layout array scattered back into the full tensor, the
         sectors it does not hold (half) filled by conjugate transpose."""
         out = np.empty(self.shape, dtype=np.complex128)
-        out.reshape(-1)[self.index] = sectors
-        if not self.half:
-            return out
-        # Every unheld element is the conjugate of its bra <-> ket image in
-        # a held sector; the unset elements' images are overwritten.
-        full = _bra_ket_dual(out, out.ndim // 2, out=np.empty_like(out))
-        full.reshape(-1)[self.index] = sectors
-        return full
+        flat = out.reshape(-1)
+        flat[self.index] = sectors
+        if self.fill is not None:
+            # Every unheld element is the conjugate of its held partner,
+            # gathered _CHUNK_ELEMENTS at a time: the only temporary.
+            unheld, partner = self.fill
+            for lo in range(0, len(unheld), _CHUNK_ELEMENTS):
+                part = slice(lo, lo + _CHUNK_ELEMENTS)
+                filled = flat[partner[part]]
+                flat[unheld[part]] = np.conjugate(filled, out=filled)
+        return out
+
+    def hermiticity_residual(self, values: np.ndarray) -> float | None:
+        """hermiticity_residual of the values this half generator's
+        from_sectors returned, from the self-conjugate sectors alone: the
+        fill makes every other element's difference exactly 0.  None if
+        the values are not all finite (inf - inf is NaN in a filled pair),
+        or for a generator of every sector."""
+        if self.self_conjugate is None:
+            return None
+        scale = float(np.max(np.abs(values)))
+        if not np.isfinite(scale):
+            return None
+        if scale == 0.0:
+            return 0.0
+        own, partner = self.self_conjugate
+        flat = values.reshape(-1)
+        return float(np.max(np.abs(flat[own] - np.conjugate(flat[partner])))
+                     / scale)
 
     def __call__(self, sectors: np.ndarray) -> np.ndarray:
         out = self.diag * sectors
@@ -384,15 +475,27 @@ class KernelGenerator:
                 axes=self.axes)
         return out
 
+    def _exponentials(self, dz: float) -> tuple[np.ndarray, np.ndarray]:
+        """exp(dz/2 diag) and exp(dz mult), kept for the last dz, which is
+        matched by its bits: 0.0 == -0.0, but the exponentials of the two
+        differ in the signs of zeros."""
+        key = float(dz).hex()
+        cached = self._cache.get("exp")
+        if cached is None or cached[0] != key:
+            cached = self._cache["exp"] = (key, np.exp(0.5 * dz * self.diag),
+                                           np.exp(dz * self.mult))
+        return cached[1], cached[2]
+
     def evolve(self, sectors: np.ndarray, dz: float, n_steps: int) -> int:
         """n_steps Strang slabs S <- half * ifftn(exp(dz mult) * fftn(half
         * S)), half = exp(dz/2 diag), applied to sectors in place, chunk by
         chunk of whole sectors (_run_chunks).  Returns the number of
         threads that ran chunks, the calling thread included: 1 for the
         calling thread alone."""
-        half = np.exp(0.5 * dz * self.diag)
-        step = np.exp(dz * self.mult)
-        axes = self.axes
+        half, step = self._exponentials(dz)
+        # fftn and ifftn are these 1-D transforms, last axis first; called
+        # directly, they skip fftn's argument handling on every step.
+        axes = self.axes[::-1]
         per = max(1, _CHUNK_ELEMENTS // step.size)
         chunks = [slice(lo, lo + per) for lo in range(0, len(sectors), per)]
         workers = min(_cpu_count(), len(chunks))
@@ -403,9 +506,11 @@ class KernelGenerator:
             v, h = sectors[chunk], half[chunk]
             for _ in range(n_steps):
                 v *= h
-                np.fft.fftn(v, axes=axes, out=v)
+                for axis in axes:
+                    np.fft.fft(v, axis=axis, out=v)
                 v *= step
-                np.fft.ifftn(v, axes=axes, out=v)
+                for axis in axes:
+                    np.fft.ifft(v, axis=axis, out=v)
                 v *= h
 
         for _ in _run_chunks(run, chunks, workers):
@@ -537,16 +642,20 @@ def step_guard(grid: FrequencyGrid, model: TurbulenceModel, dz: float) -> None:
 
 def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,
                   z_total: float, n_steps: int) -> MomentKernel:
-    """n_steps Strang slabs of the generator built once, sector by sector
+    """n_steps Strang slabs of the all-sector generator, sector by sector
     (KernelGenerator.evolve): the expectation of the split-step ensemble
     over the same slabs (a single multiply by exp(z diag) when nothing
     scatters).  A (2, 2) kernel must meet the bounds biphoton_rhs
     enforces.
 
+    The generator is the one kernel carries (an output of this function)
+    if it was built for the same orders, grid and model, and is built
+    otherwise; the output carries it, so a chain of spans builds it once.
     An (n, n) kernel under turbulence that its own conjugate-transpose
     fill reproduces bit for bit evolves only the Hermitian half of its
     sectors (module docstring); any other kernel evolves every sector.
-    The output records both counts."""
+    The output records both counts, its boundary-mass fraction and, for
+    m == n, its Hermiticity residual."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if kernel.orders == (2, 2):
@@ -555,23 +664,34 @@ def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,
     if z_total > 0.0:
         step_guard(kernel.grid, model, dz)
     m, n = kernel.orders
-    gen = KernelGenerator.build(kernel, model)
+    gen = kernel.generator
+    if gen is None or not gen.built_for(kernel, model):
+        gen = KernelGenerator.build(kernel, model)
+    run = gen
     if m == n and gen.mult is not None:
-        half = gen.hermitian_half(kernel)
-        if half is not None:
-            gen = half
-    sectors = gen.to_sectors(kernel.values)
-    if gen.mult is None:
+        run = gen.hermitian_half(kernel) or gen
+    sectors = run.to_sectors(kernel.values)
+    if run.mult is None:
         # exp(z diag) stays the left operand: numpy's complex multiply
         # need not round a * b as b * a.
-        sectors = np.exp(z_total * gen.diag) * sectors
+        sectors = np.exp(z_total * run.diag) * sectors
         workers = 1
     else:
-        workers = gen.evolve(sectors, dz, n_steps)
-    filled = kernel.grid.n ** kernel.grid.dim - len(sectors) if gen.half else 0
-    out = MomentKernel(kernel.orders, kernel.grid, gen.from_sectors(sectors),
-                       kernel.z + z_total, workers, len(sectors), filled)
-    frac = monitored_boundary_mass(out, model)
+        workers = run.evolve(sectors, dz, n_steps)
+    evolved = len(sectors)
+    values = run.from_sectors(sectors)
+    # Freed before the diagnostics, which hold temporaries of their own.
+    del sectors
+    filled = kernel.grid.n ** kernel.grid.dim - evolved if run.half else 0
+    out = MomentKernel(kernel.orders, kernel.grid, values, kernel.z + z_total,
+                       workers, evolved, filled, gen)
+    out.boundary_mass = boundary_mass_fraction(out)
+    if m == n:
+        out.hermiticity = run.hermiticity_residual(out.values)
+        if out.hermiticity is None:
+            out.hermiticity = hermiticity_residual(out)
+    # monitored_boundary_mass of out.
+    frac = out.boundary_mass if model.cn2 != 0.0 else 0.0
     if frac > BOUNDARY_MASS_TOLERANCE:
         warnings.warn(
             f"kernel boundary mass fraction {frac:.2e} exceeds "
@@ -591,8 +711,11 @@ def hermiticity_residual(kernel: MomentKernel) -> float:
     """max |H - conj-transpose(H)| relative to max |H| (m == n only)."""
     if kernel.orders[0] != kernel.orders[1]:
         raise ValueError("Hermiticity defined for m == n kernels")
-    scale = float(np.max(np.abs(kernel.values)))
+    values = kernel.values
+    scale = float(np.max(np.abs(values)))
     if scale == 0.0:
         return 0.0
-    dual = kernel.conjugate_transpose()
-    return float(np.max(np.abs(kernel.values - dual.values)) / scale)
+    # H - conj-transpose(H), written over the conjugate transpose.
+    dual = _bra_ket_dual(values, values.ndim // 2)
+    return float(np.max(np.abs(np.subtract(values, dual, out=dual)))
+                 / scale)

@@ -317,13 +317,15 @@ def _fill_residual(plan: PropagationPlan, evolved: moments.MomentKernel,
                    initial: moments.MomentKernel) -> float:
     """max |filled - direct| relative to max |evolved| over the sectors
     that evolve_kernel filled by conjugate transpose (0 if none), each
-    evolved directly from initial under plan: the premise of the fill, that
-    the evolution commutes with the conjugate transpose."""
+    evolved directly from initial under plan by the generator evolved
+    carries, restricted to them: the premise of the fill, that the
+    evolution commutes with the conjugate transpose."""
     if not evolved.sectors_filled:
         return 0.0
-    half, _ = moments.hermitian_sectors(initial.grid)
-    gen = moments.KernelGenerator.build(initial, plan.model)
-    gen = replace(gen, index=gen.index[~half], diag=gen.diag[~half])
+    # The filled sectors follow the Hermitian half in sector order.
+    held = moments.sector_order(initial.grid)[2]
+    gen = evolved.generator
+    gen = replace(gen, index=gen.index[held:], diag=gen.diag[held:])
     direct = gen.to_sectors(initial.values)
     gen.evolve(direct, plan.z_total / plan.n_slabs, plan.n_slabs)
     return float(np.max(np.abs(gen.to_sectors(evolved.values) - direct))

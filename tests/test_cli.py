@@ -3,6 +3,7 @@
 import csv
 import importlib
 import importlib.util
+import io
 import json
 import os
 import re
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import ipfe
-from ipfe import moments, validation
+from ipfe import cli, moments, validation
 from ipfe.arrayio import read_array, write_array
 from ipfe.cli import ConfigError, build_parser, load_config, main
 from ipfe.grid import FrequencyGrid, Spectrum
@@ -253,6 +254,127 @@ def test_evolve_kernel_manifest_counts_sectors(tmp_path):
                          for s in snaps]
     assert counts["hermitian"] == [(0, 0), (9, 7), (9, 7)]
     assert counts["near"] == [(0, 0), (16, 0), (16, 0)]
+
+
+def chain_inputs():
+    """Evolve-kernel inputs by label: (orders, grid n, cn2, values)."""
+    g64 = np.exp(-FrequencyGrid(1, 64, 0.25, 1.55e-6).freq_sq() / 4.5)
+    grid16 = FrequencyGrid(1, 16, 0.25, 1.55e-6)
+    g16 = np.exp(-grid16.freq_sq() / 0.3).astype(complex)
+    s16 = np.exp(-grid16.freq_sq() / 2.0) * np.exp(0.3j * np.arange(16))
+    pair, near = np.multiply.outer(g16, g16), np.multiply.outer(s16, s16)
+    return {
+        "h11-n64": ((1, 1), 64, 9.2e-15, np.outer(g64, np.conj(g64))),
+        "h22-n16": ((2, 2), 16, 9.2e-15,
+                    np.multiply.outer(pair, np.conj(pair))),
+        "near-h22-n16": ((2, 2), 16, 9.2e-15,
+                         np.multiply.outer(near, np.conj(near))),
+        "h20-n16": ((2, 0), 16, 9.2e-15, pair),
+        "h11-n64-cn2-0": ((1, 1), 64, 0.0, np.outer(g64, np.conj(g64))),
+    }
+
+
+def span_by_span(kernel, plan, z_list):
+    """The snapshots, CSV rows and manifest snapshots of evolve-kernel,
+    each span evolved from a kernel that carries no generator and measured
+    by the diagnostic functions themselves."""
+    m, n = kernel.orders
+    trace0 = moments.kernel_trace(kernel).real if m == n else None
+    current, z_prev = kernel, 0.0
+    values, rows, snapshots = [], [], []
+    for z in z_list:
+        span, steps, counts = z - z_prev, 0, (0, 0)
+        if span > 0:
+            steps = max(1, int(np.ceil(span / plan.dz)))
+            fresh = moments.MomentKernel(current.orders, current.grid,
+                                         current.values, current.z)
+            current = moments.evolve_kernel(fresh, plan.model, span, steps)
+            counts = (current.sectors_evolved, current.sectors_filled)
+        z_prev = z
+        values.append(current.values)
+        trace = moments.kernel_trace(current).real if m == n else np.nan
+        herm = moments.hermiticity_residual(current) if m == n else None
+        mass = moments.boundary_mass_fraction(current)
+        rows.append([z, trace, np.nan if herm is None else herm, mass])
+        snapshots.append({
+            "z_m": z, "steps": steps, "sectors_evolved": counts[0],
+            "sectors_filled": counts[1],
+            "trace_drift": (abs(trace - trace0) / abs(trace0)
+                            if trace0 else None),
+            "hermiticity_residual": herm, "boundary_mass_fraction": mass})
+    return values, rows, snapshots
+
+
+@pytest.mark.filterwarnings("ignore:kernel boundary mass")
+@pytest.mark.parametrize("z_list", ["0,500,1000", "0,100,250,1000"])
+@pytest.mark.parametrize("label", list(chain_inputs()))
+def test_chained_spans_match_span_by_span_evolution(tmp_path, label, z_list):
+    # evolve-kernel carries one generator through its spans; every output
+    # byte equals evolving each span from a kernel without one.
+    orders, n, cn2, values = chain_inputs()[label]
+    cfg_path = write_config(tmp_path, grid={"n": n}, model={"cn2": cn2})
+    plan = load_config(cfg_path).plan
+    kernel_path = tmp_path / "init.bin"
+    write_array(kernel_path, values)
+    out = tmp_path / "evolve"
+    assert main(["evolve-kernel", "--config", str(cfg_path),
+                 "--input", str(kernel_path),
+                 "--orders", ",".join(map(str, orders)),
+                 "--z-list", z_list, "--out", str(out)]) == 0
+    z_values = [float(z) for z in z_list.split(",")]
+    kernel = moments.MomentKernel(orders, plan.grid, values)
+    want, rows, snapshots = span_by_span(kernel, plan, z_values)
+    reference = tmp_path / "reference"
+    reference.mkdir()
+    for z, snap in zip(z_values, want):
+        name = f"kernel_z{z:g}.bin"
+        write_array(reference / name, snap,
+                    {"grid": read_array(out / name)[1]["grid"],
+                     "orders": list(orders)})
+        assert (out / name).read_bytes() == (reference / name).read_bytes()
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["z_m", "trace", "hermiticity_residual",
+                     "boundary_mass_fraction"])
+    writer.writerows(rows)
+    assert (out / "kernel_evolution.csv").read_bytes() == \
+        text.getvalue().encode()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["snapshots"] == json.loads(json.dumps(snapshots))
+    assert manifest["generator_builds"] == 1
+    if label == "near-h22-n16":
+        assert snapshots[-1]["sectors_filled"] == 0
+    elif label == "h22-n16":
+        assert snapshots[-1]["sectors_filled"] == 7
+
+
+@pytest.mark.filterwarnings("ignore:kernel boundary mass")
+def test_one_generator_and_one_evolve_call_per_span(tmp_path, monkeypatch):
+    # KernelGenerator.build runs once per command, and the command calls
+    # evolve_kernel once per nonzero span, so each span is a traced span
+    # of its own.
+    orders, n, cn2, values = chain_inputs()["h22-n16"]
+    cfg_path = write_config(tmp_path, grid={"n": n})
+    kernel_path = tmp_path / "init.bin"
+    write_array(kernel_path, values)
+    build = moments.KernelGenerator.build
+    evolve = cli.evolve_kernel
+    builds, spans = [], []
+    monkeypatch.setattr(moments.KernelGenerator, "build",
+                        lambda *args: builds.append(args) or build(*args))
+    monkeypatch.setattr(cli, "evolve_kernel",
+                        lambda *args: spans.append(args[2]) or evolve(*args))
+    for z_list, n_builds, n_spans in (("0,100,100,250,1000", 1, [100, 150,
+                                                                750]),
+                                      ("0", 0, [])):
+        builds.clear(), spans.clear()
+        out = tmp_path / z_list
+        assert main(["evolve-kernel", "--config", str(cfg_path),
+                     "--input", str(kernel_path), "--orders", "2,2",
+                     "--z-list", z_list, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(builds) == manifest["generator_builds"] == n_builds
+        assert spans == n_spans
 
 
 @pytest.mark.filterwarnings("ignore:kernel boundary mass")

@@ -28,6 +28,7 @@ from ipfe.splitstep import (PropagationPlan, ensemble_moments,
 from ipfe.validation import REFERENCE, _naive_pair_rhs, _naive_rank4_rhs
 
 GRID8 = FrequencyGrid(1, 8, 0.25, 1.55e-6)
+GRID16 = FrequencyGrid(1, 16, 0.25, 1.55e-6)
 MODEL = TurbulenceModel(SpectrumKind.VON_KARMAN, 9.2e-15, 1.0)
 
 
@@ -770,6 +771,110 @@ def test_non_hermitian_input_evolves_every_sector(monkeypatch):
                               want.view(np.uint64))
 
 
+def same_bits(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_carried_generator_serves_only_its_orders_grid_and_model(
+        monkeypatch):
+    # An output carries the all-sector generator its evolve_kernel call
+    # used; the next call reuses it only for the same orders, grid and
+    # model, and otherwise builds the one a kernel without it gets.
+    h22 = evolve_quietly(gaussian_kernel(1, 16, (2, 2)), 250.0, 8)
+    h20 = evolve_quietly(random_kernel(1, 16, (2, 0), 24), 250.0, 8)
+    cases = [(h22, MODEL, 0), (h22, replace(MODEL, cn2=1.2 * MODEL.cn2), 1),
+             (replace(h22, grid=replace(h22.grid, delta_a=0.3)), MODEL, 1),
+             (h20, MODEL, 0), (replace(h20, orders=(1, 1)), MODEL, 1)]
+    build = KernelGenerator.build
+    for start, model, n_builds in cases:
+        builds = []
+        monkeypatch.setattr(KernelGenerator, "build",
+                            lambda *args: builds.append(args) or build(*args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            got = evolve_kernel(start, model, 250.0, 8)
+            monkeypatch.undo()
+            fresh = MomentKernel(start.orders, start.grid, start.values)
+            want = evolve_kernel(fresh, model, 250.0, 8)
+        assert len(builds) == n_builds
+        assert (got.generator is start.generator) == (n_builds == 0)
+        assert got.generator.built_for(start, model)
+        assert same_bits(got.values, want.values)
+        assert (got.sectors_evolved, got.sectors_filled) == (
+            want.sectors_evolved, want.sectors_filled)
+
+
+def test_qualification_rejects_one_ulp_and_nan():
+    # The qualification compares each unheld element with the conjugate of
+    # its held partner, and refuses a NaN in a self-conjugate sector: the
+    # comparison of the whole kernel with its fill.
+    kernel = gaussian_kernel(1, 16, (2, 2))
+    gen = KernelGenerator.build(kernel, MODEL)
+    half = gen.hermitian_half(kernel)
+    assert half is not None and gen.hermitian_half(kernel) is half
+    unheld, partner = half.fill
+    own = half.self_conjugate[0]
+
+    def ulp(x):
+        return complex(np.nextafter(x.real, np.inf), x.imag)
+
+    def nan(x):
+        return complex(np.nan, x.imag)
+
+    for position, change in ((unheld[1234], ulp), (partner[1234], ulp),
+                             (unheld[99], nan), (partner[99], nan),
+                             (own[100], nan)):
+        values = kernel.values.copy()
+        values.reshape(-1)[position] = change(values.reshape(-1)[position])
+        bad = MomentKernel((2, 2), kernel.grid, values)
+        assert gen.hermitian_half(bad) is None
+        out = evolve_quietly(bad, 250.0, 8)
+        assert (out.sectors_evolved, out.sectors_filled) == (16, 0)
+        if change is ulp:
+            assert same_bits(out.values, every_sector_evolve(bad, 250.0, 8))
+
+
+def test_stored_diagnostics_are_the_functions_bits():
+    # evolve_kernel stores the output's boundary-mass fraction and
+    # Hermiticity residual, the latter from the self-conjugate sectors
+    # alone on the Hermitian half: bit for bit the functions' values, on
+    # a chained span too, and NaN where the values hold NaN.
+    free = TurbulenceModel(SpectrumKind.VON_KARMAN, 0.0, 1.0)
+    nan_pair = gaussian_kernel(1, 16, (2, 2)).values.copy()
+    gen = KernelGenerator.build(MomentKernel((2, 2), GRID16, nan_pair),
+                                MODEL)
+    unheld, partner = gen.hermitian_half(
+        MomentKernel((2, 2), GRID16, nan_pair)).fill
+    nan_pair.reshape(-1)[[unheld[7], partner[7]]] = np.inf
+    cases = [(gaussian_kernel(1, 64, (1, 1)), MODEL, True),
+             (gaussian_kernel(1, 16, (2, 2)), MODEL, True),
+             (gaussian_kernel(2, 8, (1, 1)), MODEL, True),
+             (near_hermitian_kernel(), MODEL, False),
+             (gaussian_kernel(1, 64, (1, 1)), free, False),
+             (random_kernel(1, 16, (2, 0), 25), MODEL, False),
+             (MomentKernel((2, 2), GRID16, nan_pair), MODEL, True)]
+    for kernel, model, on_half in cases:
+        start = kernel
+        for _ in range(2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                out = evolve_kernel(start, model, 250.0, 8)
+            # A NaN in the input refuses the half on the chained span.
+            assert (out.sectors_filled > 0) == (
+                on_half and not np.any(np.isnan(start.values)))
+            assert out.boundary_mass == boundary_mass_fraction(out) or (
+                np.isnan(out.boundary_mass)
+                and np.isnan(boundary_mass_fraction(out)))
+            if kernel.orders[0] != kernel.orders[1]:
+                assert out.hermiticity is None
+            elif np.all(np.isfinite(out.values)):
+                assert out.hermiticity == hermiticity_residual(out)
+            else:
+                assert np.isnan(out.hermiticity)
+                assert np.isnan(hermiticity_residual(out))
+            start = out
+
+
 def test_hermitian_half_peak_memory_below_every_sector():
     kernel = gaussian_kernel(1, 16, (2, 2))
     peaks = []
@@ -829,16 +934,16 @@ def test_one_chunk_kernel_starts_no_thread(monkeypatch):
 
 
 def test_worker_thread_error_reaches_the_caller(monkeypatch):
-    fftn = np.fft.fftn
+    fft = np.fft.fft
     run = splitstep._BlockEngine.run
 
     def off_main():
         return threading.current_thread() is not threading.main_thread()
 
-    def fftn_fails_off_main(*args, **kwargs):
+    def fft_fails_off_main(*args, **kwargs):
         if off_main():
             raise MemoryError("kernel worker")
-        return fftn(*args, **kwargs)
+        return fft(*args, **kwargs)
 
     def run_fails_off_main(*args, **kwargs):
         if off_main():
@@ -847,7 +952,7 @@ def test_worker_thread_error_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(moments, "_cpu_count", lambda: 2)
     monkeypatch.setattr(splitstep, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(np.fft, "fftn", fftn_fails_off_main)
+    monkeypatch.setattr(np.fft, "fft", fft_fails_off_main)
     monkeypatch.setattr(splitstep._BlockEngine, "run", run_fails_off_main)
     kernel = gaussian_kernel(1, 16, (2, 2))
     with pytest.raises(MemoryError, match="kernel worker"):
@@ -896,15 +1001,15 @@ def test_calling_thread_error_reaches_the_caller(monkeypatch):
     # runs the second; the error reaches the caller once that thread has
     # run its chunk and ended.
     caller = threading.get_ident()
-    fftn = np.fft.fftn
+    fft = np.fft.fft
     run = splitstep._BlockEngine.run
     off_caller = []
 
-    def fftn_fails_on_caller(*args, **kwargs):
+    def fft_fails_on_caller(*args, **kwargs):
         if threading.get_ident() == caller:
             raise MemoryError("kernel caller")
-        off_caller.append("fftn")
-        return fftn(*args, **kwargs)
+        off_caller.append("fft")
+        return fft(*args, **kwargs)
 
     def run_fails_on_caller(*args, **kwargs):
         if threading.get_ident() == caller:
@@ -914,14 +1019,14 @@ def test_calling_thread_error_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(moments, "_cpu_count", lambda: 2)
     monkeypatch.setattr(splitstep, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(np.fft, "fftn", fftn_fails_on_caller)
+    monkeypatch.setattr(np.fft, "fft", fft_fails_on_caller)
     monkeypatch.setattr(splitstep._BlockEngine, "run", run_fails_on_caller)
     before = threading.active_count()
     # The Hermitian half of (2, 2) at n = 16: three chunks on two workers.
     with pytest.raises(MemoryError, match="kernel caller"):
         evolve_kernel(gaussian_kernel(1, 16, (2, 2)), MODEL, 500.0, 16)
     assert threading.active_count() == before
-    assert "fftn" in off_caller
+    assert "fft" in off_caller
     off_caller.clear()
     grid = REFERENCE.grid
     plan = PropagationPlan(grid, MODEL, 125.0, 8, 333, 11)

@@ -243,6 +243,20 @@ def test_ensemble_needs_no_seed_sequence(monkeypatch):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+class LazyCall:
+    """A call LazyExecutor.submit returned: run when its result is read.
+    Defined once, not per submit: a class sits in reference cycles, so one
+    per call would stay allocated until the cyclic collector runs, and
+    tracemalloc would count it in the ensemble's peak."""
+
+    def __init__(self, executor, fn, args):
+        self.executor, self.fn, self.args = executor, fn, args
+
+    def result(self):
+        self.executor.pending -= 1
+        return self.fn(*self.args)
+
+
 class LazyExecutor:
     """Stands in for ThreadPoolExecutor: runs each submitted call on the
     calling thread when its result is read, and records the most calls
@@ -261,14 +275,7 @@ class LazyExecutor:
     def submit(self, fn, *args):
         self.pending += 1
         self.most_pending = max(self.most_pending, self.pending)
-        executor = self
-
-        class Call:
-            def result(self):
-                executor.pending -= 1
-                return fn(*args)
-
-        return Call()
+        return LazyCall(self, fn, args)
 
 
 @pytest.mark.parametrize("dim,n,sigma_a", [(1, 64, 1.5), (2, 16, 0.5)])
