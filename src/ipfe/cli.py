@@ -204,7 +204,9 @@ def _out_dir(args, cfg: RunConfig | None) -> Path:
         path = Path(cfg.output_dir)
     else:
         path = Path(".")
-    path.mkdir(parents=True, exist_ok=True)
+    # One stat for the directory an earlier run made, not a refused mkdir.
+    if not path.is_dir():
+        path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -277,6 +279,8 @@ def cmd_evolve_kernel(args) -> int:
     rows = []
     snapshots = []
     trace0 = kernel_trace(current).real if m == n else None
+    # The trace of the snapshot in hand: the input's until a span evolves.
+    trace = float("nan") if trace0 is None else trace0
     z_prev = 0.0
     dz_max = 0.0
     workers = 0
@@ -299,9 +303,10 @@ def cmd_evolve_kernel(args) -> int:
             evolved, filled = current.sectors_evolved, current.sectors_filled
             if not any(g is current.generator for g in generators):
                 generators.append(current.generator)
+            if m == n:
+                trace = kernel_trace(current).real
         z_prev = z
         write_array(out / f"kernel_z{z:g}.bin", current.values, meta)
-        trace = kernel_trace(current).real if m == n else float("nan")
         if current.boundary_mass is None:
             # The input, which no evolve_kernel call produced.
             herm = hermiticity_residual(current) if m == n else None
@@ -472,11 +477,18 @@ def _add_common(parser, config_required=True) -> None:
                         help="output directory (default: config output_dir)")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: argparse takes
-    about 1.5 ms to build it, a tenth of a short in-process command, and
-    parsing leaves it unchanged."""
+    """The command-line parser."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser,
+                        dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and each subcommand's own parser by name,
+    built once per process: argparse takes about 1.5 ms to build them, a
+    tenth of a short in-process command, and parsing leaves them
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="ipfe",
         description="moment-kernel evolution through turbulence with a "
@@ -527,11 +539,28 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the full cross-validation suite")
     _add_common(p, config_required=False)
     p.set_defaults(func=cmd_validate)
-    return parser
+    return parser, sub.choices
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """build_parser().parse_args(argv): the same namespace, and the same
+    usage errors.  When argv starts with a subcommand, its own parser reads
+    the rest, as the top-level parser would hand it over, without the
+    top-level pass over those arguments: about half of the parse."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

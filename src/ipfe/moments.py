@@ -134,16 +134,18 @@ class MomentKernel:
     # evolve_kernel produced.
     sectors_evolved: int = 0
     sectors_filled: int = 0
-    # The all-sector KernelGenerator that evolve_kernel call used: a later
-    # evolve_kernel of these values under the same model reuses it.
-    generator: KernelGenerator | None = field(default=None, repr=False,
-                                              compare=False)
-    # boundary_mass_fraction and, for m == n, hermiticity_residual of the
-    # values, computed once by the evolve_kernel call that produced them;
-    # None for values no evolve_kernel produced.
-    boundary_mass: float | None = field(default=None, repr=False,
-                                        compare=False)
-    hermiticity: float | None = field(default=None, repr=False,
+    # Set by the evolve_kernel call that produced the values, and None on
+    # every kernel constructed otherwise (dataclasses.replace included):
+    # the all-sector KernelGenerator it used, which a later evolve_kernel
+    # of these values under the same model reuses, and the values'
+    # boundary_mass_fraction and, for m == n, hermiticity_residual.  They
+    # describe the values as returned; changing those in place leaves
+    # them stale.
+    generator: KernelGenerator | None = field(init=False, default=None,
+                                              repr=False, compare=False)
+    boundary_mass: float | None = field(init=False, default=None,
+                                        repr=False, compare=False)
+    hermiticity: float | None = field(init=False, default=None, repr=False,
                                       compare=False)
 
     def __post_init__(self) -> None:
@@ -387,9 +389,7 @@ class KernelGenerator:
         Hermitian kernel, and for every output of the half, whose
         self-conjugate sectors are Hermitian only to rounding.  None for
         any other kernel."""
-        half = self._cache.get("half")
-        if half is None:
-            half = self._cache["half"] = self._restrict_to_half()
+        half = self._half()
         values = kernel.values.reshape(-1)
         unheld, partner = half.fill
         own = half.self_conjugate[0]
@@ -397,6 +397,20 @@ class KernelGenerator:
                 and not np.any(np.isnan(values[own]))):
             return half
         return None
+
+    def filled_sectors(self) -> "KernelGenerator":
+        """This all-sector generator of an (n, n) kernel on the sectors
+        that its half fills by conjugate transpose (every sector the half
+        does not hold)."""
+        held = len(self._half().index)
+        return replace(self, index=self.index[held:], diag=self.diag[held:])
+
+    def _half(self) -> "KernelGenerator":
+        """The half generator, restricted on first use and kept."""
+        half = self._cache.get("half")
+        if half is None:
+            half = self._cache["half"] = self._restrict_to_half()
+        return half
 
     def _restrict_to_half(self) -> "KernelGenerator":
         """This all-sector generator on the Hermitian half, with the index
@@ -684,7 +698,8 @@ def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,
     del sectors
     filled = kernel.grid.n ** kernel.grid.dim - evolved if run.half else 0
     out = MomentKernel(kernel.orders, kernel.grid, values, kernel.z + z_total,
-                       workers, evolved, filled, gen)
+                       workers, evolved, filled)
+    out.generator = gen
     out.boundary_mass = boundary_mass_fraction(out)
     if m == n:
         out.hermiticity = run.hermiticity_residual(out.values)

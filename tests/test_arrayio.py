@@ -1,13 +1,14 @@
 """Binary tensor format tests: roundtrip, header validation, sidecar."""
 
+import json
 import struct
 
 import numpy as np
 import pytest
 
 from ipfe.arrayio import (ArrayFormatError, FORMAT_VERSION, MAGIC,
-                          grid_metadata, read_array, write_array,
-                          write_in_place)
+                          grid_metadata, json_text, read_array, write_array,
+                          write_in_place, write_json)
 from ipfe.grid import FrequencyGrid
 
 
@@ -31,6 +32,7 @@ def test_roundtrip_bit_exact(tmp_path):
         back, meta = read_array(path)
         assert back.dtype == np.complex128
         assert back.shape == values.shape
+        assert back.flags.writeable and back.flags.c_contiguous
         assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
         assert meta is None
 
@@ -119,3 +121,25 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(ArrayFormatError, match="truncated payload"):
         read_array(path)
+
+
+def test_json_text_is_the_text_of_json_dumps(tmp_path):
+    # The indented, key-sorted layout of json.dumps, character for
+    # character, for every kind of value the program writes.
+    values = [
+        {}, [], (), "", 0, -7, 2 ** 70, 0.0, -0.0, 1e-300, 1.55e-06,
+        0.1 + 0.2, np.float64(2.5), float("nan"), float("inf"),
+        -float("inf"), True, False, None, "caf\u00e9 \"q\" \\ \n \t \x01",
+        {"b": [1, {"z": None, "a": []}], "a": {"y": {}, "x": (1.0, "s")},
+         "\u00e9": True, "A": [[], [[]], {"k": [False]}]},
+        [{"grid": {"n": 16, "delta_a": 0.25}}, [1, [2, [3]]]],
+    ]
+    for value in values + [values]:
+        assert json_text(value) == json.dumps(value, indent=2,
+                                              sort_keys=True)
+    write_json(tmp_path / "v.json", values)
+    assert (tmp_path / "v.json").read_text() == json.dumps(
+        values, indent=2, sort_keys=True) + "\n"
+    for bad in ({1: "int key"}, np.int64(3), [np.arange(2)], {"p": tmp_path}):
+        with pytest.raises(TypeError):
+            json_text(bad)

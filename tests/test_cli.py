@@ -123,6 +123,37 @@ def test_parser_rejects_threads_flag(tmp_path):
                                    "--threads", "2"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve-kernel", "--config", "c.json", "--input", "k.bin", "--orders",
+     "2,2", "--z-list", "0,500,1000", "--out", "o"],
+    ["evolve-kernel", "--conf", "c.json", "--inp=k.bin", "--seed", "3"],
+    ["simulate", "--config", "c.json"],
+    ["validate"],
+    ["screens", "--config", "c.json", "--samples", "5"],
+    ["evolve-kernel", "--config", "c.json", "--input", "k.bin", "--bogus"],
+    ["evolve-kernel", "--config", "c.json", "extra", "--input", "k.bin"],
+    ["evolve-kernel", "--config", "c.json"],
+    ["evolve-kernel", "-h"],
+    ["bogus"],
+    ["-h"],
+    [],
+], ids=["evolve", "abbrev-seed", "simulate", "validate", "samples-few",
+        "unknown-flag", "extra-positional", "missing-input", "sub-help",
+        "unknown-command", "help", "empty"])
+def test_parse_args_matches_the_full_parser(capsys, argv):
+    # main hands a subcommand's arguments straight to its own parser; the
+    # namespace, the exit code and the printed usage or error are the
+    # top-level parser's.
+    def outcome(parse):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        return result, capsys.readouterr()
+
+    assert outcome(cli.parse_args) == outcome(build_parser().parse_args)
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))

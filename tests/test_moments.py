@@ -782,11 +782,19 @@ def test_carried_generator_serves_only_its_orders_grid_and_model(
     # model, and otherwise builds the one a kernel without it gets.
     h22 = evolve_quietly(gaussian_kernel(1, 16, (2, 2)), 250.0, 8)
     h20 = evolve_quietly(random_kernel(1, 16, (2, 0), 24), 250.0, 8)
+
+    def carrying(kernel, **changes):
+        # replace drops the generator; this kernel keeps kernel's.
+        out = replace(kernel, **changes)
+        out.generator = kernel.generator
+        return out
+
     cases = [(h22, MODEL, 0), (h22, replace(MODEL, cn2=1.2 * MODEL.cn2), 1),
-             (replace(h22, grid=replace(h22.grid, delta_a=0.3)), MODEL, 1),
-             (h20, MODEL, 0), (replace(h20, orders=(1, 1)), MODEL, 1)]
+             (carrying(h22, grid=replace(h22.grid, delta_a=0.3)), MODEL, 1),
+             (h20, MODEL, 0), (carrying(h20, orders=(1, 1)), MODEL, 1)]
     build = KernelGenerator.build
     for start, model, n_builds in cases:
+        assert start.generator is not None
         builds = []
         monkeypatch.setattr(KernelGenerator, "build",
                             lambda *args: builds.append(args) or build(*args))
@@ -802,6 +810,33 @@ def test_carried_generator_serves_only_its_orders_grid_and_model(
         assert same_bits(got.values, want.values)
         assert (got.sectors_evolved, got.sectors_filled) == (
             want.sectors_evolved, want.sectors_filled)
+
+
+def test_only_evolve_kernel_sets_the_stored_diagnostics():
+    # The generator, boundary mass and Hermiticity residual an output
+    # carries are not constructor arguments, and a kernel built from it
+    # by dataclasses.replace, new values or not, carries none of them.
+    out = evolve_quietly(gaussian_kernel(1, 16, (2, 2)), 250.0, 8)
+    assert None not in (out.generator, out.boundary_mass, out.hermiticity)
+    for kernel in (replace(out, values=2.0 * out.values), replace(out),
+                   MomentKernel(out.orders, out.grid, out.values)):
+        assert (kernel.generator, kernel.boundary_mass,
+                kernel.hermiticity) == (None, None, None)
+    with pytest.raises(TypeError):
+        MomentKernel(out.orders, out.grid, out.values,
+                     boundary_mass=out.boundary_mass)
+
+
+def test_filled_sectors_are_the_sectors_the_half_does_not_hold():
+    kernel = gaussian_kernel(1, 16, (2, 2))
+    gen = KernelGenerator.build(kernel, MODEL)
+    half, filled = gen.hermitian_half(kernel), gen.filled_sectors()
+    assert (len(half.index), len(filled.index)) == (9, 7)
+    assert np.array_equal(np.concatenate([half.index, filled.index]),
+                          gen.index)
+    assert np.array_equal(np.concatenate([half.diag, filled.diag]),
+                          gen.diag)
+    assert filled.fill is None and filled.mult is gen.mult
 
 
 def test_qualification_rejects_one_ulp_and_nan():
