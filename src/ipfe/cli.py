@@ -452,8 +452,9 @@ def kernel_orders(text: str) -> tuple[int, int]:
 
 
 def distances(text: str) -> list[float]:
-    """A --z-list value: comma-separated finite distances >= 0, sorted."""
-    z = sorted(map(float, text.split(",")))
+    """A --z-list value: comma-separated finite distances >= 0, sorted,
+    with -0 read as 0 (the snapshot kernel_z0.bin)."""
+    z = sorted(float(x) + 0.0 for x in text.split(","))
     if not all(0.0 <= x < np.inf for x in z):
         raise ValueError(text)
     return z
@@ -465,6 +466,14 @@ def screen_samples(text: str) -> int:
     if samples < MIN_SAMPLES:
         raise ValueError(text)
     return samples
+
+
+def table_points(text: str) -> int:
+    """A --points value: an integer >= 2."""
+    points = int(text)
+    if points < 2:
+        raise ValueError(text)
+    return points
 
 
 def _add_common(parser, config_required=True) -> None:
@@ -531,8 +540,8 @@ def _parsers() -> tuple[argparse.ArgumentParser,
     p = sub.add_parser("spectrum-table",
                        help="transverse PSD over a log-spaced range (CSV)")
     _add_common(p)
-    p.add_argument("--points", type=int, default=200,
-                   help="number of table rows (default 200)")
+    p.add_argument("--points", type=table_points, default=200,
+                   help="number of table rows, at least 2 (default 200)")
     p.set_defaults(func=cmd_spectrum_table)
 
     p = sub.add_parser("validate",

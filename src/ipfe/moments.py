@@ -63,13 +63,15 @@ output is computed over those alone.  Every other kernel (m != n, cn2 = 0,
 or a kernel Hermitian only to rounding, as a complex source's
 outer(s, conj(s)) read from a file) evolves every sector.
 
-Both paths use one all-sector generator, which the output carries: a
-chain of evolve_kernel calls on the same orders, grid and model, as
-evolve-kernel runs its z-list span by span, builds it once.  The half is a
-prefix of it, and its index pairs, built once with it, make the test for
-the half a comparison of the unheld elements with their partners (about
-0.25 ms per (2, 2) n = 16 span, whether or not the kernel qualifies) and
-the fill a gather of the partners.
+sector_order puts the half first, so the half is a prefix of the one
+generator's sectors: evolve_kernel passes a sector count, and gathers,
+exponentiates, evolves and scatters that prefix.  The output carries the
+generator, so a chain of evolve_kernel calls on the same orders, grid and
+model, as evolve-kernel runs its z-list span by span, builds it once.
+Index pairs built once with it make the test for the half a comparison
+of the unheld elements with their partners (about 0.25 ms per (2, 2)
+n = 16 span, whether or not the kernel qualifies) and the fill a gather
+of the partners.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from __future__ import annotations
 import os
 import warnings
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -98,12 +100,11 @@ _CHUNK_ELEMENTS = 2 ** 14
 # Largest working set a kernel operation may estimate for itself (bytes).
 # Per element of the full n^(D(m+n)) tensor, input included, tracemalloc
 # reports a peak of 100-103 B for evolve_kernel on every sector (input,
-# the all-sector generator's index and diag, the Hermitian half's index
-# pairs, sector data, exp(dz/2 diag), output and the output's diagnostics),
-# 84-91 B on the Hermitian half, and 120 B for a right-hand-side
-# evaluation, at (2, 2) n=16 and 32 and at 2-D (1, 1) n=16 and 32.  The
-# limit admits the (2, 2) kernel at n = 32 (128 MiB) and refuses it at
-# n = 64 (2 GiB).
+# the generator's index, diag and index pairs, sector data, exp(dz/2
+# diag), output and the output's diagnostics), 77-98 B on the Hermitian
+# half, and 120 B for a right-hand-side evaluation, at (2, 2) n=16 and 32
+# and at 2-D (1, 1) n=16 and 32.  The limit admits the (2, 2) kernel at
+# n = 32 (128 MiB) and refuses it at n = 64 (2 GiB).
 MAX_KERNEL_BYTES = 2 ** 30
 _KERNEL_BYTES_PER_ELEMENT = 128
 
@@ -135,9 +136,9 @@ class MomentKernel:
     sectors_evolved: int = 0
     sectors_filled: int = 0
     # Set by the evolve_kernel call that produced the values, and None on
-    # every kernel constructed otherwise (dataclasses.replace included):
-    # the all-sector KernelGenerator it used, which a later evolve_kernel
-    # of these values under the same model reuses, and the values'
+    # every kernel constructed otherwise, copies included: the
+    # KernelGenerator it used, which a later evolve_kernel of these values
+    # under the same model reuses, and the values'
     # boundary_mass_fraction and, for m == n, hermiticity_residual.  They
     # describe the values as returned; changing those in place leaves
     # them stale.
@@ -197,10 +198,15 @@ def kernel_trace(kernel: MomentKernel) -> complex:
 
 def monitored_boundary_mass(kernel: MomentKernel,
                             model: TurbulenceModel) -> float:
-    """The boundary-mass fraction evolve_kernel warns on.  Without
-    scattering the equation is site-local, so the periodic wrap is exact
-    and the fraction is 0 whatever the edge weight."""
-    return boundary_mass_fraction(kernel) if model.cn2 != 0.0 else 0.0
+    """The boundary-mass fraction evolve_kernel warns on: the one an
+    output of evolve_kernel stores, or else boundary_mass_fraction.
+    Without scattering the equation is site-local, so the periodic wrap is
+    exact and the fraction is 0 whatever the edge weight."""
+    if model.cn2 == 0.0:
+        return 0.0
+    if kernel.boundary_mass is None:
+        return boundary_mass_fraction(kernel)
+    return kernel.boundary_mass
 
 
 def boundary_mass_fraction(kernel: MomentKernel) -> float:
@@ -303,18 +309,18 @@ class KernelGenerator:
     mult is None when nothing scatters (cn2 = 0, or fewer than two
     indices).
 
-    build holds every sector, in sector_order.  The half generator of an
-    (n, n) kernel (hermitian_half) holds only the Hermitian half of the
-    sectors, which lead that order (9 of 16 for (2, 2) at n = 16, 34 of
-    64 for 2-D (1, 1) at n = 8), so its index and diag are views of the
-    all-sector ones.  Its from_sectors fills every other sector K by the
-    conjugate transpose (bra <-> ket) of its partner -K, which the
-    evolution of a Hermitian kernel commutes with.
+    The sectors are in sector_order: the first own are self-conjugate,
+    and the first held are the Hermitian half of an (n, n) kernel (9 of
+    16 for (2, 2) at n = 16, 34 of 64 for 2-D (1, 1) at n = 8).
+    to_sectors gathers a prefix of them; from_sectors, given the half,
+    fills every other sector K by the conjugate transpose (bra <-> ket)
+    of its partner -K, which the evolution of a Hermitian kernel commutes
+    with.
 
     A generator keeps what depends only on its orders, grid and model,
-    computed on the calling thread when first needed: the half generator
-    with its index pairs, and exp(dz/2 diag) and exp(dz mult) for the
-    last dz evolved.
+    computed on the calling thread when first needed: the index pairs of
+    the half, and exp(dz/2 diag) and exp(dz mult) for the last dz and
+    sector count evolved.
     """
 
     index: np.ndarray = field(repr=False)
@@ -323,14 +329,8 @@ class KernelGenerator:
     orders: tuple[int, int]
     grid: FrequencyGrid
     model: TurbulenceModel
-    # The half generator's flat full-layout index pairs: every unheld
-    # element with its bra <-> ket partner, which is held, and every
-    # element of a self-conjugate sector with its partner.  None for a
-    # generator of every sector.
-    fill: tuple[np.ndarray, np.ndarray] | None = field(default=None,
-                                                       repr=False)
-    self_conjugate: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False)
+    own: int
+    held: int
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -347,13 +347,15 @@ class KernelGenerator:
         _check_kernel_bytes(kernel)
         grid = kernel.grid
         k = grid.wavenumber
-        index, drift = _sector_layout(kernel, sector_order(grid)[0])
+        ks, own, held = sector_order(grid)
+        index, drift = _sector_layout(kernel, ks)
         diag = (1j * np.pi * grid.wavelength * drift
                 - 0.5 * k ** 2 * lambda_grid(model, grid) * (m + n))
         phi = psd_lattice(model, grid)
         pairs = list(combinations(range(m + n), 2))
         if not pairs or not np.any(phi):
-            return cls(index, diag, None, kernel.orders, grid, model)
+            return cls(index, diag, None, kernel.orders, grid, model, own,
+                       held)
         # Pair sums run over every distinct index pair: the pairings are
         # distinct tensors even for symmetric kernels, so no multiplicity
         # shortcut applies.  Index i < m+n-1 sits on stored axes
@@ -368,7 +370,7 @@ class KernelGenerator:
             mult += sign * pair_multiplier(c, mult.ndim, axes[i], axes[j],
                                            sign)
         mult *= k ** 2 * grid.cell
-        return cls(index, diag, mult, kernel.orders, grid, model)
+        return cls(index, diag, mult, kernel.orders, grid, model, own, held)
 
     def built_for(self, kernel: MomentKernel,
                   model: TurbulenceModel) -> bool:
@@ -377,60 +379,39 @@ class KernelGenerator:
         return ((self.orders, self.grid, self.model)
                 == (kernel.orders, kernel.grid, model))
 
-    def hermitian_half(self, kernel: MomentKernel
-                       ) -> "KernelGenerator | None":
-        """This all-sector generator of an (n, n) kernel on the Hermitian
-        half, if the fill reproduces the kernel bit for bit: every unheld
-        element equal (==) to the conjugate of its bra <-> ket partner, and
-        no NaN in a self-conjugate sector (which is evolved, never filled).
-        That is the comparison of the whole kernel with its fill: a held
-        element of a sector K != -K compares with its unheld partner as
-        that partner compares with it.  It holds for every bitwise
-        Hermitian kernel, and for every output of the half, whose
-        self-conjugate sectors are Hermitian only to rounding.  None for
-        any other kernel."""
-        half = self._half()
-        values = kernel.values.reshape(-1)
-        unheld, partner = half.fill
-        own = half.self_conjugate[0]
-        if (np.all(values[unheld] == np.conjugate(values[partner]))
-                and not np.any(np.isnan(values[own]))):
-            return half
-        return None
+    def index_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The flat full-layout index pairs of an (n, n) kernel, built on
+        first use and kept: every element of a sector outside the half
+        with its bra <-> ket partner, which is held, and every element of
+        a self-conjugate sector with its partner."""
+        pairs = self._cache.get("pairs")
+        if pairs is None:
+            # A flat position is bra * block + ket, and its bra <-> ket
+            # image ket * block + bra.
+            block = self.grid.n ** (self.grid.dim * self.orders[0])
 
-    def filled_sectors(self) -> "KernelGenerator":
-        """This all-sector generator of an (n, n) kernel on the sectors
-        that its half fills by conjugate transpose (every sector the half
-        does not hold)."""
-        held = len(self._half().index)
-        return replace(self, index=self.index[held:], diag=self.diag[held:])
+            def partners(flat):
+                return flat, flat % block * block + flat // block
 
-    def _half(self) -> "KernelGenerator":
-        """The half generator, restricted on first use and kept."""
-        half = self._cache.get("half")
-        if half is None:
-            half = self._cache["half"] = self._restrict_to_half()
-        return half
+            pairs = self._cache["pairs"] = (
+                partners(self.index[self.held:].reshape(-1)),
+                partners(self.index[:self.own].reshape(-1)))
+        return pairs
 
-    def _restrict_to_half(self) -> "KernelGenerator":
-        """This all-sector generator on the Hermitian half, with the index
-        pairs of its fill and of its self-conjugate sectors."""
-        _, own, held = sector_order(self.grid)
-        # A flat position is bra * block + ket, and its bra <-> ket image
-        # ket * block + bra.
-        block = self.grid.n ** (self.grid.dim * self.orders[0])
-
-        def pairs(positions):
-            return positions, positions % block * block + positions // block
-
-        return replace(self, index=self.index[:held], diag=self.diag[:held],
-                       fill=pairs(self.index[held:].reshape(-1)),
-                       self_conjugate=pairs(self.index[:own].reshape(-1)))
-
-    @property
-    def half(self) -> bool:
-        """Whether this generator holds only the Hermitian half."""
-        return self.fill is not None
+    def holds_half(self, values: np.ndarray) -> bool:
+        """Whether the half of the (n, n) kernel values, with the fill of
+        from_sectors, reproduces values bit for bit: every unheld element
+        equal (==) to the conjugate of its bra <-> ket partner, and no NaN
+        in a self-conjugate sector (which is evolved, never filled).  That
+        is the comparison of the whole kernel with its fill: a held element
+        of a sector K != -K compares with its unheld partner as that
+        partner compares with it.  It holds for every bitwise Hermitian
+        kernel, and for every output of the half, whose self-conjugate
+        sectors are Hermitian only to rounding."""
+        (unheld, partner), (own, _) = self.index_pairs()
+        flat = values.reshape(-1)
+        return bool(np.all(flat[unheld] == np.conjugate(flat[partner]))
+                    and not np.any(np.isnan(flat[own])))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -443,20 +424,23 @@ class KernelGenerator:
         """The stored index axes of a sector-layout array."""
         return tuple(range(1, self.index.ndim))
 
-    def to_sectors(self, values: np.ndarray) -> np.ndarray:
-        """A full-layout tensor gathered into sector layout."""
-        return values.reshape(-1)[self.index]
+    def to_sectors(self, values: np.ndarray,
+                   count: int | None = None) -> np.ndarray:
+        """A full-layout tensor gathered into sector layout: its first
+        count sectors (held for the half), or every sector."""
+        return values.reshape(-1)[self.index[:count]]
 
     def from_sectors(self, sectors: np.ndarray) -> np.ndarray:
-        """A sector-layout array scattered back into the full tensor, the
-        sectors it does not hold (half) filled by conjugate transpose."""
+        """A sector-layout array of every sector, or of the half of an
+        (n, n) kernel, scattered back into the full tensor, the sectors
+        outside the half filled by conjugate transpose."""
         out = np.empty(self.shape, dtype=np.complex128)
         flat = out.reshape(-1)
-        flat[self.index] = sectors
-        if self.fill is not None:
+        flat[self.index[:len(sectors)]] = sectors
+        if len(sectors) < len(self.index):
             # Every unheld element is the conjugate of its held partner,
             # gathered _CHUNK_ELEMENTS at a time: the only temporary.
-            unheld, partner = self.fill
+            unheld, partner = self.index_pairs()[0]
             for lo in range(0, len(unheld), _CHUNK_ELEMENTS):
                 part = slice(lo, lo + _CHUNK_ELEMENTS)
                 filled = flat[partner[part]]
@@ -464,19 +448,16 @@ class KernelGenerator:
         return out
 
     def hermiticity_residual(self, values: np.ndarray) -> float | None:
-        """hermiticity_residual of the values this half generator's
-        from_sectors returned, from the self-conjugate sectors alone: the
-        fill makes every other element's difference exactly 0.  None if
-        the values are not all finite (inf - inf is NaN in a filled pair),
-        or for a generator of every sector."""
-        if self.self_conjugate is None:
-            return None
+        """hermiticity_residual of values that from_sectors filled from the
+        half, from the self-conjugate sectors alone: the fill makes every
+        other element's difference exactly 0.  None if the values are not
+        all finite (inf - inf is NaN in a filled pair)."""
         scale = float(np.max(np.abs(values)))
         if not np.isfinite(scale):
             return None
         if scale == 0.0:
             return 0.0
-        own, partner = self.self_conjugate
+        own, partner = self.index_pairs()[1]
         flat = values.reshape(-1)
         return float(np.max(np.abs(flat[own] - np.conjugate(flat[partner])))
                      / scale)
@@ -489,24 +470,28 @@ class KernelGenerator:
                 axes=self.axes)
         return out
 
-    def _exponentials(self, dz: float) -> tuple[np.ndarray, np.ndarray]:
-        """exp(dz/2 diag) and exp(dz mult), kept for the last dz, which is
-        matched by its bits: 0.0 == -0.0, but the exponentials of the two
-        differ in the signs of zeros."""
-        key = float(dz).hex()
+    def _exponentials(self, dz: float,
+                      count: int) -> tuple[np.ndarray, np.ndarray]:
+        """exp(dz/2 diag) of the first count sectors and exp(dz mult),
+        kept for the last dz and count; dz is matched by its bits: 0.0 ==
+        -0.0, but the exponentials of the two differ in the signs of
+        zeros."""
+        key = (float(dz).hex(), count)
         cached = self._cache.get("exp")
         if cached is None or cached[0] != key:
-            cached = self._cache["exp"] = (key, np.exp(0.5 * dz * self.diag),
-                                           np.exp(dz * self.mult))
+            cached = self._cache["exp"] = (
+                key, np.exp(0.5 * dz * self.diag[:count]),
+                np.exp(dz * self.mult))
         return cached[1], cached[2]
 
     def evolve(self, sectors: np.ndarray, dz: float, n_steps: int) -> int:
         """n_steps Strang slabs S <- half * ifftn(exp(dz mult) * fftn(half
-        * S)), half = exp(dz/2 diag), applied to sectors in place, chunk by
-        chunk of whole sectors (_run_chunks).  Returns the number of
+        * S)), half = exp(dz/2 diag), applied in place to sectors, the
+        first len(sectors) of this generator, chunk by chunk of whole
+        sectors (_run_chunks).  Returns the number of
         threads that ran chunks, the calling thread included: 1 for the
         calling thread alone."""
-        half, step = self._exponentials(dz)
+        half, step = self._exponentials(dz, len(sectors))
         # fftn and ifftn are these 1-D transforms, last axis first; called
         # directly, they skip fftn's argument handling on every step.
         axes = self.axes[::-1]
@@ -656,7 +641,7 @@ def step_guard(grid: FrequencyGrid, model: TurbulenceModel, dz: float) -> None:
 
 def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,
                   z_total: float, n_steps: int) -> MomentKernel:
-    """n_steps Strang slabs of the all-sector generator, sector by sector
+    """n_steps Strang slabs of the kernel's generator, sector by sector
     (KernelGenerator.evolve): the expectation of the split-step ensemble
     over the same slabs (a single multiply by exp(z diag) when nothing
     scatters).  A (2, 2) kernel must meet the bounds biphoton_rhs
@@ -666,10 +651,11 @@ def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,
     if it was built for the same orders, grid and model, and is built
     otherwise; the output carries it, so a chain of spans builds it once.
     An (n, n) kernel under turbulence that its own conjugate-transpose
-    fill reproduces bit for bit evolves only the Hermitian half of its
-    sectors (module docstring); any other kernel evolves every sector.
-    The output records both counts, its boundary-mass fraction and, for
-    m == n, its Hermiticity residual."""
+    fill reproduces bit for bit (holds_half) evolves only the Hermitian
+    half of its sectors, the generator's first held (module docstring);
+    any other kernel evolves every sector.  The output records both
+    counts, its boundary-mass fraction and, for m == n, its Hermiticity
+    residual."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if kernel.orders == (2, 2):
@@ -681,32 +667,30 @@ def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,
     gen = kernel.generator
     if gen is None or not gen.built_for(kernel, model):
         gen = KernelGenerator.build(kernel, model)
-    run = gen
-    if m == n and gen.mult is not None:
-        run = gen.hermitian_half(kernel) or gen
-    sectors = run.to_sectors(kernel.values)
-    if run.mult is None:
+    count = len(gen.index)
+    if m == n and gen.mult is not None and gen.holds_half(kernel.values):
+        count = gen.held
+    sectors = gen.to_sectors(kernel.values, count)
+    if gen.mult is None:
         # exp(z diag) stays the left operand: numpy's complex multiply
         # need not round a * b as b * a.
-        sectors = np.exp(z_total * run.diag) * sectors
+        sectors = np.exp(z_total * gen.diag) * sectors
         workers = 1
     else:
-        workers = run.evolve(sectors, dz, n_steps)
-    evolved = len(sectors)
-    values = run.from_sectors(sectors)
+        workers = gen.evolve(sectors, dz, n_steps)
+    values = gen.from_sectors(sectors)
     # Freed before the diagnostics, which hold temporaries of their own.
     del sectors
-    filled = kernel.grid.n ** kernel.grid.dim - evolved if run.half else 0
     out = MomentKernel(kernel.orders, kernel.grid, values, kernel.z + z_total,
-                       workers, evolved, filled)
+                       workers, count, len(gen.index) - count)
     out.generator = gen
     out.boundary_mass = boundary_mass_fraction(out)
     if m == n:
-        out.hermiticity = run.hermiticity_residual(out.values)
+        if out.sectors_filled:
+            out.hermiticity = gen.hermiticity_residual(out.values)
         if out.hermiticity is None:
             out.hermiticity = hermiticity_residual(out)
-    # monitored_boundary_mass of out.
-    frac = out.boundary_mass if model.cn2 != 0.0 else 0.0
+    frac = monitored_boundary_mass(out, model)
     if frac > BOUNDARY_MASS_TOLERANCE:
         warnings.warn(
             f"kernel boundary mass fraction {frac:.2e} exceeds "

@@ -315,14 +315,15 @@ def check_mutual_coherence(plan: PropagationPlan, source: Spectrum,
 
 def _fill_residual(plan: PropagationPlan, evolved: moments.MomentKernel,
                    initial: moments.MomentKernel) -> float:
-    """max |filled - direct| relative to max |evolved| over the sectors
-    that evolve_kernel filled by conjugate transpose (0 if none), each
-    evolved directly from initial under plan by the generator evolved
-    carries, restricted to them: the premise of the fill, that the
-    evolution commutes with the conjugate transpose."""
+    """max |evolved - direct| relative to max |evolved| (0 if evolve_kernel
+    filled no sector by conjugate transpose), direct being every sector
+    of initial evolved under plan by the generator evolved carries: the
+    premise of the fill, that the evolution commutes with the conjugate
+    transpose.  The held sectors differ by exactly 0, so this measures the
+    filled ones."""
     if not evolved.sectors_filled:
         return 0.0
-    gen = evolved.generator.filled_sectors()
+    gen = evolved.generator
     direct = gen.to_sectors(initial.values)
     gen.evolve(direct, plan.z_total / plan.n_slabs, plan.n_slabs)
     return float(np.max(np.abs(gen.to_sectors(evolved.values) - direct))
@@ -332,17 +333,17 @@ def _fill_residual(plan: PropagationPlan, evolved: moments.MomentKernel,
 def check_conservation(plan: PropagationPlan, evolved: moments.MomentKernel,
                        initial: moments.MomentKernel) -> list[CheckResult]:
     """Trace conservation and Hermiticity over the (1,1) integration of
-    check_mutual_coherence and a (2,2) one under the same plan.  The fill
-    makes both kernels Hermitian outside their self-conjugate sectors by
-    construction, so the (2,2) residual also measures the sectors that
-    evolve_kernel filled by conjugate transpose against their direct
-    evolution; the (1,1) ones are held to the Monte-Carlo ensemble by
-    check_mutual_coherence."""
+    check_mutual_coherence and a (2,2) one under the same plan, with the
+    Hermiticity residuals and boundary-mass fractions evolve_kernel
+    stored with them.  The fill makes both kernels Hermitian outside their
+    self-conjugate sectors by construction, so the (2,2) residual also
+    measures the sectors that evolve_kernel filled by conjugate transpose
+    against their direct evolution; the (1,1) ones are held to the
+    Monte-Carlo ensemble by check_mutual_coherence."""
     t0 = time.perf_counter()
     tr0 = moments.kernel_trace(initial)
     tr1 = moments.kernel_trace(evolved)
     drift11 = abs(tr1 - tr0) / abs(tr0)
-    herm11 = moments.hermiticity_residual(evolved)
 
     small = FrequencyGrid(1, 8, plan.grid.delta_a, plan.grid.wavelength)
     prof = Spectrum.gaussian(small, 0.4).values
@@ -352,8 +353,7 @@ def check_conservation(plan: PropagationPlan, evolved: moments.MomentKernel,
     f1 = moments.evolve_kernel(f0, plan.model, plan.z_total, plan.n_slabs)
     drift22 = abs(moments.kernel_trace(f1) - moments.kernel_trace(f0)) \
         / abs(moments.kernel_trace(f0))
-    herm22 = max(moments.hermiticity_residual(f1),
-                 _fill_residual(plan, f1, f0))
+    herm22 = max(f1.hermiticity, _fill_residual(plan, f1, f0))
     frac = max(moments.monitored_boundary_mass(evolved, plan.model),
                moments.monitored_boundary_mass(f1, plan.model))
 
@@ -366,7 +366,7 @@ def check_conservation(plan: PropagationPlan, evolved: moments.MomentKernel,
         _bound("conservation/hermiticity",
                "Hermiticity residual of the integrated kernels, filled "
                "sectors against their direct evolution",
-               max(herm11, herm22), 1e-10),
+               max(evolved.hermiticity, herm22), 1e-10),
     ]
     for r in results:
         r.elapsed_s = elapsed / len(results)

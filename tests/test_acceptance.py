@@ -122,6 +122,22 @@ def test_hermiticity_check_measures_the_filled_sectors(coherence_run,
                       "conservation/hermiticity": False}
 
 
+def test_conservation_reads_the_stored_diagnostics(coherence_run,
+                                                   monkeypatch):
+    # evolve_kernel measured both kernels once; check_conservation reads
+    # what it stored: the one boundary-mass fraction is the evolve_kernel
+    # call's own for the (2,2) kernel, and no Hermiticity residual runs
+    # over a whole tensor.
+    _, evolved, initial = coherence_run
+    calls = []
+    for name in ("hermiticity_residual", "boundary_mass_fraction"):
+        monkeypatch.setattr(moments, name,
+                            lambda *args, f=getattr(moments, name), n=name:
+                            calls.append(n) or f(*args))
+    check_conservation(REFERENCE, evolved, initial)
+    assert calls == ["boundary_mass_fraction"]
+
+
 def test_thermal_kernels_are_stationary_points():
     report(check_stationarity())
 

@@ -237,6 +237,22 @@ def test_evolve_kernel_command(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:kernel boundary mass")
+def test_evolve_kernel_reads_minus_zero_as_zero(tmp_path):
+    cfg = write_config(tmp_path)
+    kernel_path = tmp_path / "init.bin"
+    write_array(kernel_path, np.eye(8, dtype=complex))
+    out = tmp_path / "evolve"
+    assert main(["evolve-kernel", "--config", str(cfg),
+                 "--input", str(kernel_path), "--z-list=-0,500",
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("*.bin")) == [
+        "kernel_z0.bin", "kernel_z500.bin"]
+    snaps = json.loads((out / "manifest.json").read_text())["snapshots"]
+    assert [str(s["z_m"]) for s in snaps] == ["0.0", "500.0"]
+    assert read_csv(out / "kernel_evolution.csv")[1][0] == "0.0"
+
+
+@pytest.mark.filterwarnings("ignore:kernel boundary mass")
 def test_evolve_kernel_manifest_of_a_biphoton_kernel(tmp_path, monkeypatch):
     # A Hermitian (2, 2) kernel at n = 16 evolves 9 sectors in three chunks
     # of 4, 4 and 1, so it runs on as many threads as the process may use,
@@ -539,8 +555,11 @@ def test_seed_must_be_u64(tmp_path, monkeypatch, capsys):
     # An 8x8 (1, 1) kernel file read as a (2, 2) kernel.
     ("evolve-kernel", ["--orders", "2,2"], "configuration error: .*shape"),
     ("screens", ["--samples", "5"], "argument --samples"),
+    ("spectrum-table", ["--points", "-1"], "argument --points"),
+    ("spectrum-table", ["--points", "0"], "argument --points"),
 ], ids=["orders-three", "orders-text", "orders-rank5", "orders-negative",
-        "z-text", "z-empty", "z-negative", "kernel-shape", "samples-few"])
+        "z-text", "z-empty", "z-negative", "kernel-shape", "samples-few",
+        "points-negative", "points-zero"])
 def test_malformed_arguments_exit_2(tmp_path, capsys, command, flags,
                                     message):
     cfg = write_config(tmp_path)
@@ -733,6 +752,16 @@ def test_traced_spans_resolve():
                 assert hasattr(owner, attr), f"ipfe.{modname}.{qual}"
                 owner = getattr(owner, attr)
             assert callable(owner), f"ipfe.{modname}.{qual}"
+
+
+def test_version_is_the_pyproject_version():
+    # ipfe.__version__ is the report's package_version.  pyproject.toml is
+    # read as text: tomllib arrives only in Python 3.11.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    version = re.search(r'^version = "([^"]+)"$', project, re.M)
+    assert version is not None
+    assert ipfe.__version__ == version.group(1)
 
 
 def test_package_exports_resolve():

@@ -19,7 +19,8 @@ from ipfe.grid import FrequencyGrid, Spectrum
 from ipfe.moments import (KernelGenerator, MomentKernel, biphoton_rhs,
                           boundary_mass_fraction, evolve_h10, evolve_h11,
                           evolve_kernel, h11_rhs, hermiticity_residual,
-                          hierarchy_rhs, kernel_trace, step_guard)
+                          hierarchy_rhs, kernel_trace,
+                          monitored_boundary_mass, step_guard)
 from ipfe.phase_screen import ScreenLattice
 from ipfe.spectrum import (DivergentLambdaError, SpectrumKind,
                            TurbulenceModel, lambda_grid, psd_lattice)
@@ -385,13 +386,15 @@ def biphoton_run():
 
 def test_biphoton_evolution_matches_roll_loop_rk4(biphoton_run):
     # The roll-loop right-hand side and KernelGenerator, each stepped by
-    # the same RK4, agree to rounding over the whole integration.
+    # the same RK4, agree to rounding over the first 4 of the run's 32
+    # steps.  A flipped pair sign, a dropped pair or a wrong Lambda factor
+    # in KernelGenerator leaves them more than 0.1 of max apart by then.
     _, f0, _, _ = biphoton_run
     dz = 1000.0 / 32
     loop = rk4(lambda v: roll_loop_rhs(v, f0.grid, MODEL, (2, 2)),
-               f0.values, dz, 32)
+               f0.values, dz, 4)
     gen = KernelGenerator.build(f0, MODEL)
-    spectral = gen.from_sectors(rk4(gen, gen.to_sectors(f0.values), dz, 32))
+    spectral = gen.from_sectors(rk4(gen, gen.to_sectors(f0.values), dz, 4))
     assert np.max(np.abs(spectral - loop)) <= 1e-13 * np.max(np.abs(loop))
 
 
@@ -712,9 +715,10 @@ def test_hermitian_half_matches_every_sector(dim, n, orders, held):
     # The held sectors are the all-sector path's bits; the others are
     # conjugate transposes, so Hermiticity is exact outside the
     # self-conjugate sectors.
-    half = KernelGenerator.build(kernel, MODEL).hermitian_half(kernel)
-    assert len(half.index) == held
-    assert np.array_equal(half.to_sectors(out.values), half.to_sectors(want))
+    gen = KernelGenerator.build(kernel, MODEL)
+    assert gen.holds_half(kernel.values) and gen.held == held
+    assert np.array_equal(gen.to_sectors(out.values, held),
+                          gen.to_sectors(want, held))
     m = orders[0]
     perm = list(range(dim * m, 2 * dim * m)) + list(range(dim * m))
     dual = np.conj(np.transpose(out.values, perm))
@@ -827,16 +831,38 @@ def test_only_evolve_kernel_sets_the_stored_diagnostics():
                      boundary_mass=out.boundary_mass)
 
 
+def test_monitored_boundary_mass_reads_the_stored_fraction():
+    out = evolve_quietly(gaussian_kernel(1, 16, (2, 2)), 250.0, 8)
+    assert monitored_boundary_mass(out, MODEL) == out.boundary_mass > 0.0
+    fresh = MomentKernel(out.orders, out.grid, out.values)
+    assert monitored_boundary_mass(fresh, MODEL) == out.boundary_mass
+    out.boundary_mass = 0.5  # read as stored, not measured again
+    assert monitored_boundary_mass(out, MODEL) == 0.5
+    assert monitored_boundary_mass(out, replace(MODEL, cn2=0.0)) == 0.0
+
+
 def test_filled_sectors_are_the_sectors_the_half_does_not_hold():
+    # The self-conjugate K = 0 and 8 lead, then K = 1 ... 7.  The index
+    # pairs, built once, match the elements of K = 9 ... 15 one to one with
+    # those of K = 1 ... 7, and the self-conjugate elements among
+    # themselves.
     kernel = gaussian_kernel(1, 16, (2, 2))
     gen = KernelGenerator.build(kernel, MODEL)
-    half, filled = gen.hermitian_half(kernel), gen.filled_sectors()
-    assert (len(half.index), len(filled.index)) == (9, 7)
-    assert np.array_equal(np.concatenate([half.index, filled.index]),
-                          gen.index)
-    assert np.array_equal(np.concatenate([half.diag, filled.diag]),
-                          gen.diag)
-    assert filled.fill is None and filled.mult is gen.mult
+    assert (gen.own, gen.held, len(gen.index)) == (2, 9, 16)
+    assert gen.index_pairs() is gen.index_pairs()
+    (unheld, partner), (own, own_partner) = gen.index_pairs()
+    assert np.array_equal(unheld, gen.index[9:].reshape(-1))
+    assert np.array_equal(own, gen.index[:2].reshape(-1))
+    assert np.array_equal(np.sort(partner), np.sort(gen.index[2:9], None))
+    assert np.array_equal(np.sort(own_partner), np.sort(own))
+    half = gen.to_sectors(kernel.values, gen.held)
+    assert np.array_equal(np.concatenate(
+        [half, kernel.values.reshape(-1)[gen.index[9:]]]),
+        gen.to_sectors(kernel.values))
+    assert np.array_equal(gen.from_sectors(half), kernel.values)
+    # The half exponentiates its own diag alone.
+    step_half, step = gen._exponentials(2.0, gen.held)
+    assert step_half.shape == gen.diag[:9].shape and step.shape == (16,) * 3
 
 
 def test_qualification_rejects_one_ulp_and_nan():
@@ -845,10 +871,8 @@ def test_qualification_rejects_one_ulp_and_nan():
     # comparison of the whole kernel with its fill.
     kernel = gaussian_kernel(1, 16, (2, 2))
     gen = KernelGenerator.build(kernel, MODEL)
-    half = gen.hermitian_half(kernel)
-    assert half is not None and gen.hermitian_half(kernel) is half
-    unheld, partner = half.fill
-    own = half.self_conjugate[0]
+    assert gen.holds_half(kernel.values)
+    (unheld, partner), (own, _) = gen.index_pairs()
 
     def ulp(x):
         return complex(np.nextafter(x.real, np.inf), x.imag)
@@ -862,7 +886,7 @@ def test_qualification_rejects_one_ulp_and_nan():
         values = kernel.values.copy()
         values.reshape(-1)[position] = change(values.reshape(-1)[position])
         bad = MomentKernel((2, 2), kernel.grid, values)
-        assert gen.hermitian_half(bad) is None
+        assert not gen.holds_half(bad.values)
         out = evolve_quietly(bad, 250.0, 8)
         assert (out.sectors_evolved, out.sectors_filled) == (16, 0)
         if change is ulp:
@@ -878,8 +902,7 @@ def test_stored_diagnostics_are_the_functions_bits():
     nan_pair = gaussian_kernel(1, 16, (2, 2)).values.copy()
     gen = KernelGenerator.build(MomentKernel((2, 2), GRID16, nan_pair),
                                 MODEL)
-    unheld, partner = gen.hermitian_half(
-        MomentKernel((2, 2), GRID16, nan_pair)).fill
+    unheld, partner = gen.index_pairs()[0]
     nan_pair.reshape(-1)[[unheld[7], partner[7]]] = np.inf
     cases = [(gaussian_kernel(1, 64, (1, 1)), MODEL, True),
              (gaussian_kernel(1, 16, (2, 2)), MODEL, True),
