@@ -12,7 +12,8 @@ multiplier is c[(p_i + sign*p_j) mod n] with c = n^D * ifftn(ifftshift(phi)).
 sums it over every index pair of a total-frequency sector, and
 ``pair_shift_sum_fft`` applies it to one pair of a full tensor.
 ``pair_shift_sum_loop`` evaluates the same sum by rolling the tensor once
-per offset and is kept as the test oracle only.
+per offset: the oracle of the spectral form in the tests and in the
+referee's rank-2 loop right-hand side (validation._naive_pair_rhs).
 """
 
 from __future__ import annotations

@@ -39,8 +39,8 @@ from . import validation
 from .arrayio import (grid_metadata, read_array, write_array, write_in_place,
                       write_json)
 from .grid import FrequencyGrid, Spectrum
-from .moments import (MomentKernel, boundary_mass_fraction, evolve_kernel,
-                      hermiticity_residual, kernel_trace, step_guard_values)
+from .moments import (MomentKernel, evolve_kernel, kernel_diagnostics,
+                      kernel_trace, step_guard_values)
 from .phase_screen import MIN_SAMPLES, as_u64, screen_statistics
 from .spectrum import SpectrumKind, TurbulenceModel, psd_transverse
 from .splitstep import PropagationPlan, ensemble_moments
@@ -307,12 +307,7 @@ def cmd_evolve_kernel(args) -> int:
                 trace = kernel_trace(current).real
         z_prev = z
         write_array(out / f"kernel_z{z:g}.bin", current.values, meta)
-        if current.boundary_mass is None:
-            # The input, which no evolve_kernel call produced.
-            herm = hermiticity_residual(current) if m == n else None
-            mass = boundary_mass_fraction(current)
-        else:
-            herm, mass = current.hermiticity, current.boundary_mass
+        herm, mass = kernel_diagnostics(current)
         rows.append([z, trace, float("nan") if herm is None else herm, mass])
         snapshots.append({
             "z_m": z,

@@ -8,6 +8,9 @@ under the convention g(x) = sum_a G(a) exp(-i 2 pi a.x) delta_a^D.
 
 A continuum Dirac delta discretizes to the weight 1/delta_a^D at a single
 site; this is the unique choice for which contract(delta_a0, f) = f(a0).
+
+The free-space factor exp(+i pi lambda z |a|^2) of a distance z (the phase
+advances with z) has one owner, FrequencyGrid.free_space_phase.
 """
 
 from __future__ import annotations
@@ -67,6 +70,10 @@ class FrequencyGrid:
             return axis ** 2
         mesh = np.meshgrid(*([axis] * self.dim), indexing="ij")
         return sum(m * m for m in mesh)
+
+    def free_space_phase(self, z: float) -> np.ndarray:
+        """exp(i pi lambda z |a|^2) on the lattice: free space over z."""
+        return np.exp(1j * np.pi * self.wavelength * z * self.freq_sq())
 
 
 @dataclass

@@ -126,22 +126,17 @@ class MomentKernel:
     grid: FrequencyGrid
     values: np.ndarray = field(repr=False)
     z: float = 0.0
-    # Threads that ran chunks in the evolve_kernel call that produced the
-    # values, the calling thread included (1: the calling thread alone); 0
-    # for values no evolve_kernel produced.
-    workers: int = 0
-    # Sectors that evolve_kernel call evolved, and sectors it filled by
-    # conjugate transpose (the Hermitian half); 0 for values no
-    # evolve_kernel produced.
-    sectors_evolved: int = 0
-    sectors_filled: int = 0
-    # Set by the evolve_kernel call that produced the values, and None on
-    # every kernel constructed otherwise, copies included: the
-    # KernelGenerator it used, which a later evolve_kernel of these values
-    # under the same model reuses, and the values'
-    # boundary_mass_fraction and, for m == n, hermiticity_residual.  They
-    # describe the values as returned; changing those in place leaves
-    # them stale.
+    # The run record: set by evolve_kernel alone, on the kernel it returns,
+    # and the defaults on every other kernel (no constructor takes it, and
+    # dataclasses.replace resets it).  The threads that ran chunks, the
+    # calling thread included; the sectors evolved and those filled by
+    # conjugate transpose; the KernelGenerator, which a later evolve_kernel
+    # of these values under the same model reuses; the values'
+    # boundary_mass_fraction and, for m == n, hermiticity_residual, read by
+    # kernel_diagnostics.  Changing the values in place leaves it stale.
+    workers: int = field(init=False, default=0)
+    sectors_evolved: int = field(init=False, default=0)
+    sectors_filled: int = field(init=False, default=0)
     generator: KernelGenerator | None = field(init=False, default=None,
                                               repr=False, compare=False)
     boundary_mass: float | None = field(init=False, default=None,
@@ -196,17 +191,24 @@ def kernel_trace(kernel: MomentKernel) -> complex:
     return complex(value * kernel.grid.cell ** m)
 
 
+def kernel_diagnostics(kernel: MomentKernel) -> tuple[float | None, float]:
+    """The Hermiticity residual (None unless m == n) and boundary-mass
+    fraction of kernel: its run record's, or else computed."""
+    if kernel.boundary_mass is not None:
+        return kernel.hermiticity, kernel.boundary_mass
+    m, n = kernel.orders
+    return (hermiticity_residual(kernel) if m == n else None,
+            boundary_mass_fraction(kernel))
+
+
 def monitored_boundary_mass(kernel: MomentKernel,
                             model: TurbulenceModel) -> float:
-    """The boundary-mass fraction evolve_kernel warns on: the one an
-    output of evolve_kernel stores, or else boundary_mass_fraction.
-    Without scattering the equation is site-local, so the periodic wrap is
-    exact and the fraction is 0 whatever the edge weight."""
+    """The boundary-mass fraction evolve_kernel warns on, kernel_diagnostics'
+    or, without scattering, 0: the equation is then site-local, so the
+    periodic wrap is exact whatever the edge weight."""
     if model.cn2 == 0.0:
         return 0.0
-    if kernel.boundary_mass is None:
-        return boundary_mass_fraction(kernel)
-    return kernel.boundary_mass
+    return kernel_diagnostics(kernel)[1]
 
 
 def boundary_mass_fraction(kernel: MomentKernel) -> float:
@@ -607,9 +609,8 @@ def evolve_h10(b10: Spectrum, model: TurbulenceModel, z: float) -> Spectrum:
     """
     grid = b10.grid
     lam = lambda_grid(model, grid)
-    phase = np.exp(1j * np.pi * grid.wavelength * z * grid.freq_sq())
     decay = np.exp(-0.5 * grid.wavenumber ** 2 * lam * z)
-    return Spectrum(grid, b10.values * phase * decay)
+    return Spectrum(grid, b10.values * grid.free_space_phase(z) * decay)
 
 
 def step_guard_values(grid: FrequencyGrid, model: TurbulenceModel,
@@ -681,9 +682,9 @@ def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,
     values = gen.from_sectors(sectors)
     # Freed before the diagnostics, which hold temporaries of their own.
     del sectors
-    out = MomentKernel(kernel.orders, kernel.grid, values, kernel.z + z_total,
-                       workers, count, len(gen.index) - count)
-    out.generator = gen
+    out = MomentKernel(kernel.orders, kernel.grid, values, kernel.z + z_total)
+    out.workers, out.generator = workers, gen
+    out.sectors_evolved, out.sectors_filled = count, len(gen.index) - count
     out.boundary_mass = boundary_mass_fraction(out)
     if m == n:
         if out.sectors_filled:

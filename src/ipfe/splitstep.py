@@ -5,7 +5,7 @@ Each slab applies the symmetric (Strang) composition
     free_space(dz/2) . phase_screen . free_space(dz/2)
 
 where the free-space half step multiplies the spectrum by
-exp(i pi lambda dz |a|^2 / ...) and the screen is a position-domain
+exp(i pi lambda (dz/2) |a|^2) and the screen is a position-domain
 multiplication by exp(-i k n~_slab(x)).  Both factors are unitary on the
 discrete norm.  Ensemble moments over independent screen sequences are the
 empirical counterparts of the first- and second-order moment kernels.
@@ -127,8 +127,7 @@ class PropagationPlan:
 
 def free_space_step(s: Spectrum, dz: float) -> Spectrum:
     """Multiply by the pure-phase free-space factor exp(i pi lambda dz |a|^2)."""
-    phase = np.exp(1j * np.pi * s.grid.wavelength * dz * s.grid.freq_sq())
-    return Spectrum(s.grid, s.values * phase)
+    return Spectrum(s.grid, s.values * s.grid.free_space_phase(dz))
 
 
 def apply_screen(s: Spectrum, screen: ScreenRealization) -> Spectrum:
@@ -148,9 +147,8 @@ class _BlockEngine:
         grid = plan.grid
         self.plan = plan
         self.axes = tuple(range(1, grid.dim + 1))
-        half = plan.dz / 2.0
-        self.half_step = np.fft.ifftshift(np.exp(
-            1j * np.pi * grid.wavelength * half * grid.freq_sq()))
+        self.half_step = np.fft.ifftshift(
+            grid.free_space_phase(plan.dz / 2.0))
         self.screens = plan.screen_lattice if plan.z_total > 0.0 else None
 
     def run(self, s0: Spectrum, realizations: range) -> np.ndarray:

@@ -79,9 +79,7 @@ class GaussianState:
 
 def free_space_gaussian(state: GaussianState, z: float) -> GaussianState:
     """Exact free-space phase conjugation of all five Gaussian parameters."""
-    grid = state.grid
-    phase = np.exp(1j * np.pi * grid.wavelength * z
-                   * grid.freq_sq()).ravel()
+    phase = state.grid.free_space_phase(z).ravel()
     p_col = phase[:, None]
     p_row = phase[None, :]
     return replace(
@@ -175,7 +173,7 @@ def shift_decay(beta0: Spectrum, eta0: Spectrum, model: TurbulenceModel,
         zero = np.zeros(grid.shape, dtype=np.complex128)
         return Spectrum(grid, zero), Spectrum(grid, zero.copy())
     lam = lambda_grid(model, grid)
-    phase = np.exp(1j * np.pi * grid.wavelength * z * grid.freq_sq())
+    phase = grid.free_space_phase(z)
     decay = np.exp(-grid.wavenumber ** 2 * lam * z)
     return (Spectrum(grid, beta0.values * phase * decay),
             Spectrum(grid, eta0.values * phase * decay))

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import moments, splitstep, states
+from ._accel import pair_shift_sum_loop
 from .grid import FrequencyGrid, Spectrum
 from .phase_screen import keyed_generator, screen_statistics
 from .spectrum import SpectrumKind, TurbulenceModel, lambda_grid, psd_lattice
@@ -153,21 +154,15 @@ def _rounding_floor(se: np.ndarray, reference: np.ndarray) -> np.ndarray:
 # naive loop oracles (independent of the spectral generator)
 
 def _naive_pair_rhs(values, grid, model, sign: int) -> np.ndarray:
-    """Right-hand side of a rank-2 kernel summed over the shift s by
-    cyclic shifts of the whole kernel (np.roll): sign -1 is the (1,1)
-    equation, whose second index moves with the first (values[i + s,
-    j + s]), sign +1 the (2,0) equation, whose second index moves against
-    it (values[i + s, j - s]).  The sum runs over s in lattice order for
-    all (i, j) at once."""
-    n = grid.n
+    """Right-hand side of a rank-2 kernel, its shift sum the roll loop
+    _accel.pair_shift_sum_loop: sign -1 is the (1,1) equation, whose second
+    index moves with the first (values[i + s, j + s]), sign +1 the (2,0)
+    equation, whose second index moves against it (values[i + s, j - s])."""
     asq = grid.freq_sq()
-    phi = psd_lattice(model, grid)
     lam = lambda_grid(model, grid)
     k = grid.wavenumber
-    acc = np.zeros_like(values)
-    for t in range(n):
-        s = t - n // 2
-        acc += phi[t] * np.roll(values, (-s, sign * s), axis=(0, 1))
+    acc = pair_shift_sum_loop(values, [0], [1], psd_lattice(model, grid),
+                              -sign)
     scatter = k ** 2 * acc * grid.cell
     return (1j * np.pi * grid.wavelength
             * (asq[:, None] + sign * asq[None, :]) * values
@@ -334,9 +329,10 @@ def check_conservation(plan: PropagationPlan, evolved: moments.MomentKernel,
                        initial: moments.MomentKernel) -> list[CheckResult]:
     """Trace conservation and Hermiticity over the (1,1) integration of
     check_mutual_coherence and a (2,2) one under the same plan, with the
-    Hermiticity residuals and boundary-mass fractions evolve_kernel
-    stored with them.  The fill makes both kernels Hermitian outside their
-    self-conjugate sectors by construction, so the (2,2) residual also
+    Hermiticity residuals and boundary-mass fractions of
+    moments.kernel_diagnostics.  The fill makes both kernels Hermitian
+    outside their self-conjugate sectors by construction, so the (2,2)
+    residual also
     measures the sectors that evolve_kernel filled by conjugate transpose
     against their direct evolution; the (1,1) ones are held to the
     Monte-Carlo ensemble by check_mutual_coherence."""
@@ -353,7 +349,8 @@ def check_conservation(plan: PropagationPlan, evolved: moments.MomentKernel,
     f1 = moments.evolve_kernel(f0, plan.model, plan.z_total, plan.n_slabs)
     drift22 = abs(moments.kernel_trace(f1) - moments.kernel_trace(f0)) \
         / abs(moments.kernel_trace(f0))
-    herm22 = max(f1.hermiticity, _fill_residual(plan, f1, f0))
+    herm = max(moments.kernel_diagnostics(evolved)[0],
+               moments.kernel_diagnostics(f1)[0], _fill_residual(plan, f1, f0))
     frac = max(moments.monitored_boundary_mass(evolved, plan.model),
                moments.monitored_boundary_mass(f1, plan.model))
 
@@ -366,7 +363,7 @@ def check_conservation(plan: PropagationPlan, evolved: moments.MomentKernel,
         _bound("conservation/hermiticity",
                "Hermiticity residual of the integrated kernels, filled "
                "sectors against their direct evolution",
-               max(evolved.hermiticity, herm22), 1e-10),
+               herm, 1e-10),
     ]
     for r in results:
         r.elapsed_s = elapsed / len(results)

@@ -12,6 +12,7 @@ import pytest
 
 import ipfe
 from ipfe import moments, splitstep
+from ipfe.arrayio import read_array, write_array
 from ipfe.grid import FrequencyGrid, Spectrum
 from ipfe.phase_screen import screen_statistics
 from ipfe.validation import (REFERENCE, REFERENCE_SOURCE_SIGMA_A,
@@ -123,19 +124,34 @@ def test_hermiticity_check_measures_the_filled_sectors(coherence_run,
 
 
 def test_conservation_reads_the_stored_diagnostics(coherence_run,
-                                                   monkeypatch):
+                                                   tmp_path, monkeypatch):
     # evolve_kernel measured both kernels once; check_conservation reads
     # what it stored: the one boundary-mass fraction is the evolve_kernel
     # call's own for the (2,2) kernel, and no Hermiticity residual runs
-    # over a whole tensor.
+    # over a whole tensor.  A copy of the (1,1) kernel and the kernel read
+    # back from a file store nothing, so their residual and fraction are
+    # computed, to the same measured values.
     _, evolved, initial = coherence_run
+    write_array(tmp_path / "h11.bin", evolved.values)
+    read = moments.MomentKernel(evolved.orders, evolved.grid,
+                                read_array(tmp_path / "h11.bin")[0],
+                                evolved.z)
     calls = []
     for name in ("hermiticity_residual", "boundary_mass_fraction"):
         monkeypatch.setattr(moments, name,
                             lambda *args, f=getattr(moments, name), n=name:
                             calls.append(n) or f(*args))
-    check_conservation(REFERENCE, evolved, initial)
-    assert calls == ["boundary_mass_fraction"]
+    want = None
+    for kernel in (evolved, replace(evolved), read):
+        calls.clear()
+        results = check_conservation(REFERENCE, kernel, initial)
+        got = [(r.measured, r.boundary_mass) for r in results]
+        want = want or got
+        assert got == want
+        if kernel is evolved:
+            assert calls == ["boundary_mass_fraction"]
+        else:
+            assert "hermiticity_residual" in calls
 
 
 def test_thermal_kernels_are_stationary_points():
@@ -212,6 +228,22 @@ def test_run_validate_reports_ensemble_stage():
     text = result.to_text()
     assert (f"[boundary-mass] mutual-coherence/monte-carlo: "
             f"{mass['mutual-coherence/monte-carlo']:.2e}") in text
+
+
+def test_run_validate_measures_the_same_bits_on_any_worker_count(
+        monkeypatch):
+    # With 1, 2 or 3 workers allowed to the split-step ensemble and to
+    # evolve_kernel, every measured value of the report is the same float.
+    measured = []
+    for workers in (1, 2, 3):
+        for module in (moments, splitstep):
+            monkeypatch.setattr(module, "_cpu_count", lambda w=workers: w)
+        result = run_validate()
+        assert result.environment["ensemble_workers"] == workers
+        measured.append([(c.name, float.hex(c.measured))
+                         for c in result.checks])
+    assert [name for name, _ in measured[0]] == CHECK_NAMES
+    assert measured[0] == measured[1] == measured[2]
 
 
 def test_report_records_the_package_version(reference_ensemble):

@@ -28,6 +28,22 @@ def test_wavenumber_and_spacings():
     assert freqs[0] == -2.0 and freqs[4] == 0.0  # DC-centered, even n
 
 
+def test_free_space_phase_is_unit_modulus_and_advances_with_z():
+    # exp(+i pi lambda z |a|^2): 1 at z = 0 and at DC, |phase| = 1, and
+    # the angle grows with z at every other site (small enough z that it
+    # stays below pi).
+    z = 1000.0
+    assert np.array_equal(GRID.free_space_phase(0.0), np.ones(8))
+    for grid in (GRID, GRID2):
+        phase = grid.free_space_phase(z)
+        assert phase.shape == grid.shape
+        assert np.allclose(np.abs(phase), 1.0, rtol=0.0, atol=1e-15)
+        assert np.allclose(np.angle(phase),
+                           np.pi * grid.wavelength * z * grid.freq_sq(),
+                           rtol=1e-12, atol=0.0)
+    assert GRID.free_space_phase(z)[4] == 1.0
+
+
 def test_contract_delta_pair():
     delta = np.zeros(8)
     delta[3] = GRID.delta_weight

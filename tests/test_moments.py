@@ -19,7 +19,7 @@ from ipfe.grid import FrequencyGrid, Spectrum
 from ipfe.moments import (KernelGenerator, MomentKernel, biphoton_rhs,
                           boundary_mass_fraction, evolve_h10, evolve_h11,
                           evolve_kernel, h11_rhs, hermiticity_residual,
-                          hierarchy_rhs, kernel_trace,
+                          hierarchy_rhs, kernel_diagnostics, kernel_trace,
                           monitored_boundary_mass, step_guard)
 from ipfe.phase_screen import ScreenLattice
 from ipfe.spectrum import (DivergentLambdaError, SpectrumKind,
@@ -817,18 +817,26 @@ def test_carried_generator_serves_only_its_orders_grid_and_model(
 
 
 def test_only_evolve_kernel_sets_the_stored_diagnostics():
-    # The generator, boundary mass and Hermiticity residual an output
-    # carries are not constructor arguments, and a kernel built from it
-    # by dataclasses.replace, new values or not, carries none of them.
+    # The run record an output carries (worker count, sector counts,
+    # generator, boundary mass and Hermiticity residual) is not a
+    # constructor argument, and a kernel built from the output by
+    # dataclasses.replace, new values or not, carries none of it.
     out = evolve_quietly(gaussian_kernel(1, 16, (2, 2)), 250.0, 8)
-    assert None not in (out.generator, out.boundary_mass, out.hermiticity)
+    record = ("workers", "sectors_evolved", "sectors_filled", "generator",
+              "boundary_mass", "hermiticity")
+    assert None not in [getattr(out, name) for name in record]
+    assert (out.sectors_evolved, out.sectors_filled) == (9, 7)
+    assert out.workers >= 1
     for kernel in (replace(out, values=2.0 * out.values), replace(out),
                    MomentKernel(out.orders, out.grid, out.values)):
-        assert (kernel.generator, kernel.boundary_mass,
-                kernel.hermiticity) == (None, None, None)
-    with pytest.raises(TypeError):
-        MomentKernel(out.orders, out.grid, out.values,
-                     boundary_mass=out.boundary_mass)
+        assert [getattr(kernel, name) for name in record] == [
+            0, 0, 0, None, None, None]
+    for name in record:
+        with pytest.raises(TypeError):
+            MomentKernel(out.orders, out.grid, out.values,
+                         **{name: getattr(out, name)})
+    with pytest.raises(TypeError):  # beyond the four arguments
+        MomentKernel(out.orders, out.grid, out.values, out.z, out.workers)
 
 
 def test_monitored_boundary_mass_reads_the_stored_fraction():
@@ -839,6 +847,21 @@ def test_monitored_boundary_mass_reads_the_stored_fraction():
     out.boundary_mass = 0.5  # read as stored, not measured again
     assert monitored_boundary_mass(out, MODEL) == 0.5
     assert monitored_boundary_mass(out, replace(MODEL, cn2=0.0)) == 0.0
+
+
+def test_kernel_diagnostics_reads_the_run_record_or_computes():
+    # An output of evolve_kernel is read, not measured again; any other
+    # kernel is measured, and only an (n, n) kernel has a residual.
+    out = evolve_quietly(gaussian_kernel(1, 16, (2, 2)), 250.0, 8)
+    fresh = MomentKernel(out.orders, out.grid, out.values)
+    want = (hermiticity_residual(fresh), boundary_mass_fraction(fresh))
+    assert kernel_diagnostics(out) == kernel_diagnostics(fresh) == want
+    out.hermiticity, out.boundary_mass = 0.25, 0.5
+    assert kernel_diagnostics(out) == (0.25, 0.5)
+    h20 = MomentKernel((2, 0), GRID8, random_hermitian(8, 5))
+    assert kernel_diagnostics(h20) == (None, boundary_mass_fraction(h20))
+    out20 = evolve_quietly(h20, 250.0, 8)
+    assert kernel_diagnostics(out20) == (None, out20.boundary_mass)
 
 
 def test_filled_sectors_are_the_sectors_the_half_does_not_hold():
