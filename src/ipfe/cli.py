@@ -7,8 +7,8 @@ simulate        split-step Monte-Carlo run; writes the mean field, the
                 tensor format plus a JSON run manifest
 evolve-kernel   integrate a moment kernel read from a binary tensor file;
                 writes snapshots, a CSV of conserved-quantity diagnostics
-                and a JSON manifest (worker threads, generators built,
-                timings, guards and the diagnostics of every snapshot)
+                and a JSON manifest (generators built, timings, guards
+                and the diagnostics of every snapshot)
 states          Fock-state Wigner/generating-function sweep (CSV), or the
                 Gaussian stationarity residual table with --stationarity
 screens         screen-statistics tables (per-mode variance, cross-mode
@@ -283,7 +283,6 @@ def cmd_evolve_kernel(args) -> int:
     trace = float("nan") if trace0 is None else trace0
     z_prev = 0.0
     dz_max = 0.0
-    workers = 0
     evolve_s = 0.0
     # Every generator the spans used: evolve_kernel carries one from span
     # to span, so a command builds one.
@@ -299,7 +298,6 @@ def cmd_evolve_kernel(args) -> int:
             current = evolve_kernel(current, plan.model, span, steps)
             evolve_s += time.perf_counter() - t1
             dz_max = max(dz_max, span / steps)
-            workers = max(workers, current.workers)
             evolved, filled = current.sectors_evolved, current.sectors_filled
             if not any(g is current.generator for g in generators):
                 generators.append(current.generator)
@@ -324,7 +322,6 @@ def cmd_evolve_kernel(args) -> int:
                 "boundary_mass_fraction"], rows)
     manifest = {
         "orders": [m, n],
-        "kernel_workers": workers,
         "generator_builds": len(generators),
         "evolve_s": evolve_s,
         "wall_time_s": time.perf_counter() - t0,

@@ -44,10 +44,15 @@ only by the O(dz^2) Strang error the ensemble shares.
 
 Sectors never interact, so evolve_kernel runs chunks of whole sectors (at
 most _CHUNK_ELEMENTS elements each, or one sector if that is larger)
-through all steps under the worker contract of _run_chunks, the calling
-thread evolving its share of them, with no synchronisation between
-steps.  A kernel operation refuses, before allocating, a tensor whose
-working set it estimates above MAX_KERNEL_BYTES.
+through all steps, one chunk after another, so each stays in cache.  It
+starts no thread (only the split-step ensemble, in ipfe.splitstep, does):
+at the sizes the commands and checks run, up to (2, 2) at n = 16, worker
+threads gave the sweep no time and held resident memory.  Larger kernels
+pay for it, since numpy's FFTs release the GIL: two threads evolved the
+(2, 2) n = 32 half 1.47 times and the 2-D (1, 1) n = 32 half 1.79 times
+as fast (BENCH_kernel_serial.json).  A kernel operation refuses, before
+allocating, a tensor whose working set it estimates above
+MAX_KERNEL_BYTES.
 
 The (n, n) kernels come from a real Wigner functional and are Hermitian,
 and the equation commutes with the conjugate transpose (bra <-> ket),
@@ -68,17 +73,15 @@ generator's sectors: evolve_kernel passes a sector count, and gathers,
 exponentiates, evolves and scatters that prefix.  The output carries the
 generator, so a chain of evolve_kernel calls on the same orders, grid and
 model, as evolve-kernel runs its z-list span by span, builds it once.
-Index pairs built once with it make the test for the half a comparison
-of the unheld elements with their partners (about 0.25 ms per (2, 2)
-n = 16 span, whether or not the kernel qualifies) and the fill a gather
-of the partners.
+The test for the half compares the unheld elements with their bra <->
+ket partners, and the fill gathers the partners; both derive the
+partners from the generator's index _CHUNK_ELEMENTS at a time, so no
+index array beyond the index itself is kept or built whole.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -90,32 +93,26 @@ from .spectrum import TurbulenceModel, lambda_grid, psd_lattice
 
 BOUNDARY_MASS_TOLERANCE = 1e-6
 
-# Elements (256 KiB complex) one worker thread holds at a time: a chunk of
-# realization rows in splitstep.ensemble_moments, a chunk of whole sectors
-# in evolve_kernel.  Chunks of 2^15 were as fast on the reference ensemble
-# but left about 2 MB more resident after repeated runs, in the worker
-# threads' malloc arenas.
+# Elements (256 KiB complex) of one chunk: of realization rows, which a
+# worker thread of splitstep.ensemble_moments (the only code that starts
+# threads) propagates at a time; of whole sectors, which evolve_kernel
+# carries through all its steps on the calling thread while it stays in
+# cache; and of the index slices the half's test, fill and residual read.
+# Chunks of 2^15 were as fast on the reference ensemble but left about
+# 2 MB more resident after repeated runs, in the worker threads' malloc
+# arenas.
 _CHUNK_ELEMENTS = 2 ** 14
 
 # Largest working set a kernel operation may estimate for itself (bytes).
 # Per element of the full n^(D(m+n)) tensor, input included, tracemalloc
-# reports a peak of 100-103 B for evolve_kernel on every sector (input,
-# the generator's index, diag and index pairs, sector data, exp(dz/2
-# diag), output and the output's diagnostics), 77-98 B on the Hermitian
-# half, and 120 B for a right-hand-side evaluation, at (2, 2) n=16 and 32
-# and at 2-D (1, 1) n=16 and 32.  The limit admits the (2, 2) kernel at
-# n = 32 (128 MiB) and refuses it at n = 64 (2 GiB).
+# reports a peak of 80-83 B for evolve_kernel on every sector (input, the
+# generator's index, sector data, exp(dz/2 diag), output and the output's
+# diagnostics), 57-69 B on the Hermitian half, and 104-106 B for a
+# right-hand-side evaluation (hierarchy_rhs, with diag built whole), at
+# (2, 2) n=16 and 32 and at 2-D (1, 1) n=16 and 32.  The limit admits the
+# (2, 2) kernel at n = 32 (128 MiB) and refuses it at n = 64 (2 GiB).
 MAX_KERNEL_BYTES = 2 ** 30
 _KERNEL_BYTES_PER_ELEMENT = 128
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: the worker threads of the split-step
-    ensemble and of evolve_kernel."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 @dataclass
@@ -128,13 +125,11 @@ class MomentKernel:
     z: float = 0.0
     # The run record: set by evolve_kernel alone, on the kernel it returns,
     # and the defaults on every other kernel (no constructor takes it, and
-    # dataclasses.replace resets it).  The threads that ran chunks, the
-    # calling thread included; the sectors evolved and those filled by
-    # conjugate transpose; the KernelGenerator, which a later evolve_kernel
+    # dataclasses.replace resets it).  The sectors evolved and those filled
+    # by conjugate transpose; the KernelGenerator, which a later evolve_kernel
     # of these values under the same model reuses; the values'
     # boundary_mass_fraction and, for m == n, hermiticity_residual, read by
     # kernel_diagnostics.  Changing the values in place leaves it stale.
-    workers: int = field(init=False, default=0)
     sectors_evolved: int = field(init=False, default=0)
     sectors_filled: int = field(init=False, default=0)
     generator: KernelGenerator | None = field(init=False, default=None,
@@ -234,20 +229,18 @@ def _check_kernel_bytes(kernel: MomentKernel) -> None:
             f"{MAX_KERNEL_BYTES / 2 ** 30:.0f} GiB limit")
 
 
-def _sector_layout(kernel: MomentKernel,
-                   ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat full-tensor position and drift factor sum_bra |a|^2 -
-    sum_ket |a'|^2 of every sector-layout element S[k, i_1 ... i_{r-1}],
-    r = m + n, where sector k has the total frequency K = ks[:, k] (D
-    lattice-index components).  The stored indices are the element's own
-    axes; the dropped last index is i_r = s_r (K - sum_{j<r} s_j i_j) mod n
-    per grid axis, with s = +1 on bra and -1 on ket indices.  Both arrays
-    have shape (S,) + (n,) * D(r-1); the (0, 0) kernel is one sector of one
-    element."""
+def _sector_index(kernel: MomentKernel, ks: np.ndarray) -> np.ndarray:
+    """Flat full-tensor position of every sector-layout element S[k, i_1
+    ... i_{r-1}], r = m + n, where sector k has the total frequency K =
+    ks[:, k] (D lattice-index components).  The stored indices are the
+    element's own axes; the dropped last index is i_r = s_r (K - sum_{j<r}
+    s_j i_j) mod n per grid axis, with s = +1 on bra and -1 on ket indices.
+    The shape is (S,) + (n,) * D(r-1); the (0, 0) kernel is one sector of
+    one element."""
     m, n_ket = kernel.orders
     r = m + n_ket
     if r == 0:
-        return np.zeros(1, dtype=np.intp), np.zeros(1)
+        return np.zeros(1, dtype=np.intp)
     n, d = kernel.grid.n, kernel.grid.dim
     signs = [1] * m + [-1] * n_ket
     ndim = 1 + d * (r - 1)
@@ -265,13 +258,7 @@ def _sector_layout(kernel: MomentKernel,
     for site in sites:
         for axis in site:
             flat = flat * n + axis
-    # Summed in index order from 0, as over the full tensor: the same bits
-    # at every element.
-    asq = kernel.grid.freq_sq()
-    drift = 0.0
-    for s, site in zip(signs, sites):
-        drift = drift + s * asq[tuple(site)]
-    return flat, drift
+    return flat
 
 
 def sector_order(grid: FrequencyGrid) -> tuple[np.ndarray, int, int]:
@@ -303,13 +290,12 @@ class KernelGenerator:
 
     with both FFTs over the D(m+n-1) stored index axes of S[K, ...].  diag
     is the site-local factor i pi lambda (sum_bra |a|^2 - sum_ket |a'|^2) -
-    (1/2) k^2 Lambda (m+n), gathered into sector layout.  mult is the
-    Fourier multiplier of all pair sums, k^2 delta_a^D sum_pairs (+/-)
-    c[(p_i +/- p_j) mod n] with the dropped index at p = 0: same-group
-    pairs shift oppositely and enter with -, bra-ket pairs co-move and
-    enter with +.  It has n^(D(m+n-1)) entries and serves every sector.
-    mult is None when nothing scatters (cn2 = 0, or fewer than two
-    indices).
+    (1/2) k^2 Lambda (m+n) of each element.  mult is the Fourier
+    multiplier of all pair sums, k^2 delta_a^D sum_pairs (+/-) c[(p_i +/-
+    p_j) mod n] with the dropped index at p = 0: same-group pairs shift
+    oppositely and enter with -, bra-ket pairs co-move and enter with +.
+    It has n^(D(m+n-1)) entries and serves every sector.  mult is None
+    when nothing scatters (cn2 = 0, or fewer than two indices).
 
     The sectors are in sector_order: the first own are self-conjugate,
     and the first held are the Hermitian half of an (n, n) kernel (9 of
@@ -319,20 +305,23 @@ class KernelGenerator:
     of its partner -K, which the evolution of a Hermitian kernel commutes
     with.
 
-    A generator keeps what depends only on its orders, grid and model,
-    computed on the calling thread when first needed: the index pairs of
-    the half, and exp(dz/2 diag) and exp(dz mult) for the last dz and
-    sector count evolved.
+    A generator keeps only what the sweep reads: the index, mult, the
+    scalar decay (minus the real part of diag) and, built when first
+    needed, exp(dz/2 diag) and exp(dz mult) for the last dz and sector
+    count evolved.  diag and partners recompute the site-local factor and
+    the bra <-> ket partners from the index when needed, a _CHUNK_ELEMENTS
+    slice at a time, so neither is kept.
     """
 
     index: np.ndarray = field(repr=False)
-    diag: np.ndarray = field(repr=False)
     mult: np.ndarray | None = field(repr=False)
     orders: tuple[int, int]
     grid: FrequencyGrid
     model: TurbulenceModel
     own: int
     held: int
+    # (1/2) k^2 Lambda (m+n), minus the real part of diag.
+    decay: float
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -350,14 +339,13 @@ class KernelGenerator:
         grid = kernel.grid
         k = grid.wavenumber
         ks, own, held = sector_order(grid)
-        index, drift = _sector_layout(kernel, ks)
-        diag = (1j * np.pi * grid.wavelength * drift
-                - 0.5 * k ** 2 * lambda_grid(model, grid) * (m + n))
+        index = _sector_index(kernel, ks)
+        decay = 0.5 * k ** 2 * lambda_grid(model, grid) * (m + n)
         phi = psd_lattice(model, grid)
         pairs = list(combinations(range(m + n), 2))
         if not pairs or not np.any(phi):
-            return cls(index, diag, None, kernel.orders, grid, model, own,
-                       held)
+            return cls(index, None, kernel.orders, grid, model, own, held,
+                       decay)
         # Pair sums run over every distinct index pair: the pairings are
         # distinct tensors even for symmetric kernels, so no multiplicity
         # shortcut applies.  Index i < m+n-1 sits on stored axes
@@ -372,7 +360,7 @@ class KernelGenerator:
             mult += sign * pair_multiplier(c, mult.ndim, axes[i], axes[j],
                                            sign)
         mult *= k ** 2 * grid.cell
-        return cls(index, diag, mult, kernel.orders, grid, model, own, held)
+        return cls(index, mult, kernel.orders, grid, model, own, held, decay)
 
     def built_for(self, kernel: MomentKernel,
                   model: TurbulenceModel) -> bool:
@@ -381,24 +369,23 @@ class KernelGenerator:
         return ((self.orders, self.grid, self.model)
                 == (kernel.orders, kernel.grid, model))
 
-    def index_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The flat full-layout index pairs of an (n, n) kernel, built on
-        first use and kept: every element of a sector outside the half
-        with its bra <-> ket partner, which is held, and every element of
-        a self-conjugate sector with its partner."""
-        pairs = self._cache.get("pairs")
-        if pairs is None:
-            # A flat position is bra * block + ket, and its bra <-> ket
-            # image ket * block + bra.
-            block = self.grid.n ** (self.grid.dim * self.orders[0])
+    def partners(self, flat: np.ndarray) -> np.ndarray:
+        """The bra <-> ket images of the flat full-layout positions flat of
+        an (n, n) kernel: the partner of an element outside the half is
+        held, and a self-conjugate sector's elements pair among
+        themselves."""
+        # A flat position is bra * block + ket, and its image ket * block
+        # + bra.
+        block = self.grid.n ** (self.grid.dim * self.orders[0])
+        return flat % block * block + flat // block
 
-            def partners(flat):
-                return flat, flat % block * block + flat // block
-
-            pairs = self._cache["pairs"] = (
-                partners(self.index[self.held:].reshape(-1)),
-                partners(self.index[:self.own].reshape(-1)))
-        return pairs
+    def _positions(self, sectors: slice):
+        """The flat full-layout positions of the given sectors, as views of
+        _CHUNK_ELEMENTS at a time: what diag is computed from, and the
+        half's test, fill and residual derive partners from."""
+        flat = self.index[sectors].reshape(-1)
+        for lo in range(0, len(flat), _CHUNK_ELEMENTS):
+            yield flat[lo:lo + _CHUNK_ELEMENTS]
 
     def holds_half(self, values: np.ndarray) -> bool:
         """Whether the half of the (n, n) kernel values, with the fill of
@@ -410,10 +397,13 @@ class KernelGenerator:
         partner compares with it.  It holds for every bitwise Hermitian
         kernel, and for every output of the half, whose self-conjugate
         sectors are Hermitian only to rounding."""
-        (unheld, partner), (own, _) = self.index_pairs()
         flat = values.reshape(-1)
-        return bool(np.all(flat[unheld] == np.conjugate(flat[partner]))
-                    and not np.any(np.isnan(flat[own])))
+        for unheld in self._positions(slice(self.held, None)):
+            partner = self.partners(unheld)
+            if not np.all(flat[unheld] == np.conjugate(flat[partner])):
+                return False
+        return not any(np.any(np.isnan(flat[own]))
+                       for own in self._positions(slice(self.own)))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -439,14 +429,10 @@ class KernelGenerator:
         out = np.empty(self.shape, dtype=np.complex128)
         flat = out.reshape(-1)
         flat[self.index[:len(sectors)]] = sectors
-        if len(sectors) < len(self.index):
-            # Every unheld element is the conjugate of its held partner,
-            # gathered _CHUNK_ELEMENTS at a time: the only temporary.
-            unheld, partner = self.index_pairs()[0]
-            for lo in range(0, len(unheld), _CHUNK_ELEMENTS):
-                part = slice(lo, lo + _CHUNK_ELEMENTS)
-                filled = flat[partner[part]]
-                flat[unheld[part]] = np.conjugate(filled, out=filled)
+        # Every unheld element is the conjugate of its held partner.
+        for unheld in self._positions(slice(len(sectors), None)):
+            filled = flat[self.partners(unheld)]
+            flat[unheld] = np.conjugate(filled, out=filled)
         return out
 
     def hermiticity_residual(self, values: np.ndarray) -> float | None:
@@ -459,18 +445,50 @@ class KernelGenerator:
             return None
         if scale == 0.0:
             return 0.0
-        own, partner = self.index_pairs()[1]
         flat = values.reshape(-1)
-        return float(np.max(np.abs(flat[own] - np.conjugate(flat[partner])))
-                     / scale)
+        return float(max(
+            np.max(np.abs(flat[own] - np.conjugate(flat[self.partners(own)])))
+            for own in self._positions(slice(self.own))) / scale)
+
+    def diag(self, count: int | None = None) -> np.ndarray:
+        """The site-local factor i pi lambda (sum_bra |a|^2 - sum_ket
+        |a'|^2) - (1/2) k^2 Lambda (m+n) of the first count sectors (every
+        sector by default), in sector layout: computed from the lattice
+        indices of the index's positions, _CHUNK_ELEMENTS at a time."""
+        grid = self.grid
+        n, d = grid.n, grid.dim
+        m, n_ket = self.orders
+        asq = grid.freq_sq()
+        out = np.empty(self.index[:count].shape, dtype=np.complex128)
+        for lo, flat in zip(range(0, out.size, _CHUNK_ELEMENTS),
+                            self._positions(slice(count))):
+            drift = np.zeros(flat.shape)
+            digits = []  # the lattice index of every axis, last axis first
+            for _ in range(d * (m + n_ket)):
+                flat, digit = np.divmod(flat, n)
+                digits.append(digit)
+            digits.reverse()
+            # Summed in index order from 0: the same bits at every element.
+            for i, s in enumerate([1] * m + [-1] * n_ket):
+                drift = drift + s * asq[tuple(digits[i * d:(i + 1) * d])]
+            out.reshape(-1)[lo:lo + len(drift)] = (
+                1j * np.pi * grid.wavelength * drift - self.decay)
+        return out
 
     def __call__(self, sectors: np.ndarray) -> np.ndarray:
-        out = self.diag * sectors
+        out = self.diag(len(sectors)) * sectors
         if self.mult is not None:
             out += np.fft.ifftn(
                 self.mult * np.fft.fftn(sectors, axes=self.axes),
                 axes=self.axes)
         return out
+
+    def _exp_diag(self, z: float, count: int | None = None) -> np.ndarray:
+        """exp(z diag) of the first count sectors (every sector by
+        default), computed in place in diag's array."""
+        factor = self.diag(count)
+        np.multiply(z, factor, out=factor)
+        return np.exp(factor, out=factor)
 
     def _exponentials(self, dz: float,
                       count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -481,30 +499,24 @@ class KernelGenerator:
         key = (float(dz).hex(), count)
         cached = self._cache.get("exp")
         if cached is None or cached[0] != key:
-            cached = self._cache["exp"] = (
-                key, np.exp(0.5 * dz * self.diag[:count]),
-                np.exp(dz * self.mult))
+            cached = self._cache["exp"] = (key,
+                                           self._exp_diag(0.5 * dz, count),
+                                           np.exp(dz * self.mult))
         return cached[1], cached[2]
 
-    def evolve(self, sectors: np.ndarray, dz: float, n_steps: int) -> int:
+    def evolve(self, sectors: np.ndarray, dz: float, n_steps: int) -> None:
         """n_steps Strang slabs S <- half * ifftn(exp(dz mult) * fftn(half
         * S)), half = exp(dz/2 diag), applied in place to sectors, the
-        first len(sectors) of this generator, chunk by chunk of whole
-        sectors (_run_chunks).  Returns the number of
-        threads that ran chunks, the calling thread included: 1 for the
-        calling thread alone."""
+        first len(sectors) of this generator, on the calling thread: chunk
+        by chunk of whole sectors, at most _CHUNK_ELEMENTS elements each
+        (or one sector if that is larger), each through all its steps."""
         half, step = self._exponentials(dz, len(sectors))
         # fftn and ifftn are these 1-D transforms, last axis first; called
         # directly, they skip fftn's argument handling on every step.
         axes = self.axes[::-1]
         per = max(1, _CHUNK_ELEMENTS // step.size)
-        chunks = [slice(lo, lo + per) for lo in range(0, len(sectors), per)]
-        workers = min(_cpu_count(), len(chunks))
-
-        # Runs on worker threads: numpy only, in place on the caller's
-        # arrays.
-        def run(chunk):
-            v, h = sectors[chunk], half[chunk]
+        for lo in range(0, len(sectors), per):
+            v, h = sectors[lo:lo + per], half[lo:lo + per]
             for _ in range(n_steps):
                 v *= h
                 for axis in axes:
@@ -513,54 +525,6 @@ class KernelGenerator:
                 for axis in axes:
                     np.fft.ifft(v, axis=axis, out=v)
                 v *= h
-
-        for _ in _run_chunks(run, chunks, workers):
-            pass
-        return workers
-
-
-def _run_chunks(work, chunks, workers: int):
-    """Yield work(chunk) for every chunk of the sequence chunks, in chunk
-    order, on the calling thread: the worker contract of the split-step
-    ensemble and evolve_kernel.
-
-    - Chunks hold whole units fixed by size, never by the thread count
-      (64-row blocks, each reduced on its own; sectors), and a chunk is
-      computed by the same operations whichever thread runs it, so results
-      are bit-identical for any worker count.
-    - One worker (always so for one chunk) runs the chunks inline and
-      starts no thread.
-    - Otherwise ``workers`` threads run them: the calling thread runs every
-      ``workers``-th chunk from the first, in place of waiting, and a pool
-      of ``workers - 1`` threads runs the others.  One chunk per pool
-      thread is submitted before the calling thread starts its own, and at
-      most one chunk per worker, the caller's included, is in flight (run
-      or submitted and not yet taken), so memory stays bounded whatever
-      the number of chunks.
-    - A chunk's exception, on either side, is re-raised here once the
-      pool's threads have ended; a consumer that stops early closes the
-      generator, which ends them too.
-    """
-    if workers == 1:
-        yield from map(work, chunks)
-        return
-    # Imported per call, not at module level: concurrent.futures loads
-    # logging, 0.2 MB of resident memory that commands which never thread
-    # need not pay.
-    import concurrent.futures
-
-    with concurrent.futures.ThreadPoolExecutor(workers - 1) as pool:
-        # None marks a chunk of the calling thread's, run when it is due.
-        def start(i):
-            return None if i % workers == 0 else pool.submit(work, chunks[i])
-
-        ahead = deque(map(start, range(min(workers, len(chunks)))))
-        for i, chunk in enumerate(chunks):
-            future = ahead.popleft()
-            result = work(chunk) if future is None else future.result()
-            if i + workers < len(chunks):
-                ahead.append(start(i + workers))
-            yield result
 
 
 def hierarchy_rhs(kernel: MomentKernel, model: TurbulenceModel) -> MomentKernel:
@@ -675,15 +639,14 @@ def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,
     if gen.mult is None:
         # exp(z diag) stays the left operand: numpy's complex multiply
         # need not round a * b as b * a.
-        sectors = np.exp(z_total * gen.diag) * sectors
-        workers = 1
+        sectors = gen._exp_diag(z_total) * sectors
     else:
-        workers = gen.evolve(sectors, dz, n_steps)
+        gen.evolve(sectors, dz, n_steps)
     values = gen.from_sectors(sectors)
     # Freed before the diagnostics, which hold temporaries of their own.
     del sectors
     out = MomentKernel(kernel.orders, kernel.grid, values, kernel.z + z_total)
-    out.workers, out.generator = workers, gen
+    out.generator = gen
     out.sectors_evolved, out.sectors_filled = count, len(gen.index) - count
     out.boundary_mass = boundary_mass_fraction(out)
     if m == n:

@@ -26,15 +26,21 @@ exactly one Philox block.
 
 ``ensemble_moments`` propagates chunks of whole blocks, at most 2^14
 field elements each (or one block, if that is larger), under the worker
-contract of ``ipfe.moments._run_chunks``: the calling thread propagates
-its share of the chunks and a pool of one thread fewer than the workers
-the rest (numpy's FFTs, Philox draws, ``cos`` and ``sin`` release the
-GIL).  Each thread draws its screens from a Philox generator of its own
-(``ScreenLattice.generator``).  A slab runs in place on its chunk:
-the FFTs write back into the field block, and the screen factor
-exp(-i phi) goes to one buffer per chunk as cos(-phi) + i sin(-phi), which
-has the complex ``exp``'s bits (checked with numpy 2.4 on glibc over every
-screen of the reference plan) in less time.
+contract of ``_run_chunks``: the calling thread propagates its share of
+the chunks and a pool of one thread fewer than the workers the rest.  It
+is the only code in ipfe that starts threads.  The numpy calls of a slab
+release the GIL and run in parallel: with numpy 2.4.6 and CPython 3.11
+on two cores, two threads made twice the calls in 1.0-1.3 times the
+one-thread wall time for a chunk's Philox draws, ``sin`` and complex
+multiplies, and 1.1-1.5 times for its FFT pairs, against 2.2 times for
+pure Python.  The Python between the calls (the slab loop and the screen
+draw's bookkeeping) runs one thread at a time.  Each thread draws its
+screens from a
+Philox generator of its own (``ScreenLattice.generator``).  A slab runs
+in place on its chunk: the FFTs write back into the field block, and the
+screen factor exp(-i phi) goes to one buffer per chunk as cos(-phi) + i
+sin(-phi), which has the complex ``exp``'s bits (checked with numpy 2.4
+on glibc over every screen of the reference plan) in less time.
 
 The calling thread also reduces each ``BLOCK``-row slice of a chunk with
 ``block_products`` and adds the block partials in index order, so the
@@ -56,6 +62,8 @@ above ``MAX_ENSEMBLE_BYTES``.
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -65,8 +73,7 @@ import numpy as np
 from .grid import FrequencyGrid, Spectrum, to_frequency, to_position
 from .phase_screen import (BLOCK, ScreenLattice, ScreenRealization, as_u64,
                            phase_screen_position)
-from .moments import (_CHUNK_ELEMENTS, _cpu_count, _run_chunks, step_guard,
-                      step_guard_values)
+from .moments import _CHUNK_ELEMENTS, step_guard, step_guard_values
 from .spectrum import TurbulenceModel
 
 # Largest working set ensemble_moments may estimate for itself (bytes).  Per
@@ -226,6 +233,59 @@ class EnsembleStats:
     workers: int
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: the worker threads of
+    ensemble_moments."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_chunks(work, chunks, workers: int):
+    """Yield work(chunk) for every chunk of the sequence chunks, in chunk
+    order, on the calling thread: the worker contract of
+    ensemble_moments, the only caller that starts threads.
+
+    - Chunks hold whole units fixed by size, never by the thread count
+      (64-row blocks, each reduced on its own), and a chunk is computed by
+      the same operations whichever thread runs it, so results are
+      bit-identical for any worker count.
+    - One worker (always so for one chunk) runs the chunks inline and
+      starts no thread.
+    - Otherwise ``workers`` threads run them: the calling thread runs every
+      ``workers``-th chunk from the first, in place of waiting, and a pool
+      of ``workers - 1`` threads runs the others.  One chunk per pool
+      thread is submitted before the calling thread starts its own, and at
+      most one chunk per worker, the caller's included, is in flight (run
+      or submitted and not yet taken), so memory stays bounded whatever
+      the number of chunks.
+    - A chunk's exception, on either side, is re-raised here once the
+      pool's threads have ended; a consumer that stops early closes the
+      generator, which ends them too.
+    """
+    if workers == 1:
+        yield from map(work, chunks)
+        return
+    # Imported per call, not at module level: concurrent.futures loads
+    # logging, 0.2 MB of resident memory that commands which never thread
+    # need not pay.
+    import concurrent.futures
+
+    with concurrent.futures.ThreadPoolExecutor(workers - 1) as pool:
+        # None marks a chunk of the calling thread's, run when it is due.
+        def start(i):
+            return None if i % workers == 0 else pool.submit(work, chunks[i])
+
+        ahead = deque(map(start, range(min(workers, len(chunks)))))
+        for i, chunk in enumerate(chunks):
+            future = ahead.popleft()
+            result = work(chunk) if future is None else future.result()
+            if i + workers < len(chunks):
+                ahead.append(start(i + workers))
+            yield result
+
+
 def ensemble_moments(s0: Spectrum, plan: PropagationPlan) -> EnsembleStats:
     """Accumulate first/second moments over plan.n_realizations runs.
 
@@ -241,7 +301,7 @@ def ensemble_moments(s0: Spectrum, plan: PropagationPlan) -> EnsembleStats:
     the second moment's standard error, through E|y|^2 below.
 
     Realizations are propagated in chunks of whole blocks
-    (``ipfe.moments._run_chunks`` states the worker contract).
+    (``_run_chunks`` states the worker contract).
     """
     if plan.n_realizations < 2:
         raise ValueError("n_realizations must be >= 2")

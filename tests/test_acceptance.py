@@ -232,12 +232,12 @@ def test_run_validate_reports_ensemble_stage():
 
 def test_run_validate_measures_the_same_bits_on_any_worker_count(
         monkeypatch):
-    # With 1, 2 or 3 workers allowed to the split-step ensemble and to
-    # evolve_kernel, every measured value of the report is the same float.
+    # With 1, 2 or 3 workers allowed to the split-step ensemble, every
+    # measured value of the report is the same float (evolve_kernel runs
+    # on the calling thread alone).
     measured = []
     for workers in (1, 2, 3):
-        for module in (moments, splitstep):
-            monkeypatch.setattr(module, "_cpu_count", lambda w=workers: w)
+        monkeypatch.setattr(splitstep, "_cpu_count", lambda w=workers: w)
         result = run_validate()
         assert result.environment["ensemble_workers"] == workers
         measured.append([(c.name, float.hex(c.measured))

@@ -219,8 +219,8 @@ def test_evolve_kernel_command(tmp_path):
     first, _ = read_array(out / "kernel_z0.bin")
     assert np.array_equal(first, init)
     manifest = json.loads((out / "manifest.json").read_text())
-    # An 8-site (1, 1) kernel is one chunk of sectors: one worker.
-    assert manifest["kernel_workers"] == 1
+    # The kernel is evolved on the calling thread: no worker count.
+    assert "kernel_workers" not in manifest
     assert 0.0 < manifest["evolve_s"] <= manifest["wall_time_s"]
     # Two spans of 500 m in 16 steps each, the config's dz of 31.25 m.
     assert manifest["guards"] == step_guard_values(
@@ -253,11 +253,9 @@ def test_evolve_kernel_reads_minus_zero_as_zero(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:kernel boundary mass")
-def test_evolve_kernel_manifest_of_a_biphoton_kernel(tmp_path, monkeypatch):
+def test_evolve_kernel_manifest_of_a_biphoton_kernel(tmp_path):
     # A Hermitian (2, 2) kernel at n = 16 evolves 9 sectors in three chunks
-    # of 4, 4 and 1, so it runs on as many threads as the process may use,
-    # up to three.
-    monkeypatch.setattr(moments, "_cpu_count", lambda: 3)
+    # of 4, 4 and 1, all on the calling thread.
     cfg = write_config(tmp_path, grid={"n": 16})
     grid = FrequencyGrid(1, 16, 0.25, 1.55e-6)
     g = np.exp(-grid.freq_sq() / 0.3).astype(complex)
@@ -269,7 +267,7 @@ def test_evolve_kernel_manifest_of_a_biphoton_kernel(tmp_path, monkeypatch):
                  "--input", str(kernel_path), "--orders", "2,2",
                  "--z-list", "250", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["kernel_workers"] == 3
+    assert "kernel_workers" not in manifest
     assert manifest["orders"] == [2, 2]
     (snap,) = manifest["snapshots"]
     assert snap["steps"] == 8

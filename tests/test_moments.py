@@ -2,7 +2,6 @@
 conservation laws, integrator order, and the screen expectation the
 integrator's slab reproduces."""
 
-import sys
 import threading
 import tracemalloc
 import warnings
@@ -817,26 +816,26 @@ def test_carried_generator_serves_only_its_orders_grid_and_model(
 
 
 def test_only_evolve_kernel_sets_the_stored_diagnostics():
-    # The run record an output carries (worker count, sector counts,
-    # generator, boundary mass and Hermiticity residual) is not a
+    # The run record an output carries (sector counts, generator,
+    # boundary mass and Hermiticity residual) is not a
     # constructor argument, and a kernel built from the output by
     # dataclasses.replace, new values or not, carries none of it.
     out = evolve_quietly(gaussian_kernel(1, 16, (2, 2)), 250.0, 8)
-    record = ("workers", "sectors_evolved", "sectors_filled", "generator",
+    record = ("sectors_evolved", "sectors_filled", "generator",
               "boundary_mass", "hermiticity")
     assert None not in [getattr(out, name) for name in record]
     assert (out.sectors_evolved, out.sectors_filled) == (9, 7)
-    assert out.workers >= 1
     for kernel in (replace(out, values=2.0 * out.values), replace(out),
                    MomentKernel(out.orders, out.grid, out.values)):
         assert [getattr(kernel, name) for name in record] == [
-            0, 0, 0, None, None, None]
+            0, 0, None, None, None]
     for name in record:
         with pytest.raises(TypeError):
             MomentKernel(out.orders, out.grid, out.values,
                          **{name: getattr(out, name)})
     with pytest.raises(TypeError):  # beyond the four arguments
-        MomentKernel(out.orders, out.grid, out.values, out.z, out.workers)
+        MomentKernel(out.orders, out.grid, out.values, out.z,
+                     out.sectors_evolved)
 
 
 def test_monitored_boundary_mass_reads_the_stored_fraction():
@@ -865,17 +864,15 @@ def test_kernel_diagnostics_reads_the_run_record_or_computes():
 
 
 def test_filled_sectors_are_the_sectors_the_half_does_not_hold():
-    # The self-conjugate K = 0 and 8 lead, then K = 1 ... 7.  The index
-    # pairs, built once, match the elements of K = 9 ... 15 one to one with
-    # those of K = 1 ... 7, and the self-conjugate elements among
-    # themselves.
+    # The self-conjugate K = 0 and 8 lead, then K = 1 ... 7.  The partners
+    # match the elements of K = 9 ... 15 one to one with those of K = 1
+    # ... 7, and the self-conjugate elements among themselves.
     kernel = gaussian_kernel(1, 16, (2, 2))
     gen = KernelGenerator.build(kernel, MODEL)
     assert (gen.own, gen.held, len(gen.index)) == (2, 9, 16)
-    assert gen.index_pairs() is gen.index_pairs()
-    (unheld, partner), (own, own_partner) = gen.index_pairs()
-    assert np.array_equal(unheld, gen.index[9:].reshape(-1))
-    assert np.array_equal(own, gen.index[:2].reshape(-1))
+    own = gen.index[:2].reshape(-1)
+    partner = gen.partners(gen.index[9:].reshape(-1))
+    own_partner = gen.partners(own)
     assert np.array_equal(np.sort(partner), np.sort(gen.index[2:9], None))
     assert np.array_equal(np.sort(own_partner), np.sort(own))
     half = gen.to_sectors(kernel.values, gen.held)
@@ -885,7 +882,8 @@ def test_filled_sectors_are_the_sectors_the_half_does_not_hold():
     assert np.array_equal(gen.from_sectors(half), kernel.values)
     # The half exponentiates its own diag alone.
     step_half, step = gen._exponentials(2.0, gen.held)
-    assert step_half.shape == gen.diag[:9].shape and step.shape == (16,) * 3
+    assert step_half.shape == gen.index[:9].shape and step.shape == (16,) * 3
+    assert same_bits(step_half, np.exp(0.5 * 2.0 * gen.diag(9)))
 
 
 def test_qualification_rejects_one_ulp_and_nan():
@@ -895,7 +893,9 @@ def test_qualification_rejects_one_ulp_and_nan():
     kernel = gaussian_kernel(1, 16, (2, 2))
     gen = KernelGenerator.build(kernel, MODEL)
     assert gen.holds_half(kernel.values)
-    (unheld, partner), (own, _) = gen.index_pairs()
+    unheld = gen.index[gen.held:].reshape(-1)
+    partner = gen.partners(unheld)
+    own = gen.index[:gen.own].reshape(-1)
 
     def ulp(x):
         return complex(np.nextafter(x.real, np.inf), x.imag)
@@ -925,8 +925,8 @@ def test_stored_diagnostics_are_the_functions_bits():
     nan_pair = gaussian_kernel(1, 16, (2, 2)).values.copy()
     gen = KernelGenerator.build(MomentKernel((2, 2), GRID16, nan_pair),
                                 MODEL)
-    unheld, partner = gen.index_pairs()[0]
-    nan_pair.reshape(-1)[[unheld[7], partner[7]]] = np.inf
+    unheld = int(gen.index[gen.held:].reshape(-1)[7])
+    nan_pair.reshape(-1)[[unheld, gen.partners(unheld)]] = np.inf
     cases = [(gaussian_kernel(1, 64, (1, 1)), MODEL, True),
              (gaussian_kernel(1, 16, (2, 2)), MODEL, True),
              (gaussian_kernel(2, 8, (1, 1)), MODEL, True),
@@ -974,26 +974,73 @@ def test_evolve_kernel_independent_of_worker_count(monkeypatch):
     # Three chunks of whole sectors each on the Hermitian half: 9 sectors of
     # 16^3 elements (4, 4 and 1), and 130 sectors of 16^2 (64, 64 and 2).
     # Four chunks of 4 on every sector of the near-Hermitian (2, 2) kernel.
-    # One, two and three threads give the same bits.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for kernel in (gaussian_kernel(1, 16, (2, 2)),
-                       gaussian_kernel(2, 16, (1, 1)),
-                       near_hermitian_kernel()):
-            runs = []
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(moments, "_cpu_count", lambda: workers)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)
-                    runs.append(evolve_kernel(kernel, MODEL, 500.0, 32))
-                assert runs[-1].workers == workers
-            for run in runs[1:]:
-                assert run.sectors_evolved == runs[0].sectors_evolved
-                assert np.array_equal(run.values, runs[0].values)
-        assert runs[0].sectors_evolved == 16
-    finally:
-        sys.setswitchinterval(interval)
+    # One, two and three CPUs, and chunks of one sector or of every sector,
+    # give the same bits.
+    for kernel in (gaussian_kernel(1, 16, (2, 2)),
+                   gaussian_kernel(2, 16, (1, 1)),
+                   near_hermitian_kernel()):
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(splitstep, "_cpu_count", lambda: workers)
+            runs.append(evolve_quietly(kernel, 500.0, 32))
+        sector = kernel.values.size // kernel.grid.n ** kernel.grid.dim
+        for chunk in (sector, 2 ** 30):
+            monkeypatch.setattr(moments, "_CHUNK_ELEMENTS", chunk)
+            runs.append(evolve_quietly(kernel, 500.0, 32))
+        monkeypatch.undo()
+        for run in runs[1:]:
+            assert run.sectors_evolved == runs[0].sectors_evolved
+            assert same_bits(run.values, runs[0].values)
+    assert runs[0].sectors_evolved == 16
+
+
+def test_evolve_kernel_starts_no_thread(monkeypatch):
+    # evolve_kernel runs every chunk on the calling thread however many
+    # CPUs the process may use: three here (patched in whichever module
+    # reads the count), on inputs of three and four chunks.
+    def refuse(*args, **kwargs):
+        raise AssertionError("evolve_kernel started a thread")
+
+    for module in (moments, splitstep):
+        monkeypatch.setattr(module, "_cpu_count", lambda: 3, raising=False)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    before = threading.active_count()
+    for kernel, evolved in ((gaussian_kernel(1, 16, (2, 2)), 9),
+                            (gaussian_kernel(2, 16, (1, 1)), 130),
+                            (near_hermitian_kernel(), 16)):
+        assert evolve_quietly(kernel, 500.0, 32).sectors_evolved == evolved
+    assert threading.active_count() == before
+
+
+def test_generator_keeps_no_full_size_diag_or_partners():
+    # A generator's arrays are its index, mult and, once evolved, the
+    # exponentials: no complex array with one entry per full-tensor
+    # element, and no partner index, kept after the half's test, fill and
+    # residual have run.  diag is recomputed from the index, with the bits
+    # of the site-local factor over the full tensor.
+    kernel = gaussian_kernel(1, 16, (2, 2))
+    gen = KernelGenerator.build(kernel, MODEL)
+    assert gen.holds_half(kernel.values)
+    filled = gen.from_sectors(gen.to_sectors(kernel.values, gen.held))
+    assert np.array_equal(filled, kernel.values)
+    assert gen.hermiticity_residual(filled) == 0.0
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from arrays(item)
+        elif isinstance(value, dict):
+            for item in value.values():
+                yield from arrays(item)
+
+    kept = list(arrays(list(vars(gen).values())))
+    assert not [a for a in kept if np.iscomplexobj(a)
+                and a.size == kernel.values.size]
+    assert [a for a in kept if a.dtype.kind in "iu"] == [gen.index]
+    diag = full_tensor_generator(kernel, MODEL)[0]
+    assert same_bits(gen.diag(), diag.reshape(-1)[gen.index])
 
 
 def test_one_chunk_kernel_starts_no_thread(monkeypatch):
@@ -1002,12 +1049,11 @@ def test_one_chunk_kernel_starts_no_thread(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("thread started for one chunk of work")
 
-    monkeypatch.setattr(moments, "_cpu_count", lambda: 4)
     monkeypatch.setattr(splitstep, "_cpu_count", lambda: 4)
     monkeypatch.setattr(threading, "Thread", refuse)
     kernel = gaussian_kernel(1, 64, (1, 1))
     out = evolve_kernel(kernel, MODEL, 1000.0, 32)
-    assert out.workers == 1
+    assert out.sectors_evolved == 33
     grid = REFERENCE.grid
     plan = PropagationPlan(grid, MODEL, 1000.0, 32, 8, 5)
     stats = ensemble_moments(Spectrum.gaussian(grid, 1.5), plan)
@@ -1015,29 +1061,15 @@ def test_one_chunk_kernel_starts_no_thread(monkeypatch):
 
 
 def test_worker_thread_error_reaches_the_caller(monkeypatch):
-    fft = np.fft.fft
     run = splitstep._BlockEngine.run
 
-    def off_main():
-        return threading.current_thread() is not threading.main_thread()
-
-    def fft_fails_off_main(*args, **kwargs):
-        if off_main():
-            raise MemoryError("kernel worker")
-        return fft(*args, **kwargs)
-
     def run_fails_off_main(*args, **kwargs):
-        if off_main():
+        if threading.current_thread() is not threading.main_thread():
             raise MemoryError("ensemble worker")
         return run(*args, **kwargs)
 
-    monkeypatch.setattr(moments, "_cpu_count", lambda: 2)
     monkeypatch.setattr(splitstep, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(np.fft, "fft", fft_fails_off_main)
     monkeypatch.setattr(splitstep._BlockEngine, "run", run_fails_off_main)
-    kernel = gaussian_kernel(1, 16, (2, 2))
-    with pytest.raises(MemoryError, match="kernel worker"):
-        evolve_kernel(kernel, MODEL, 500.0, 16)
     # 333 realizations on two workers: two chunks of three blocks.
     grid = REFERENCE.grid
     plan = PropagationPlan(grid, MODEL, 125.0, 8, 333, 11)
@@ -1053,7 +1085,7 @@ def test_calling_thread_runs_every_workers_th_chunk(monkeypatch):
     before = threading.active_count()
     for workers in (2, 3):
         chunks = list(range(8))
-        got = list(moments._run_chunks(
+        got = list(splitstep._run_chunks(
             lambda c: (c, threading.get_ident()), chunks, workers))
         assert [c for c, _ in got] == chunks
         assert [c for c, t in got if t == caller] == chunks[::workers]
@@ -1082,15 +1114,8 @@ def test_calling_thread_error_reaches_the_caller(monkeypatch):
     # runs the second; the error reaches the caller once that thread has
     # run its chunk and ended.
     caller = threading.get_ident()
-    fft = np.fft.fft
     run = splitstep._BlockEngine.run
     off_caller = []
-
-    def fft_fails_on_caller(*args, **kwargs):
-        if threading.get_ident() == caller:
-            raise MemoryError("kernel caller")
-        off_caller.append("fft")
-        return fft(*args, **kwargs)
 
     def run_fails_on_caller(*args, **kwargs):
         if threading.get_ident() == caller:
@@ -1098,17 +1123,9 @@ def test_calling_thread_error_reaches_the_caller(monkeypatch):
         off_caller.append("run")
         return run(*args, **kwargs)
 
-    monkeypatch.setattr(moments, "_cpu_count", lambda: 2)
     monkeypatch.setattr(splitstep, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(np.fft, "fft", fft_fails_on_caller)
     monkeypatch.setattr(splitstep._BlockEngine, "run", run_fails_on_caller)
     before = threading.active_count()
-    # The Hermitian half of (2, 2) at n = 16: three chunks on two workers.
-    with pytest.raises(MemoryError, match="kernel caller"):
-        evolve_kernel(gaussian_kernel(1, 16, (2, 2)), MODEL, 500.0, 16)
-    assert threading.active_count() == before
-    assert "fft" in off_caller
-    off_caller.clear()
     grid = REFERENCE.grid
     plan = PropagationPlan(grid, MODEL, 125.0, 8, 333, 11)
     with pytest.raises(MemoryError, match="ensemble caller"):
