@@ -1,5 +1,12 @@
 """Moment-kernel evolution of optical states through atmospheric
-turbulence, cross-validated against a split-step Monte-Carlo propagator."""
+turbulence, cross-validated against a split-step Monte-Carlo propagator.
+
+The state helpers of ``ipfe.states`` and ``run_validate`` are loaded on
+first use (module ``__getattr__``), so importing the package, or a command
+that does not use them, does not load those layers or numpy.polynomial.
+"""
+
+from importlib import import_module
 
 from .grid import FrequencyGrid, Spectrum, contract, to_frequency, to_position
 from .moments import (MomentKernel, biphoton_rhs, evolve_h10, evolve_h11,
@@ -9,11 +16,6 @@ from .spectrum import (DivergentLambdaError, SpectrumKind, TurbulenceModel,
                        lambda_grid, lambda_total, lambda_total_1d,
                        psd_transverse)
 from .splitstep import PropagationPlan, ensemble_moments, propagate
-from .states import (FockSpec, GaussianState, LinearProcess,
-                     characteristic_of_gaussian, fock_generating, fock_wigner,
-                     free_space_gaussian, gaussian_drift, shift_decay,
-                     wigner_linear_process)
-from .validation import run_validate
 
 __version__ = "0.1.0"
 
@@ -56,3 +58,24 @@ __all__ = [
     "to_position",
     "wigner_linear_process",
 ]
+
+# Exported name -> the submodule that defines it, imported on first access.
+_LAZY = {
+    **dict.fromkeys(["FockSpec", "GaussianState", "LinearProcess",
+                     "characteristic_of_gaussian", "fock_generating",
+                     "fock_wigner", "free_space_gaussian", "gaussian_drift",
+                     "shift_decay", "wigner_linear_process"], "states"),
+    "run_validate": "validation",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -18,6 +18,9 @@ validate        full cross-validation suite on the reference plan, or on
                 the plan and source of --config; JSON + text report
 
 Common flags: --config <path>, --seed <u64>, --out <dir>.
+
+validate imports ipfe.validation, and states and validate ipfe.states,
+when they run: the other commands load neither layer.
 """
 
 from __future__ import annotations
@@ -35,17 +38,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import validation
 from .arrayio import (grid_metadata, read_array, write_array, write_in_place,
                       write_json)
 from .grid import FrequencyGrid, Spectrum
-from .moments import (MomentKernel, evolve_kernel, kernel_diagnostics,
-                      kernel_trace, step_guard_values)
+from .moments import (MomentKernel, check_kernel, evolve_kernel,
+                      kernel_diagnostics, kernel_trace, step_guard_values)
 from .phase_screen import MIN_SAMPLES, as_u64, screen_statistics
 from .spectrum import SpectrumKind, TurbulenceModel, psd_transverse
 from .splitstep import PropagationPlan, ensemble_moments
-from .states import FockSpec, GaussianState, fock_generating, fock_wigner, \
-    gaussian_drift
 
 
 class ConfigError(ValueError):
@@ -269,9 +269,11 @@ def cmd_evolve_kernel(args) -> int:
     plan = cfg.plan
     m, n = args.orders
     # The input is held as current alone, so the first span's output
-    # replaces it in memory.
+    # replaces it in memory.  Its guards run here, once: a refusal is an
+    # input error, and no span checks the input again.
     try:
         current = MomentKernel((m, n), plan.grid, read_array(args.input)[0])
+        check_kernel(current)
     except ValueError as exc:
         raise ConfigError(f"{args.input}: {exc}") from exc
 
@@ -335,6 +337,9 @@ def cmd_evolve_kernel(args) -> int:
 
 
 def cmd_states(args) -> int:
+    from .states import (FockSpec, GaussianState, fock_generating,
+                         fock_wigner, gaussian_drift)
+
     cfg = _apply_seed(load_config(args.config), args)
     out = _out_dir(args, cfg)
     grid = cfg.plan.grid
@@ -412,6 +417,8 @@ def cmd_spectrum_table(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import validation
+
     if args.config is not None:
         cfg = _apply_seed(load_config(args.config), args)
         plan, source = cfg.plan, cfg.source()

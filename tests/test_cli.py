@@ -422,6 +422,53 @@ def test_one_generator_and_one_evolve_call_per_span(tmp_path, monkeypatch):
         assert spans == n_spans
 
 
+@pytest.mark.parametrize("case", ["asymmetric", "above-byte-bound",
+                                  "wrong-shape"])
+def test_evolve_kernel_input_guards_are_input_errors(tmp_path, monkeypatch,
+                                                     capsys, case):
+    # An input the kernel guards refuse is an input error where the file is
+    # read, as a wrong shape is: exit 2, the file named, nothing written.
+    cfg = write_config(tmp_path, grid={"n": 16})
+    values = np.random.default_rng(3).standard_normal((16,) * 4)
+    orders, message = "2,2", "bi-photon kernel lacks exchange symmetry"
+    if case == "above-byte-bound":
+        monkeypatch.setattr(moments, "MAX_KERNEL_BYTES", 2 ** 10)
+        values, orders, message = values[0, 0], "1,1", "GiB limit"
+    elif case == "wrong-shape":
+        orders, message = "1,1", "values shape"
+    kernel_path = tmp_path / "init.bin"
+    write_array(kernel_path, values)
+    out = tmp_path / "evolve"
+    assert main(["evolve-kernel", "--config", str(cfg),
+                 "--input", str(kernel_path), "--orders", orders,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {kernel_path}: ")
+    assert message in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore:kernel boundary mass")
+def test_two_span_z_list_checks_exchange_symmetry_once(tmp_path,
+                                                       monkeypatch):
+    # The input's exchange residual is computed where it is read; the
+    # spans evolve checked kernels and do not compute it again.
+    orders, n, cn2, values = chain_inputs()["h22-n16"]
+    cfg_path = write_config(tmp_path, grid={"n": n})
+    kernel_path = tmp_path / "init.bin"
+    write_array(kernel_path, values)
+    check = moments._check_biphoton
+    residuals = []
+    monkeypatch.setattr(moments, "_check_biphoton",
+                        lambda kernel: residuals.append(kernel.z) or
+                        check(kernel))
+    assert main(["evolve-kernel", "--config", str(cfg_path),
+                 "--input", str(kernel_path), "--orders", "2,2",
+                 "--z-list", "0,500,1000",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert residuals == [0.0]
+
+
 @pytest.mark.filterwarnings("ignore:kernel boundary mass")
 def test_rerun_overwrites_outputs_exactly(tmp_path):
     # Outputs written over longer files of the same names hold exactly the
@@ -690,48 +737,73 @@ sys.stdout.write(",".join(sorted(
 """
 
 
-def test_numpy_is_the_only_runtime_dependency():
-    # Importing the package and the command line, and computing Lambda and
-    # a Fock Wigner value, loads no third-party package besides numpy.
+def run_python(code):
+    """The standard output of code run in a fresh interpreter that imports
+    ipfe from this checkout's src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _RUNTIME_IMPORTS], env=env,
-                         capture_output=True, text=True, check=True,
-                         timeout=300)
-    assert out.stdout == ""
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=300).stdout
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # Importing the package and the command line, and computing Lambda and
+    # a Fock Wigner value, loads no third-party package besides numpy.
+    assert run_python(_RUNTIME_IMPORTS) == ""
 
 
 def test_cli_import_leaves_out_concurrent_futures():
     # concurrent.futures loads logging, 0.2 MB of resident memory: it is
     # imported when work first runs on worker threads, so commands that
     # never thread start without it.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, ipfe.cli; "
             "sys.stdout.write(str('concurrent.futures' in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True,
-                         timeout=300)
-    assert out.stdout == "False"
+    assert run_python(code) == "False"
+
+
+_LAYER_LOADING = """
+import contextlib, io, sys
+import ipfe.cli
+layers = ("ipfe.validation", "ipfe.states", "numpy.polynomial")
+loaded = [[m for m in layers if m in sys.modules]]
+for argv in ARGVS:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert ipfe.cli.main(argv) == 0
+    loaded.append([m for m in layers if m in sys.modules])
+sys.stdout.write(repr(loaded))
+"""
+
+
+def test_commands_load_validation_and_states_only_where_they_run(tmp_path):
+    # validate and states import their layers when they run; importing the
+    # command line and running evolve-kernel load neither, nor the
+    # numpy.polynomial that states' lagval brings.  states then loads its
+    # two.
+    cfg = str(write_config(tmp_path))
+    grid = FrequencyGrid(1, 8, 0.25, 1.55e-6)
+    g = np.exp(-grid.freq_sq()).astype(complex)
+    kernel_path = tmp_path / "init.bin"
+    write_array(kernel_path, np.outer(g, np.conj(g)))
+    argvs = [["evolve-kernel", "--config", cfg, "--input", str(kernel_path),
+              "--z-list", "0,500", "--out", str(tmp_path / "evolve")],
+             ["states", "--config", cfg, "--out", str(tmp_path / "states")]]
+    code = ("import warnings; warnings.simplefilter('ignore'); "
+            f"ARGVS = {argvs!r}\n" + _LAYER_LOADING)
+    assert run_python(code) == repr(
+        [[], [], ["ipfe.states", "numpy.polynomial"]])
 
 
 def test_validate_leaves_out_importlib_metadata(tmp_path):
     # importlib.metadata costs about 20 ms to import and finds no
     # distribution for a source checkout; the report takes the version
     # from ipfe.__version__ instead.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys; from ipfe.cli import main; "
             f"status = main(['validate', '--out', {str(tmp_path)!r}]); "
             "sys.stdout.write(f'{status} ' "
             "+ str('importlib.metadata' in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True,
-                         timeout=300)
-    assert out.stdout.splitlines()[-1] == "0 False"
+    assert run_python(code).splitlines()[-1] == "0 False"
     assert (tmp_path / "validation_report.json").exists()
 
 
@@ -765,6 +837,16 @@ def test_version_is_the_pyproject_version():
 def test_package_exports_resolve():
     # `from ipfe import *` fails on a name left in __all__ after its
     # definition or import is removed.
+    # The states names and run_validate load on first access: dir() lists
+    # them before that, and a star import in a fresh interpreter binds
+    # every name.
     missing = [name for name in ipfe.__all__ if not hasattr(ipfe, name)]
     assert not missing
     assert len(set(ipfe.__all__)) == len(ipfe.__all__)
+    assert set(ipfe.__all__) <= set(dir(ipfe))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ipfe.no_such_name
+    code = ("import ipfe; listed = set(ipfe.__all__) <= set(dir(ipfe)); "
+            "from ipfe import *; "
+            "print(listed, all(n in globals() for n in ipfe.__all__))")
+    assert run_python(code) == "True True\n"

@@ -185,6 +185,47 @@ def test_biphoton_loop_oracle_and_symmetry_guard():
         evolve_kernel(asymmetric, MODEL, 100.0, 4)
 
 
+def test_exchange_symmetry_checked_once_per_input(monkeypatch):
+    # A chain of spans computes the exchange residual for its input alone:
+    # each output carries checked, which a dataclasses.replace copy does
+    # not, so the copy is checked again and refused once edited.
+    residuals = []
+    check = moments._check_biphoton
+    monkeypatch.setattr(moments, "_check_biphoton",
+                        lambda kernel: residuals.append(kernel) or
+                        check(kernel))
+    start = gaussian_kernel(1, 16, (2, 2))
+    first = evolve_quietly(start, 250.0, 8)
+    second = evolve_quietly(first, 250.0, 8)
+    assert residuals == [start]
+    assert first.checked and second.checked
+    copy = replace(second)
+    assert not copy.checked
+    evolve_quietly(copy, 250.0, 8)
+    assert residuals == [start, copy]
+    # Symmetry to rounding passes the residual's tolerance; more does not.
+    edited = replace(second, values=second.values.copy())
+    edited.values[1, 0, 0, 0] *= 1 + 1e-12
+    evolve_quietly(edited, 250.0, 8)
+    edited = replace(edited)
+    edited.values[1, 0, 0, 0] += 1.0
+    with pytest.raises(ValueError, match="exchange symmetry"):
+        evolve_quietly(edited, 250.0, 8)
+
+
+@pytest.mark.parametrize("value", [1 + 0j, -2.5 + 0j])
+def test_order_zero_kernel_evolves(value):
+    # The (0, 0) kernel is a number: no index drifts or scatters, so it
+    # keeps its bits, and a real one is Hermitian.
+    kernel = MomentKernel((0, 0), REFERENCE.grid, np.array(value))
+    out = evolve_kernel(kernel, REFERENCE.model, 250.0, 32)
+    assert out.values.shape == ()
+    assert out.values.tobytes() == kernel.values.tobytes()
+    assert out.hermiticity == 0.0
+    assert hermiticity_residual(kernel) == 0.0
+    assert out.boundary_mass == 0.0
+
+
 def seven_term_loop_rhs(values, grid, model):
     """The two-photon bracket of validation._naive_rank4_rhs as the
     scalar loop over every site and shift it was first written as."""
