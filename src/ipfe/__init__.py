@@ -1,12 +1,17 @@
 """Moment-kernel evolution of optical states through atmospheric
 turbulence, cross-validated against a split-step Monte-Carlo propagator.
 
-The state helpers of ``ipfe.states`` and ``run_validate`` are loaded on
-first use (module ``__getattr__``), so importing the package, or a command
-that does not use them, does not load those layers or numpy.polynomial.
+``ipfe.states`` and ``ipfe.validation`` are in ``sys.modules`` from the
+package import on, as every other module (so code that walks the loaded
+ipfe modules, such as a tracer wrapping their functions, finds them), but
+their code runs on first attribute access (``importlib.util.LazyLoader``),
+and the package's states names and ``run_validate`` resolve on first use
+(module ``__getattr__``).  So importing the package, or a command that
+uses neither layer, does not run them or load numpy.polynomial.
 """
 
-from importlib import import_module
+import importlib.util
+import sys
 
 from .grid import FrequencyGrid, Spectrum, contract, to_frequency, to_position
 from .moments import (MomentKernel, biphoton_rhs, evolve_h10, evolve_h11,
@@ -59,7 +64,22 @@ __all__ = [
     "wigner_linear_process",
 ]
 
-# Exported name -> the submodule that defines it, imported on first access.
+
+def _deferred(name):
+    """The submodule ipfe.<name>, registered in sys.modules and bound here
+    without running its code, which runs on its first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+states = _deferred("states")
+validation = _deferred("validation")
+
+# Exported name -> the deferred submodule that defines it.
 _LAZY = {
     **dict.fromkeys(["FockSpec", "GaussianState", "LinearProcess",
                      "characteristic_of_gaussian", "fock_generating",
@@ -72,7 +92,7 @@ _LAZY = {
 def __getattr__(name):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    value = getattr(globals()[_LAZY[name]], name)
     globals()[name] = value
     return value
 

@@ -18,9 +18,6 @@ validate        full cross-validation suite on the reference plan, or on
                 the plan and source of --config; JSON + text report
 
 Common flags: --config <path>, --seed <u64>, --out <dir>.
-
-validate imports ipfe.validation, and states and validate ipfe.states,
-when they run: the other commands load neither layer.
 """
 
 from __future__ import annotations
@@ -38,10 +35,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import states, validation
 from .arrayio import (grid_metadata, read_array, write_array, write_in_place,
                       write_json)
 from .grid import FrequencyGrid, Spectrum
-from .moments import (MomentKernel, check_kernel, evolve_kernel,
+from .moments import (KernelInputError, MomentKernel, evolve_kernel,
                       kernel_diagnostics, kernel_trace, step_guard_values)
 from .phase_screen import MIN_SAMPLES, as_u64, screen_statistics
 from .spectrum import SpectrumKind, TurbulenceModel, psd_transverse
@@ -269,11 +267,9 @@ def cmd_evolve_kernel(args) -> int:
     plan = cfg.plan
     m, n = args.orders
     # The input is held as current alone, so the first span's output
-    # replaces it in memory.  Its guards run here, once: a refusal is an
-    # input error, and no span checks the input again.
+    # replaces it in memory.
     try:
         current = MomentKernel((m, n), plan.grid, read_array(args.input)[0])
-        check_kernel(current)
     except ValueError as exc:
         raise ConfigError(f"{args.input}: {exc}") from exc
 
@@ -297,7 +293,11 @@ def cmd_evolve_kernel(args) -> int:
             dz_cfg = plan.dz if plan.z_total > 0 else span
             steps = max(1, int(np.ceil(span / dz_cfg)))
             t1 = time.perf_counter()
-            current = evolve_kernel(current, plan.model, span, steps)
+            try:
+                current = evolve_kernel(current, plan.model, span, steps)
+            except KernelInputError as exc:
+                # Only the first span checks: later ones evolve outputs.
+                raise ConfigError(f"{args.input}: {exc}") from exc
             evolve_s += time.perf_counter() - t1
             dz_max = max(dz_max, span / steps)
             evolved, filled = current.sectors_evolved, current.sectors_filled
@@ -337,9 +337,6 @@ def cmd_evolve_kernel(args) -> int:
 
 
 def cmd_states(args) -> int:
-    from .states import (FockSpec, GaussianState, fock_generating,
-                         fock_wigner, gaussian_drift)
-
     cfg = _apply_seed(load_config(args.config), args)
     out = _out_dir(args, cfg)
     grid = cfg.plan.grid
@@ -347,8 +344,8 @@ def cmd_states(args) -> int:
     if args.stationarity:
         rows = []
         for width in (2.0, 1.0, 3.0, 5.0):
-            state = GaussianState.thermal(grid, width)
-            rhs, fourth = gaussian_drift(state, cfg.plan.model)
+            state = states.GaussianState.thermal(grid, width)
+            rhs, fourth = states.gaussian_drift(state, cfg.plan.model)
             rows.append([width, float(np.max(np.abs(rhs))), fourth])
         _write_csv(out / "stationarity.csv",
                    ["kernel_width", "second_order_max_abs",
@@ -356,14 +353,14 @@ def cmd_states(args) -> int:
         print(f"wrote stationarity table to {out}")
         return 0
 
-    fock = FockSpec.normalized(grid, cfg.source().values)
+    fock = states.FockSpec.normalized(grid, cfg.source().values)
     rows = []
     for r in np.linspace(0.0, 2.0, 101):
         alpha = Spectrum(grid, r * fock.profile)
         row = [r]
         for order in range(4):
-            row.append(fock_wigner(order, fock, alpha))
-        row.append(fock_generating(0.5, fock, alpha).real)
+            row.append(states.fock_wigner(order, fock, alpha))
+        row.append(states.fock_generating(0.5, fock, alpha).real)
         rows.append(row)
     _write_csv(out / "fock_sweep.csv",
                ["alpha_scale", "w0", "w1", "w2", "w3",
@@ -417,8 +414,6 @@ def cmd_spectrum_table(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from . import validation
-
     if args.config is not None:
         cfg = _apply_seed(load_config(args.config), args)
         plan, source = cfg.plan, cfg.source()

@@ -125,17 +125,14 @@ class MomentKernel:
     z: float = 0.0
     # The run record: set by evolve_kernel alone, on the kernel it returns,
     # and the defaults on every other kernel (no constructor takes it, and
-    # dataclasses.replace resets it), except that check_kernel also sets
-    # checked.  Whether the values passed evolve_kernel's input guards,
-    # which evolve_kernel then does not run again; the sectors evolved and
-    # those filled by conjugate transpose; the KernelGenerator, which a
-    # later evolve_kernel of these values under the same model reuses; the
-    # values' boundary_mass_fraction and, for m == n, hermiticity_residual,
-    # read by kernel_diagnostics.  Changing the values in place leaves it
-    # stale, and a checked kernel's new values then evolve unchecked: a
-    # (2, 2) kernel edited out of exchange symmetry is not refused.
-    checked: bool = field(init=False, default=False, repr=False,
-                          compare=False)
+    # dataclasses.replace resets it).  The sectors evolved and those filled
+    # by conjugate transpose; the KernelGenerator, which a later evolve_kernel
+    # of these values under the same model reuses; the values'
+    # boundary_mass_fraction and, for m == n, hermiticity_residual, read by
+    # kernel_diagnostics.  Changing the values in place leaves it stale, and
+    # evolve_kernel does not check the exchange symmetry of a kernel that
+    # carries a generator: a (2, 2) output edited in place out of it is
+    # not refused.
     sectors_evolved: int = field(init=False, default=0)
     sectors_filled: int = field(init=False, default=0)
     generator: KernelGenerator | None = field(init=False, default=None,
@@ -225,15 +222,9 @@ def boundary_mass_fraction(kernel: MomentKernel) -> float:
     return (total - inner) / total
 
 
-def check_kernel(kernel: MomentKernel) -> None:
-    """evolve_kernel's input guards: the order, dimension and byte bounds
-    of every kernel operation and, for a (2, 2) kernel, exchange symmetry.
-    Raises ValueError, or marks kernel checked."""
-    if kernel.orders == (2, 2):
-        _check_biphoton(kernel)
-    else:
-        _check_bounds(kernel)
-    kernel.checked = True
+class KernelInputError(ValueError):
+    """A kernel refused by the input guards of the kernel operations: the
+    order, dimension and byte bounds and, for (2, 2), exchange symmetry."""
 
 
 def _check_bounds(kernel: MomentKernel) -> None:
@@ -242,14 +233,14 @@ def _check_bounds(kernel: MomentKernel) -> None:
     above MAX_KERNEL_BYTES."""
     m, n = kernel.orders
     if m + n > 4:
-        raise ValueError(
+        raise KernelInputError(
             "kernel order m+n > 4 exceeds the desk-scale bound")
     if m + n >= 3 and kernel.grid.dim != 1:
-        raise ValueError(
+        raise KernelInputError(
             "rank >= 3 kernels are supported on 1-D grids only")
     estimate = _KERNEL_BYTES_PER_ELEMENT * kernel.values.size
     if estimate > MAX_KERNEL_BYTES:
-        raise ValueError(
+        raise KernelInputError(
             f"order-{kernel.orders} kernel of {kernel.values.size} elements "
             f"needs about {estimate / 2 ** 30:.1f} GiB, above the "
             f"{MAX_KERNEL_BYTES / 2 ** 30:.0f} GiB limit")
@@ -566,16 +557,13 @@ def _check_biphoton(kernel: MomentKernel) -> None:
     symmetry within the bra pair and within the ket pair."""
     _check_bounds(kernel)
     v = kernel.values
-    swaps = (v.transpose(1, 0, 2, 3), v.transpose(0, 1, 3, 2))
-    # Exact symmetry, as of a product state, passes at half the cost of
-    # the residual, which it would put at 0.
-    if all(np.array_equal(v, swapped) for swapped in swaps):
-        return
     scale = np.max(np.abs(v))
     if scale > 0:
-        asym = max(np.max(np.abs(v - swapped)) for swapped in swaps)
+        asym = max(np.max(np.abs(v - v.transpose(1, 0, 2, 3))),
+                   np.max(np.abs(v - v.transpose(0, 1, 3, 2))))
         if asym > 1e-8 * scale:
-            raise ValueError("bi-photon kernel lacks exchange symmetry")
+            raise KernelInputError(
+                "bi-photon kernel lacks exchange symmetry")
 
 
 def biphoton_rhs(kernel: MomentKernel, model: TurbulenceModel) -> MomentKernel:
@@ -631,10 +619,10 @@ def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,
     """n_steps Strang slabs of the kernel's generator, sector by sector
     (KernelGenerator.evolve): the expectation of the split-step ensemble
     over the same slabs (a single multiply by exp(z diag) when nothing
-    scatters).  An input not yet checked must pass check_kernel: a
-    (2, 2) kernel meets the bounds biphoton_rhs enforces, exchange
-    symmetry included, which the evolution keeps to rounding, so a chain
-    of spans computes that residual once.
+    scatters).  A (2, 2) kernel that carries no generator (not an output
+    of this function) must meet the bounds biphoton_rhs enforces,
+    exchange symmetry included, which the evolution keeps to rounding, so
+    a chain of spans computes that residual once.
 
     The generator is the one kernel carries (an output of this function)
     if it was built for the same orders, grid and model, and is built
@@ -647,8 +635,8 @@ def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,
     residual."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if not kernel.checked:
-        check_kernel(kernel)
+    if kernel.orders == (2, 2) and kernel.generator is None:
+        _check_biphoton(kernel)
     dz = z_total / n_steps
     if z_total > 0.0:
         step_guard(kernel.grid, model, dz)
@@ -670,7 +658,7 @@ def evolve_kernel(kernel: MomentKernel, model: TurbulenceModel,
     # Freed before the diagnostics, which hold temporaries of their own.
     del sectors
     out = MomentKernel(kernel.orders, kernel.grid, values, kernel.z + z_total)
-    out.checked, out.generator = True, gen
+    out.generator = gen
     out.sectors_evolved, out.sectors_filled = count, len(gen.index) - count
     out.boundary_mass = boundary_mass_fraction(out)
     if m == n:

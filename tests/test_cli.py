@@ -426,8 +426,9 @@ def test_one_generator_and_one_evolve_call_per_span(tmp_path, monkeypatch):
                                   "wrong-shape"])
 def test_evolve_kernel_input_guards_are_input_errors(tmp_path, monkeypatch,
                                                      capsys, case):
-    # An input the kernel guards refuse is an input error where the file is
-    # read, as a wrong shape is: exit 2, the file named, nothing written.
+    # An input the kernel guards refuse is an input error, as a wrong shape
+    # is: exit 2 and the file named.  The guards run in the first span, so
+    # only the z = 0 snapshot, a copy of the input, is written before.
     cfg = write_config(tmp_path, grid={"n": 16})
     values = np.random.default_rng(3).standard_normal((16,) * 4)
     orders, message = "2,2", "bi-photon kernel lacks exchange symmetry"
@@ -445,14 +446,16 @@ def test_evolve_kernel_input_guards_are_input_errors(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {kernel_path}: ")
     assert message in err
-    assert list(out.iterdir()) == []
+    assert sorted(p.name for p in out.iterdir()) == (
+        [] if case == "wrong-shape"
+        else ["kernel_z0.bin", "kernel_z0.bin.json"])
 
 
 @pytest.mark.filterwarnings("ignore:kernel boundary mass")
 def test_two_span_z_list_checks_exchange_symmetry_once(tmp_path,
                                                        monkeypatch):
-    # The input's exchange residual is computed where it is read; the
-    # spans evolve checked kernels and do not compute it again.
+    # The first span computes the input's exchange residual; the second
+    # evolves its output, which carries a generator, and does not.
     orders, n, cn2, values = chain_inputs()["h22-n16"]
     cfg_path = write_config(tmp_path, grid={"n": n})
     kernel_path = tmp_path / "init.bin"
@@ -764,23 +767,28 @@ def test_cli_import_leaves_out_concurrent_futures():
 
 
 _LAYER_LOADING = """
-import contextlib, io, sys
+import contextlib, io, sys, types
 import ipfe.cli
 layers = ("ipfe.validation", "ipfe.states", "numpy.polynomial")
-loaded = [[m for m in layers if m in sys.modules]]
+# A deferred module is in sys.modules with LazyLoader's subclass of
+# ModuleType until its code runs; type() reads that without running it.
+ran = lambda: [m for m in layers
+               if type(sys.modules.get(m)) is types.ModuleType]
+loaded = [[m for m in layers if m in sys.modules], ran()]
 for argv in ARGVS:
     with contextlib.redirect_stdout(io.StringIO()):
         assert ipfe.cli.main(argv) == 0
-    loaded.append([m for m in layers if m in sys.modules])
+    loaded.append(ran())
 sys.stdout.write(repr(loaded))
 """
 
 
-def test_commands_load_validation_and_states_only_where_they_run(tmp_path):
-    # validate and states import their layers when they run; importing the
-    # command line and running evolve-kernel load neither, nor the
-    # numpy.polynomial that states' lagval brings.  states then loads its
-    # two.
+def test_commands_run_validation_and_states_only_where_they_are_used(
+        tmp_path):
+    # Importing the command line registers the validation and states
+    # layers without running them, and evolve-kernel runs neither, nor
+    # loads the numpy.polynomial that states' lagval brings.  states then
+    # runs its layer.
     cfg = str(write_config(tmp_path))
     grid = FrequencyGrid(1, 8, 0.25, 1.55e-6)
     g = np.exp(-grid.freq_sq()).astype(complex)
@@ -792,7 +800,8 @@ def test_commands_load_validation_and_states_only_where_they_run(tmp_path):
     code = ("import warnings; warnings.simplefilter('ignore'); "
             f"ARGVS = {argvs!r}\n" + _LAYER_LOADING)
     assert run_python(code) == repr(
-        [[], [], ["ipfe.states", "numpy.polynomial"]])
+        [["ipfe.validation", "ipfe.states"], [], [],
+         ["ipfe.states", "numpy.polynomial"]])
 
 
 def test_validate_leaves_out_importlib_metadata(tmp_path):

@@ -187,8 +187,8 @@ def test_biphoton_loop_oracle_and_symmetry_guard():
 
 def test_exchange_symmetry_checked_once_per_input(monkeypatch):
     # A chain of spans computes the exchange residual for its input alone:
-    # each output carries checked, which a dataclasses.replace copy does
-    # not, so the copy is checked again and refused once edited.
+    # each output carries its generator, which a dataclasses.replace copy
+    # does not, so the copy is checked again and refused once edited.
     residuals = []
     check = moments._check_biphoton
     monkeypatch.setattr(moments, "_check_biphoton",
@@ -197,12 +197,10 @@ def test_exchange_symmetry_checked_once_per_input(monkeypatch):
     start = gaussian_kernel(1, 16, (2, 2))
     first = evolve_quietly(start, 250.0, 8)
     second = evolve_quietly(first, 250.0, 8)
-    assert residuals == [start]
-    assert first.checked and second.checked
+    assert len(residuals) == 1 and residuals[0] is start
     copy = replace(second)
-    assert not copy.checked
     evolve_quietly(copy, 250.0, 8)
-    assert residuals == [start, copy]
+    assert len(residuals) == 2 and residuals[1] is copy
     # Symmetry to rounding passes the residual's tolerance; more does not.
     edited = replace(second, values=second.values.copy())
     edited.values[1, 0, 0, 0] *= 1 + 1e-12
@@ -211,6 +209,17 @@ def test_exchange_symmetry_checked_once_per_input(monkeypatch):
     edited.values[1, 0, 0, 0] += 1.0
     with pytest.raises(ValueError, match="exchange symmetry"):
         evolve_quietly(edited, 250.0, 8)
+
+
+def test_input_edited_after_evolving_is_checked_again():
+    # Evolving a kernel leaves its own record empty, so an in-place edit
+    # of it between two calls is seen by the second.
+    kernel = gaussian_kernel(1, 16, (2, 2))
+    evolve_quietly(kernel, 250.0, 8)
+    assert kernel.generator is None
+    kernel.values[1, 0, 0, 0] += 1.0
+    with pytest.raises(ValueError, match="exchange symmetry"):
+        evolve_quietly(kernel, 250.0, 8)
 
 
 @pytest.mark.parametrize("value", [1 + 0j, -2.5 + 0j])
