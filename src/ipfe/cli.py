@@ -40,7 +40,8 @@ from .arrayio import (grid_metadata, read_array, write_array, write_in_place,
                       write_json)
 from .grid import FrequencyGrid, Spectrum
 from .moments import (KernelInputError, MomentKernel, evolve_kernel,
-                      kernel_diagnostics, kernel_trace, step_guard_values)
+                      kernel_diagnostics, kernel_trace, step_guard,
+                      step_guard_values)
 from .phase_screen import MIN_SAMPLES, as_u64, screen_statistics
 from .spectrum import SpectrumKind, TurbulenceModel, psd_transverse
 from .splitstep import PropagationPlan, ensemble_moments
@@ -274,24 +275,39 @@ def cmd_evolve_kernel(args) -> int:
         raise ConfigError(f"{args.input}: {exc}") from exc
 
     z_values = args.z_list
+    # Every span's steps, checked before any file is written.  A step no
+    # longer than plan.dz meets the guards load_config checked (both are
+    # linear in the step); with plan.z_total 0 a span is one step, which
+    # no check has seen.
+    spans = []
+    z_prev = 0.0
+    for z in z_values:
+        span = z - z_prev
+        steps = 0
+        if span > 0:
+            dz_cfg = plan.dz if plan.z_total > 0 else span
+            steps = max(1, int(np.ceil(span / dz_cfg)))
+            if span / steps > plan.dz:
+                try:
+                    step_guard(plan.grid, plan.model, span / steps)
+                except ValueError as exc:
+                    raise ConfigError(f"plan: {exc}") from exc
+        spans.append((z, span, steps))
+        z_prev = z
     rows = []
     snapshots = []
     trace0 = kernel_trace(current).real if m == n else None
     # The trace of the snapshot in hand: the input's until a span evolves.
     trace = float("nan") if trace0 is None else trace0
-    z_prev = 0.0
     dz_max = 0.0
     evolve_s = 0.0
     # Every generator the spans used: evolve_kernel carries one from span
     # to span, so a command builds one.
     generators = []
     meta = grid_metadata(plan.grid, orders=[m, n])
-    for z in z_values:
-        span = z - z_prev
-        steps = evolved = filled = 0
+    for z, span, steps in spans:
+        evolved = filled = 0
         if span > 0:
-            dz_cfg = plan.dz if plan.z_total > 0 else span
-            steps = max(1, int(np.ceil(span / dz_cfg)))
             t1 = time.perf_counter()
             try:
                 current = evolve_kernel(current, plan.model, span, steps)
@@ -305,7 +321,6 @@ def cmd_evolve_kernel(args) -> int:
                 generators.append(current.generator)
             if m == n:
                 trace = kernel_trace(current).real
-        z_prev = z
         write_array(out / f"kernel_z{z:g}.bin", current.values, meta)
         herm, mass = kernel_diagnostics(current)
         rows.append([z, trace, float("nan") if herm is None else herm, mass])

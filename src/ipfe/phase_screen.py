@@ -45,10 +45,37 @@ per block.  The split-step engine draws realization r in slab s at
 pairs from the generator of key (seed, 1).  ``keyed_generator`` builds
 a generator at a key the same way, for keyed data that are not screens
 (the checks' own test data, ``gaussian_drift``'s probes).
+
+Buffers.  ``draw`` fills the normals and coefficient buffers of
+``ScreenLattice.work``, drawing every Philox block whole, and writes the
+screens into ``out``, which may be a strided view (the split-step engine
+passes the real part of its screen factor).  A caller that draws range
+after range (the engine per chunk, ``screen_statistics`` per call)
+allocates these buffers once.  ``draw``, ``slab_screen``,
+``draw_screen`` and the engine share this code, and ``irfftn`` written
+to a strided ``out`` keeps its bits.  ``fields`` calls ``irfftn``'s own
+transforms, axis by axis in its order.
+
+``screen_statistics`` reduces its chunks in buffers allocated once per
+call and keeps the bits of the expressions they replace:
+
+- ``flat[:, sites]`` returns a Fortran-ordered (sample, pair) array, so
+  ``np.sum(axis=0)`` adds each pair's samples contiguously, in numpy's
+  pairwise order.  The buffers hold the coefficients and the pair values
+  (site, sample)-ordered and sum each row, which is the same order.  A
+  C-ordered (sample, pair) copy, such as ``np.take(flat, sites, axis=1)``
+  returns, is summed sample by sample instead, and moved
+  ``screens/cross-correlation`` in its last bits.
+- ``a * np.conj(b)`` on those arrays is rounded as conj(b)*a when they
+  reach 256 KiB (a whole 256-screen chunk of 64 pairs), because numpy
+  then computes it in the ``conj`` temporary, and as a*conj(b) on a
+  smaller last chunk.  numpy's complex multiply does not round a*b as
+  b*a, so the buffered product keeps both orders.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import threading
 import warnings
@@ -132,39 +159,64 @@ class ScreenLattice:
         rng.bit_generator.state = state
         return rng
 
-    def fields(self, normals: np.ndarray) -> np.ndarray:
+    def work(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Buffers for draw(..., start, stop, work=...), which serve any
+        later range of no more screens in no more Philox blocks: the
+        normals of the whole blocks that hold the screens, shape
+        (blocks * BLOCK, 2) + half_shape, and the screens' coefficients,
+        shape (stop - start,) + half_shape, complex."""
+        blocks = -(-(stop - start + start % BLOCK) // BLOCK)
+        return (np.empty((blocks * BLOCK, 2) + self.amplitude.shape),
+                np.empty((stop - start,) + self.amplitude.shape,
+                         dtype=np.complex128))
+
+    def fields(self, normals: np.ndarray, coeff: np.ndarray | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
         """Screens, shape (B,) + grid shape in DFT order, from a
-        (B, 2) + half_shape block of normals (the module docstring)."""
+        (B, 2) + half_shape block of normals (the module docstring).  The
+        coefficients go to coeff, which the transform overwrites, and the
+        screens to out (a real array, a strided view allowed), each a new
+        array if None; returns out."""
         grid = self.grid
-        coeff = np.empty((len(normals),) + self.amplitude.shape,
-                         dtype=np.complex128)
+        shape = (len(normals),) + self.amplitude.shape
+        if coeff is None:
+            coeff = np.empty(shape, dtype=np.complex128)
+        if out is None:
+            out = np.empty((len(normals),) + grid.shape)
         np.multiply(self.amplitude, normals[:, 0], out=coeff.real)
         np.multiply(self.amplitude, normals[:, 1], out=coeff.imag)
-        screens = np.fft.irfftn(coeff, s=grid.shape,
-                                axes=tuple(range(1, grid.dim + 1)))
-        screens *= grid.n ** grid.dim * grid.cell
-        return screens
+        # np.fft.irfftn(coeff, s=grid.shape, axes=(1, ..., D), out=out),
+        # transform by transform in its order (the engine's axes comment
+        # in ipfe.splitstep says why), the leading ones in place in coeff.
+        for axis in range(1, grid.dim):
+            np.fft.ifft(coeff, axis=axis, out=coeff)
+        np.fft.irfft(coeff, grid.n, axis=grid.dim, out=out)
+        out *= grid.n ** grid.dim * grid.cell
+        return out
 
-    def draw(self, seed: int, stream: int, start: int,
-             stop: int) -> np.ndarray:
+    def draw(self, seed: int, stream: int, start: int, stop: int,
+             out: np.ndarray | None = None,
+             work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
         """The screens at indices start..stop-1 of Philox key
-        (seed, stream), shape (stop - start,) + grid shape in DFT order."""
+        (seed, stream), shape (stop - start,) + grid shape in DFT order,
+        written into out as ``fields`` does.  work is the buffers of
+        ``self.work`` for this range or a larger one, so that a caller
+        drawing range after range allocates them once (new ones if None).
+        Every Philox block is drawn whole into work's normals, the way the
+        stream contract defines it, and the range's rows are read there."""
         seed, stream = as_u64(seed, "seed"), as_u64(stream, "stream")
         start = as_u64(start, "screen index")
         stop = operator.index(stop)
         if not start <= stop <= 2 ** 64:
             raise ValueError(f"screen index stop must be in [start, 2^64], "
                              f"got {stop}")
-        normals = np.empty((stop - start, 2) + self.amplitude.shape)
-        for first in range(start - start % BLOCK, stop, BLOCK):
-            rng = self.generator(seed, stream, first // BLOCK)
-            lo, hi = max(start, first), min(stop, first + BLOCK)
-            if hi - lo == BLOCK:
-                rng.standard_normal(out=normals[lo - start:hi - start])
-            else:
-                block = rng.standard_normal((BLOCK, 2) + self.amplitude.shape)
-                normals[lo - start:hi - start] = block[lo - first:hi - first]
-        return self.fields(normals)
+        normals, coeff = self.work(start, stop) if work is None else work
+        first = start - start % BLOCK
+        for lo in range(first, stop, BLOCK):
+            rng = self.generator(seed, stream, lo // BLOCK)
+            rng.standard_normal(out=normals[lo - first:lo - first + BLOCK])
+        return self.fields(normals[start - first:stop - first],
+                           coeff[:stop - start], out)
 
 
 def keyed_generator(seed: int, stream: int) -> np.random.Generator:
@@ -197,6 +249,10 @@ _STATISTICS_CHUNK = 4 * BLOCK
 
 # Random site pairs whose cross-covariance screen_statistics reports.
 _CROSS_PAIRS = 64
+
+# The size from which numpy computes a binary operation in a temporary
+# operand's buffer (NPY_MIN_ELIDE_BYTES; module docstring).
+_ELIDE_BYTES = 256 * 1024
 
 # Fewest screens screen_statistics draws.
 MIN_SAMPLES = 100
@@ -255,20 +311,56 @@ def screen_statistics(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
     cross_sum = np.zeros(_CROSS_PAIRS, dtype=np.complex128)
     cross_sq = np.zeros(_CROSS_PAIRS)
 
+    # Buffers of the first chunk, which no later chunk outgrows, read
+    # through views of their heads.  The coefficients and the pair values
+    # are held (site, sample)-ordered: a pair's values are gathered as
+    # whole rows, and their sums over samples run over contiguous values,
+    # in the pairwise order numpy sums the (sample, pair) arrays of
+    # flat[:, sites] in (module docstring).
+    rows = min(_STATISTICS_CHUNK, n_samples)
+    work = lattice.work(0, rows)
+    coeff_buf = np.empty(flat_size * rows, dtype=np.complex128)
+    pair_buf = np.empty((2, _CROSS_PAIRS * rows), dtype=np.complex128)
+    power_buf = np.empty(max(flat_size, _CROSS_PAIRS) * rows)
+    samples_first = (grid.dim,) + tuple(range(grid.dim))
+
+    def head(buf, *shape):
+        return buf[:math.prod(shape)].reshape(shape)
+
     for start in range(0, n_samples, _STATISTICS_CHUNK):
-        fields = lattice.draw(seed, 0, start,
-                              min(start + _STATISTICS_CHUNK, n_samples))
+        count = min(_STATISTICS_CHUNK, n_samples - start)
+        by_site = head(coeff_buf, flat_size, count)
+        coeff = by_site.reshape(grid.shape + (count,)).transpose(
+            samples_first)
+        lattice.draw(seed, 0, start, start + count, coeff.real, work)
+        coeff.imag = 0.0
         # The grid's inverse transform (grid.to_frequency) of each screen,
-        # which is already in DFT order, left unshifted.
-        coeff = np.fft.ifftn(fields, axes=axes)
+        # which is already in DFT order, left unshifted: np.fft.ifftn's
+        # transforms, in its order.
+        for axis in reversed(axes):
+            np.fft.ifft(coeff, axis=axis, out=coeff)
         coeff *= grid.delta_weight
-        p = np.abs(coeff) ** 2
+        p = np.abs(coeff, out=head(power_buf, count, *grid.shape))
+        np.square(p, out=p)
         sum_sq += np.sum(p, axis=0)
-        sum_quad += np.sum(p ** 2, axis=0)
-        flat = coeff.reshape(len(coeff), flat_size)
-        prods = flat[:, dft_a] * np.conj(flat[:, dft_b])
-        cross_sum += np.sum(prods, axis=0)
-        cross_sq += np.sum(np.abs(prods) ** 2, axis=0)
+        np.square(p, out=p)
+        sum_quad += np.sum(p, axis=0)
+        pair_a, prods = (head(buf, _CROSS_PAIRS, count)
+                         for buf in pair_buf)
+        np.take(by_site, dft_a, axis=0, out=pair_a, mode="clip")
+        np.take(by_site, dft_b, axis=0, out=prods, mode="clip")
+        np.conjugate(prods, out=prods)
+        # flat[:, dft_a] * np.conj(flat[:, dft_b]) in the operand order
+        # numpy rounds it in (module docstring).
+        if prods.nbytes >= _ELIDE_BYTES:
+            np.multiply(prods, pair_a, out=prods)
+        else:
+            np.multiply(pair_a, prods, out=prods)
+        cross_sum += np.sum(prods, axis=1)
+        pair_power = np.abs(prods, out=head(power_buf, _CROSS_PAIRS,
+                                            count))
+        np.square(pair_power, out=pair_power)
+        cross_sq += np.sum(pair_power, axis=1)
 
     sum_sq = np.fft.fftshift(sum_sq)
     sum_quad = np.fft.fftshift(sum_quad)

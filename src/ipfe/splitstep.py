@@ -35,12 +35,18 @@ one-thread wall time for a chunk's Philox draws, ``sin`` and complex
 multiplies, and 1.1-1.5 times for its FFT pairs, against 2.2 times for
 pure Python.  The Python between the calls (the slab loop and the screen
 draw's bookkeeping) runs one thread at a time.  Each thread draws its
-screens from a
-Philox generator of its own (``ScreenLattice.generator``).  A slab runs
-in place on its chunk: the FFTs write back into the field block, and the
-screen factor exp(-i phi) goes to one buffer per chunk as cos(-phi) + i
-sin(-phi), which has the complex ``exp``'s bits (checked with numpy 2.4
-on glibc over every screen of the reference plan) in less time.
+screens from a Philox generator of its own (``ScreenLattice.generator``).
+
+A chunk is propagated in buffers allocated once per chunk, not per slab:
+the field block, which the FFTs write back into, the screen factor's
+block, and the normals and coefficients of ``ScreenLattice.work``.  Each
+slab draws its screens into the factor's real part, scales them to the
+phase -phi, writes sin(-phi) to the imaginary part and then cos(-phi) in
+place: exp(-i phi) with the complex ``exp``'s bits (checked with numpy
+2.4 on glibc over every screen of the reference plan) in less time.  The
+FFTs are ``fftn``'s and ``ifftn``'s own transforms, axis by axis in
+their order.  At the end the factor's block takes the DC-centred output
+rows, corner by corner, in place of ``fftshift``'s copy.
 
 The calling thread also reduces each ``BLOCK``-row slice of a chunk with
 ``block_products`` and adds the block partials in index order, so the
@@ -48,25 +54,46 @@ moments are bit-reproducible, independent of the worker count, and differ
 from a one-realization-at-a-time sum only by the rounding of the
 reduction.  ``block_products`` forms the complex products D^T D*, D^T D
 and Q^T D from real matrix products of the real and imaginary parts of
-D: with Q^T Q, six real products in place of four complex ones.  A
+D, six real products in all with Q^T Q, and adds each to its sum's
+``.real`` or ``.imag`` in place.  A
 complex product of a block's size hands work to OpenBLAS's thread pool,
 whose threads then spin for about 0.12 s of CPU after every call, on the
 cores the workers need; the real products of a 64-site block (the 1-D
 reference lattice) run on the calling thread and leave the pool idle,
 and with OpenBLAS they round bit for bit as the complex ones do.  On
 larger lattices (2-D n=16 has 256 sites) the real products are large
-enough for BLAS to split them between its threads.  ``ensemble_moments``
-refuses, before allocating, a grid whose (n^D)^2 moments it estimates
-above ``MAX_ENSEMBLE_BYTES``.
+enough for BLAS to split them between its threads.  The moments are
+finished in the sums' own buffers and one real (n^D)^2 array.
+``ensemble_moments`` refuses, before allocating, a grid
+whose (n^D)^2 moments it estimates above ``MAX_ENSEMBLE_BYTES``.
+
+Bits.  Each buffer replaces an expression by the same operations in the
+same order, so every output keeps the bits of the allocating code.  With
+numpy 2.4.6 on glibc (x86-64 with AVX-512), these held:
+
+- ``irfft``/``irfftn`` with ``out=`` a strided view, FFTs written back
+  in place, and ``sin`` followed by an in-place ``cos`` on strided views
+  give the bits of the allocating calls.
+- Complex addition is componentwise, so adding the real and imaginary
+  parts of a product to a sum's ``.real`` and ``.imag`` gives the bits of
+  adding the complex product.
+- numpy's complex multiply does not round a*b as b*a.  Where an
+  expression's right operand is a temporary of at least 256 KiB and its
+  left is not, numpy computes it in that temporary, so
+  ``x * np.conj(y)`` is rounded as conj(y)*x there and as x*conj(y)
+  below that size.  ``ensemble_moments`` finishes every product in its
+  expression's operand order, none of which the elision reverses, and
+  ``phase_screen.screen_statistics`` keeps both orders.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -78,12 +105,14 @@ from .spectrum import TurbulenceModel
 
 # Largest working set ensemble_moments may estimate for itself (bytes).  Per
 # element of an (n^D)^2 moment it holds 56 B of accumulators (three complex,
-# one real) and complex temporaries while finishing the moments: the peak
-# tracemalloc reports at 2-D n=32 is 187-188 B (about 187 MiB) under 1, 2
-# and 3 workers, which 216 B bounds.  The limit admits 2-D n=32 and
-# refuses 2-D n=64 (3.4 GiB).
+# one real), three real products of a block while reducing it, and one
+# real array while finishing the moments in the accumulators' buffers: the
+# peak tracemalloc reports at 2-D n=32 is 84.5-85.7 B (about 85 MiB) under
+# 1, 2 and 3 workers, which 120 B, four complex temporaries above the
+# accumulators, bounds with 40% to spare.  The limit admits 2-D n=32 and
+# refuses 2-D n=64 (1.9 GiB).
 MAX_ENSEMBLE_BYTES = 2 ** 30
-_ENSEMBLE_BYTES_PER_ELEMENT = 56 + 10 * 16
+_ENSEMBLE_BYTES_PER_ELEMENT = 56 + 4 * 16
 
 
 @dataclass(frozen=True)
@@ -153,34 +182,56 @@ class _BlockEngine:
         plan.check_guards()
         grid = plan.grid
         self.plan = plan
-        self.axes = tuple(range(1, grid.dim + 1))
+        # The grid axes in the order np.fft.fftn and ifftn transform them.
+        # The engine calls those 1-D transforms itself: the n-D wrappers
+        # leave a few small objects in numpy's and CPython's caches per
+        # call, which tracemalloc counts, so the ensemble's peak would grow
+        # with its chunk count.
+        self.axes = tuple(range(grid.dim, 0, -1))
         self.half_step = np.fft.ifftshift(
             grid.free_space_phase(plan.dz / 2.0))
         self.screens = plan.screen_lattice if plan.z_total > 0.0 else None
+        # The 2^D corners of the lattice as (DC-centred, DFT-order) index
+        # pairs over a block: np.fft.fftshift moves each corner from its
+        # DFT-order place to its centred one, and ifftshift back.
+        halves = [((slice(n // 2), slice(n - n // 2, None)),
+                   (slice(n // 2, None), slice(n - n // 2)))
+                  for n in grid.shape]
+        self.corners = [tuple((slice(None),) + part for part in zip(*corner))
+                        for corner in itertools.product(*halves)]
 
     def run(self, s0: Spectrum, realizations: range) -> np.ndarray:
         """Output spectra of the given realizations, one flattened
         DC-centred row each."""
-        plan, grid, axes = self.plan, self.plan.grid, self.axes
-        fields = np.repeat(np.fft.ifftshift(s0.values)[None],
-                           len(realizations), axis=0)
+        plan, grid = self.plan, self.plan.grid
+        fields = np.empty((len(realizations),) + grid.shape,
+                          dtype=np.complex128)
+        for centred, dft in self.corners:
+            fields[dft] = s0.values[centred[1:]]
+        # The screen factor's buffer, which takes the output rows at the end.
+        screen = np.empty_like(fields)
         if self.screens is not None:
-            screen = np.empty_like(fields)
+            start, stop = realizations.start, realizations.stop
+            work = self.screens.work(start, stop)
+            phi = screen.real
             for slab in range(plan.n_slabs):
-                phi = self.screens.draw(plan.master_seed, slab,
-                                        realizations.start, realizations.stop)
+                self.screens.draw(plan.master_seed, slab, start, stop, phi,
+                                  work)
                 phi *= -grid.wavenumber
-                np.cos(phi, out=screen.real)
                 np.sin(phi, out=screen.imag)
+                np.cos(phi, out=phi)
                 fields *= self.half_step
-                np.fft.fftn(fields, axes=axes, out=fields)
+                for axis in self.axes:
+                    np.fft.fft(fields, axis=axis, out=fields)
                 fields *= grid.cell
                 fields *= screen
-                np.fft.ifftn(fields, axes=axes, out=fields)
+                for axis in self.axes:
+                    np.fft.ifft(fields, axis=axis, out=fields)
                 fields *= grid.delta_weight
                 fields *= self.half_step
-        return np.fft.fftshift(fields, axes=axes).reshape(
-            len(realizations), -1)
+        for centred, dft in self.corners:
+            screen[centred] = fields[dft]
+        return screen.reshape(len(realizations), -1)
 
 
 def propagate(s0: Spectrum, plan: PropagationPlan,
@@ -191,27 +242,33 @@ def propagate(s0: Spectrum, plan: PropagationPlan,
     return Spectrum(plan.grid, row.reshape(plan.grid.shape))
 
 
-def block_products(d: np.ndarray,
-                   q: np.ndarray) -> tuple[np.ndarray, ...]:
-    """D^T D*, D^T D, Q^T D and Q^T Q of a complex block D and a real
-    block Q, rows the samples, from real matrix products only.
+def block_products(d: np.ndarray, q: np.ndarray,
+                   sums: tuple[np.ndarray, ...]) -> None:
+    """Add D^T D*, D^T D, Q^T D and Q^T Q of a complex block D and a real
+    block Q, rows the samples, to the four arrays of sums in place, from
+    real matrix products only.
 
     With R = Re D, I = Im D, RR = R^T R, II = I^T I and RI = R^T I:
     D^T D* = (RR + II) + i (RI^T - RI), D^T D = (RR - II) + i (RI + RI^T)
-    and Q^T D = Q^T R + i Q^T I.
+    and Q^T D = Q^T R + i Q^T I.  Each real part goes into its sum's
+    ``.real`` or ``.imag``: complex addition is componentwise, so the sums
+    have the bits of adding the complex products.  Three (n^D)^2 real
+    arrays hold the products in turn.
     """
-    def join(re, im):
-        z = np.empty(re.shape, dtype=np.complex128)
-        z.real, z.imag = re, im
-        return z
-
+    dd_c, dd, qd, qq = sums
     dr = np.ascontiguousarray(d.real)
     di = np.ascontiguousarray(d.imag)
     rr = dr.T @ dr
     ii = di.T @ di
-    ri = dr.T @ di
-    return (join(rr + ii, ri.T - ri), join(rr - ii, ri + ri.T),
-            join(q.T @ dr, q.T @ di), q.T @ q)
+    part = rr + ii
+    dd_c.real += part
+    dd.real += np.subtract(rr, ii, out=rr)
+    ri = np.matmul(dr.T, di, out=ii)
+    dd_c.imag += np.subtract(ri.T, ri, out=part)
+    dd.imag += np.add(ri, ri.T, out=rr)
+    qd.real += np.matmul(q.T, dr, out=rr)
+    qd.imag += np.matmul(q.T, di, out=rr)
+    qq += np.matmul(q.T, q, out=rr)
 
 
 @dataclass
@@ -318,19 +375,23 @@ def ensemble_moments(s0: Spectrum, plan: PropagationPlan) -> EnsembleStats:
     workers = min(_cpu_count(), n_blocks)
     chunk = BLOCK * max(1, min(-(-n_blocks // workers),
                                _CHUNK_ELEMENTS // (BLOCK * size)))
-    chunks = [range(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    workers = min(workers, len(chunks))
+    # The chunks by their first realization: a range, which holds no
+    # per-chunk object whatever the realization count.
+    starts = range(0, n, chunk)
+    workers = min(workers, len(starts))
+
+    def run(lo):
+        return engine.run(s0, range(lo, min(lo + chunk, n)))
 
     sum_g = np.zeros(size, dtype=np.complex128)
     sum_d = np.zeros(size, dtype=np.complex128)
     sum_q = np.zeros(size)
-    sum_dd_c = np.zeros((size, size), dtype=np.complex128)
-    sum_dd = np.zeros((size, size), dtype=np.complex128)
-    sum_qd = np.zeros((size, size), dtype=np.complex128)
-    sum_qq = np.zeros((size, size))
+    sums = (np.zeros((size, size), dtype=np.complex128),
+            np.zeros((size, size), dtype=np.complex128),
+            np.zeros((size, size), dtype=np.complex128),
+            np.zeros((size, size)))
     h = None
-    with closing(_run_chunks(partial(engine.run, s0), chunks,
-                             workers)) as results:
+    with closing(_run_chunks(run, starts, workers)) as results:
         for rows in results:
             if h is None:
                 h = rows[0].copy()
@@ -341,34 +402,62 @@ def ensemble_moments(s0: Spectrum, plan: PropagationPlan) -> EnsembleStats:
                 sum_g += np.sum(fields, axis=0)
                 sum_d += np.sum(d, axis=0)
                 sum_q += np.sum(q, axis=0)
-                # No block's products outlive its sums: the next block's
-                # products would otherwise share the peak with them.
-                for total, part in zip((sum_dd_c, sum_dd, sum_qd, sum_qq),
-                                       block_products(d, q)):
-                    total += part
+                block_products(d, q, sums)
 
+    # The moments are finished in the buffers of sums and one real
+    # (n^D)^2 array.  Each step keeps the bits of the expression in its
+    # comment: every complex product in that expression's operand order,
+    # every sum in its association.
+    sum_dd_c, sum_dd, sum_qd, sum_qq = sums
+    work = np.empty((size, size))
     mean_d = sum_d / n
     mean_q = sum_q / n
-    dd_c = sum_dd_c / n
-    dd = sum_dd / n
+    h_sq = np.abs(h) ** 2
     # Moments of y = g_i g_j* - h_i h_j* = h_i d_j* + d_i h_j* + d_i d_j*:
     # E|y|^2 = |h_i|^2 E q_j + |h_j|^2 E q_i + E q_i q_j, the cross terms
     # 2 Re(h_j* E[q_i d_j]) + (i <-> j), and the cross term
-    # 2 Re(h_i h_j E[d_i* d_j*]) of its two first-order parts.
-    y_c = np.outer(h, np.conj(mean_d)) + np.outer(mean_d, np.conj(h)) + dd_c
-    h_sq = np.abs(h) ** 2
-    cross = np.real(np.conj(h)[None, :] * sum_qd / n)
-    y2_c = (np.outer(h_sq, mean_q) + np.outer(mean_q, h_sq)
-            + sum_qq / n + 2.0 * (cross + cross.T)
-            + 2.0 * np.real(np.outer(h, h) * np.conj(dd)))
-
-    moment_c = np.outer(h, np.conj(h)) + y_c
-    # Averaging with the conjugate transpose is exact in IEEE arithmetic:
-    # the result is bitwise Hermitian with a real diagonal.
-    moment_c = 0.5 * (moment_c + moment_c.conj().T)
+    # 2 Re(h_i h_j E[d_i* d_j*]) of its two first-order parts:
+    # y2_c = (np.outer(h_sq, mean_q) + np.outer(mean_q, h_sq) + sum_qq / n
+    #         + 2.0 * (cross + cross.T)
+    #         + 2.0 * np.real(np.outer(h, h) * np.conj(sum_dd / n)))
+    # with cross = np.real(np.conj(h)[None, :] * sum_qd / n).
+    cross = np.multiply(np.conj(h)[None, :], sum_qd, out=sum_qd)
+    cross /= n
+    cross = np.add(cross.real, cross.real.T, out=work)
+    cross *= 2.0
+    y2_c = sum_qq
+    y2_c /= n
+    np.add(np.add(np.outer(h_sq, mean_q, out=sum_qd.real),
+                  np.outer(mean_q, h_sq, out=sum_qd.imag), out=sum_qd.real),
+           y2_c, out=y2_c)
+    y2_c += cross
+    dd = sum_dd
+    dd /= n
+    np.multiply(np.outer(h, h, out=sum_qd), np.conjugate(dd, out=dd),
+                out=dd)
+    y2_c += np.multiply(dd.real, 2.0, out=work)
+    # y_c = (np.outer(h, np.conj(mean_d)) + np.outer(mean_d, np.conj(h))
+    #        + sum_dd_c / n)
+    y_c = sum_dd_c
+    y_c /= n
+    np.add(np.add(np.outer(h, np.conj(mean_d), out=sum_qd),
+                  np.outer(mean_d, np.conj(h), out=sum_dd), out=sum_qd),
+           y_c, out=y_c)
+    # se_c = np.sqrt(np.maximum(y2_c - np.abs(y_c) ** 2, 0.0) / n)
+    se_c = y2_c
+    se_c -= np.square(np.abs(y_c, out=work), out=work)
+    np.maximum(se_c, 0.0, out=se_c)
+    se_c /= n
+    np.sqrt(se_c, out=se_c)
+    # moment_c = np.outer(h, np.conj(h)) + y_c, then averaged with its
+    # conjugate transpose, which is exact in IEEE arithmetic: the result
+    # is bitwise Hermitian with a real diagonal.
+    moment_c = y_c
+    np.add(np.outer(h, np.conj(h), out=sum_dd), moment_c, out=moment_c)
+    moment_c += np.conjugate(moment_c.T, out=sum_dd)
+    moment_c *= 0.5
 
     se_g = np.sqrt(np.maximum(mean_q - np.abs(mean_d) ** 2, 0.0) / n)
-    se_c = np.sqrt(np.maximum(y2_c - np.abs(y_c) ** 2, 0.0) / n)
 
     return EnsembleStats(
         n_samples=n,

@@ -451,6 +451,32 @@ def test_evolve_kernel_input_guards_are_input_errors(tmp_path, monkeypatch,
         else ["kernel_z0.bin", "kernel_z0.bin.json"])
 
 
+def test_evolve_kernel_refuses_a_span_step_before_writing(tmp_path, capsys):
+    # With plan.z_total 0 each span is one step, which the configuration's
+    # guard check has not seen: on the reference lattice a 25-m step
+    # meets both guards and a 4975-m step breaks the sampling guard.  The
+    # command refuses the second span before any snapshot, the first
+    # span's included, is written.
+    orders, n, cn2, values = chain_inputs()["h11-n64"]
+    cfg = write_config(tmp_path, grid={"n": n}, plan={"z_total": 0.0})
+    kernel_path = tmp_path / "init.bin"
+    write_array(kernel_path, values)
+    out = tmp_path / "evolve"
+    assert main(["evolve-kernel", "--config", str(cfg),
+                 "--input", str(kernel_path), "--orders", "1,1",
+                 "--z-list", "0,25,5000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: plan: sampling guard "
+                          "violated: ")
+    assert list(out.iterdir()) == []
+    # Spans whose one step meets the guards evolve as before.
+    assert main(["evolve-kernel", "--config", str(cfg),
+                 "--input", str(kernel_path), "--orders", "1,1",
+                 "--z-list", "0,25", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [s["steps"] for s in manifest["snapshots"]] == [0, 1]
+
+
 @pytest.mark.filterwarnings("ignore:kernel boundary mass")
 def test_two_span_z_list_checks_exchange_symmetry_once(tmp_path,
                                                        monkeypatch):

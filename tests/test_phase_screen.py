@@ -1,6 +1,7 @@
 """Phase-screen generation and statistics tests."""
 
 import concurrent.futures
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,26 @@ def shifted_chunk_statistics(model, grid, dz, n_samples, seed):
     return (target, var, var_se, max_rel,
             list(zip(sites_a, sites_b, cross_mag, cross_se)),
             float(np.max(sigmas)))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 8)])
+def test_screen_statistics_memory_does_not_grow_with_samples(dim, n):
+    # Every chunk is drawn and reduced in buffers allocated once per call,
+    # so eight chunks (2048 samples) peak where two (512) do.  Small Python
+    # objects alive at the peak, such as ints above 256, can differ by a
+    # few hundred bytes; one chunk of screens on these 64-site lattices is
+    # 128 KiB.
+    grid = FrequencyGrid(dim, n, 0.25, 1.55e-6)
+    peaks = []
+    for n_samples in (2 * _STATISTICS_CHUNK, 8 * _STATISTICS_CHUNK):
+        screen_statistics(MODEL, grid, DZ, n_samples, 5)
+        tracemalloc.start()
+        try:
+            screen_statistics(MODEL, grid, DZ, n_samples, 5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 1024
 
 
 @pytest.mark.parametrize("dim, n", [(1, 32), (2, 8)])

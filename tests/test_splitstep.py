@@ -346,6 +346,28 @@ def test_ensemble_memory_does_not_grow_with_realizations(monkeypatch):
     assert [(e.workers, e.most_pending) for e in executors] == [(2, 2)]
 
 
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+def test_engine_memory_does_not_grow_with_slabs(dim, n):
+    # The engine allocates its chunk's buffers (the fields, the screen
+    # factor, and the lattice's normals and coefficients) once per chunk,
+    # not per slab, so 32 slabs peak where 2 do.
+    grid = FrequencyGrid(dim, n, 0.25, 1.55e-6)
+    s0 = Spectrum.gaussian(grid, 0.5)
+    rows = range(BLOCK, 3 * BLOCK)
+    peaks = []
+    for slabs in (2, 32):
+        engine = splitstep._BlockEngine(
+            PropagationPlan(grid, MODEL, 2.0 * slabs, slabs, rows.stop, 3))
+        engine.run(s0, rows)
+        tracemalloc.start()
+        try:
+            engine.run(s0, rows)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] == peaks[0]
+
+
 def test_consumer_that_stops_early_leaves_no_thread(monkeypatch):
     # The reduction fails on the calling thread at its second block, with
     # the workers' other chunks in flight: 1000 realizations are four
@@ -372,14 +394,14 @@ def test_consumer_that_stops_early_leaves_no_thread(monkeypatch):
 
 
 def test_ensemble_memory_guard_refuses_before_allocating():
-    # 2-D n=128: (128^2)^2 moment elements at 216 B each, about 54 GiB.
+    # 2-D n=128: (128^2)^2 moment elements at 120 B each, about 30 GiB.
     grid = FrequencyGrid(2, 128, 0.25, 1.55e-6)
     s0 = Spectrum.gaussian(grid, 0.5)
     plan = PropagationPlan(grid, MODEL, 1000.0, 32, 2, 0)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError,
-                           match=r"about 54\.0 GiB, above the 1 GiB limit"):
+                           match=r"about 30\.0 GiB, above the 1 GiB limit"):
             ensemble_moments(s0, plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -489,14 +511,19 @@ def test_ensemble_moments_independent_of_blas_threads():
 @pytest.mark.parametrize("rows,sites", [(BLOCK, 64), (40, 64), (BLOCK, 256)])
 def test_block_products_match_complex_products(rows, sites):
     # A full block, a partial one and a 2-D n=16 block, shifted like the
-    # ensemble's rows.  The real-product forms round like the complex
-    # products to within 1e-15 of the largest entry; their bitwise
-    # agreement depends on the BLAS, so it is not asserted here.
+    # ensemble's rows, added to zero sums.  The real-product forms round
+    # like the complex products to within 1e-15 of the largest entry;
+    # their bitwise agreement depends on the BLAS, so it is not asserted
+    # here.
     rng = np.random.default_rng(rows * sites)
     d = (rng.standard_normal((rows, sites))
          + 1j * rng.standard_normal((rows, sites)) + (0.3 - 0.2j))
     q = np.abs(d) ** 2
-    got = block_products(d, q)
+    got = (np.zeros((sites, sites), dtype=np.complex128),
+           np.zeros((sites, sites), dtype=np.complex128),
+           np.zeros((sites, sites), dtype=np.complex128),
+           np.zeros((sites, sites)))
+    assert block_products(d, q, got) is None
     want = (d.T @ np.conj(d), d.T @ d, q.T @ d, q.T @ q)
     for g, w in zip(got, want):
         assert g.shape == w.shape == (sites, sites)
