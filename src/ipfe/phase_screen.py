@@ -178,9 +178,9 @@ class ScreenLattice:
         screens to out (a real array, a strided view allowed), each a new
         array if None; returns out."""
         grid = self.grid
-        shape = (len(normals),) + self.amplitude.shape
         if coeff is None:
-            coeff = np.empty(shape, dtype=np.complex128)
+            coeff = np.empty((len(normals),) + self.amplitude.shape,
+                             dtype=np.complex128)
         if out is None:
             out = np.empty((len(normals),) + grid.shape)
         np.multiply(self.amplitude, normals[:, 0], out=coeff.real)
@@ -212,6 +212,9 @@ class ScreenLattice:
                              f"got {stop}")
         normals, coeff = self.work(start, stop) if work is None else work
         first = start - start % BLOCK
+        if (len(normals) < -(-(stop - first) // BLOCK) * BLOCK
+                or len(coeff) < stop - start):
+            raise ValueError("work buffers are smaller than the range")
         for lo in range(first, stop, BLOCK):
             rng = self.generator(seed, stream, lo // BLOCK)
             rng.standard_normal(out=normals[lo - first:lo - first + BLOCK])

@@ -216,6 +216,22 @@ def shifted_chunk_statistics(model, grid, dz, n_samples, seed):
             float(np.max(sigmas)))
 
 
+def test_draw_reuses_work_buffers():
+    # Buffers of one range serve any range of no more screens in no more
+    # Philox blocks, with the bits of a fresh draw; smaller ones are
+    # refused rather than leaving rows undrawn.
+    lattice = ScreenLattice(MODEL, GRID, DZ)
+    work = lattice.work(BLOCK - 3, 2 * BLOCK + 5)
+    out = np.empty((BLOCK + 8,) + GRID.shape)
+    for start, stop in ((BLOCK - 3, 2 * BLOCK + 5), (BLOCK, 2 * BLOCK + 8),
+                        (7, 9)):
+        got = lattice.draw(4, 2, start, stop, out[:stop - start], work)
+        assert got.base is out
+        assert np.array_equal(got, lattice.draw(4, 2, start, stop))
+    with pytest.raises(ValueError, match="work buffers"):
+        lattice.draw(4, 2, BLOCK - 3, 2 * BLOCK + 6, None, work)
+
+
 @pytest.mark.parametrize("dim, n", [(1, 64), (2, 8)])
 def test_screen_statistics_memory_does_not_grow_with_samples(dim, n):
     # Every chunk is drawn and reduced in buffers allocated once per call,

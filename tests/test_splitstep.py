@@ -412,7 +412,7 @@ def test_ensemble_memory_guard_refuses_before_allocating():
 @pytest.mark.parametrize("workers", [1, 3])
 def test_ensemble_memory_within_its_estimate(monkeypatch, workers):
     # The guard's estimate bounds the peak it guards.  At 2-D n=32 the
-    # (n^D)^2 accumulators and finishing temporaries dominate (1 MiB per
+    # (n^D)^2 accumulators and a block's real products dominate (1 MiB per
     # byte of the per-element estimate), not the 1-MiB chunks: three
     # chunks of one block each, so three workers have one each.
     monkeypatch.setattr(splitstep, "_cpu_count", lambda: workers)
