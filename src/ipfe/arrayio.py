@@ -14,8 +14,9 @@ sidecar <path>.json carries grid metadata and units.
 
 Every file the package writes (tensors, sidecars, manifests, CSV tables
 and reports) goes through write_in_place, which overwrites an existing
-file in place instead of truncating it first; write_json gives the JSON
-ones their one layout.  That trades durability for speed.  A write is not
+file in place instead of truncating it first.  The JSON ones are the
+text of json.dumps(data, indent=2, sort_keys=True) and a final newline,
+through write_json.  That trades durability for speed.  A write is not
 crash-atomic, and a crash (of the machine, not of the process) before the
 kernel writes the new bytes back to disk can leave the file holding the
 previous run's bytes: all of them, a well-formed earlier tensor that
@@ -37,10 +38,6 @@ import numpy as np
 MAGIC = b"IPFE"
 FORMAT_VERSION = 1
 
-_json_string = json.encoder.encode_basestring_ascii
-_INF = float("inf")
-
-
 class ArrayFormatError(ValueError):
     """Bad magic, unsupported version, or truncated payload."""
 
@@ -59,53 +56,12 @@ def write_in_place(path, *parts) -> None:
 
 
 def write_json(path, data) -> None:
-    """data as indented, key-sorted JSON text with a final newline, written
-    in one piece (json.dump with indent writes it in hundreds)."""
-    write_in_place(path, (json_text(data) + "\n").encode())
-
-
-def json_text(value, newline: str = "\n") -> str:
-    """json.dumps(value, indent=2, sort_keys=True) for the dicts with str
-    keys, lists, tuples, strings, numbers, booleans and None the program
-    writes, nested at the indent that newline ends with.  With an indent,
-    json.dumps runs its pure-Python encoder, a generator per container;
-    built directly, the manifest of an evolve-kernel command takes about
-    0.10 ms to write in place of 0.14-0.16 ms."""
-    if isinstance(value, str):
-        return _json_string(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (_INF, -_INF):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return ("[" + inner
-                + ("," + inner).join(json_text(item, inner) for item in value)
-                + newline + "]")
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        if not all(isinstance(key, str) for key in value):
-            raise TypeError("JSON object keys must be str")
-        return ("{" + inner
-                + ("," + inner).join(
-                    f"{_json_string(key)}: {json_text(value[key], inner)}"
-                    for key in sorted(value))
-                + newline + "}")
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON "
-                    "serializable")
+    """json.dumps(data, indent=2, sort_keys=True) and a final newline,
+    written in place in one piece (json.dump with indent writes it in
+    hundreds): ASCII with escapes, NaN and Infinity as Python writes
+    them."""
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    write_in_place(path, text.encode())
 
 
 def write_array(path, values: np.ndarray, metadata: dict | None = None) -> None:

@@ -495,18 +495,11 @@ def _add_common(parser, config_required=True) -> None:
                         help="output directory (default: config output_dir)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser."""
-    return _parsers()[0]
-
-
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser,
-                        dict[str, argparse.ArgumentParser]]:
-    """The command-line parser and each subcommand's own parser by name,
-    built once per process: argparse takes about 1.5 ms to build them, a
-    tenth of a short in-process command, and parsing leaves them
-    unchanged."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser with its subcommands' parsers, built once
+    per process: argparse takes about 1.5 ms to build them, a tenth of a
+    short in-process command, and parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="ipfe",
         description="moment-kernel evolution through turbulence with a "
@@ -557,28 +550,14 @@ def _parsers() -> tuple[argparse.ArgumentParser,
                        help="run the full cross-validation suite")
     _add_common(p, config_required=False)
     p.set_defaults(func=cmd_validate)
-    return parser, sub.choices
-
-
-def parse_args(argv=None) -> argparse.Namespace:
-    """build_parser().parse_args(argv): the same namespace, and the same
-    usage errors.  When argv starts with a subcommand, its own parser reads
-    the rest, as the top-level parser would hand it over, without the
-    top-level pass over those arguments: about half of the parse."""
-    parser, commands = _parsers()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:])
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    args.command = argv[0]
-    return args
+    return parser
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
+    """Run the command argv (sys.argv[1:] by default) names, parsed by the
+    command-line parser, and return its exit status: 2 for a configuration
+    error.  A usage error exits with status 2 and argparse's message."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

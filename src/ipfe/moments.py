@@ -246,19 +246,21 @@ def _check_bounds(kernel: MomentKernel) -> None:
             f"{MAX_KERNEL_BYTES / 2 ** 30:.0f} GiB limit")
 
 
-def _sector_index(kernel: MomentKernel, ks: np.ndarray) -> np.ndarray:
-    """Flat full-tensor position of every sector-layout element S[k, i_1
-    ... i_{r-1}], r = m + n, where sector k has the total frequency K =
-    ks[:, k] (D lattice-index components).  The stored indices are the
-    element's own axes; the dropped last index is i_r = s_r (K - sum_{j<r}
-    s_j i_j) mod n per grid axis, with s = +1 on bra and -1 on ket indices.
-    The shape is (S,) + (n,) * D(r-1); the (0, 0) kernel is one sector of
-    one element."""
-    m, n_ket = kernel.orders
+def _sector_sites(orders: tuple[int, int], grid: FrequencyGrid,
+                  ks: np.ndarray) -> list[list[np.ndarray]]:
+    """The lattice site of every index of every sector-layout element S[k,
+    i_1 ... i_{r-1}], r = m + n, where sector k has the total frequency K =
+    ks[:, k] (D lattice-index components): per index, in index order, one
+    array per grid axis, each broadcastable to the layout's shape (S,) +
+    (n,) * D(r-1).  The stored indices are the element's own axes; the
+    dropped last index is i_r = s_r (K - sum_{j<r} s_j i_j) mod n per grid
+    axis, with s = +1 on bra and -1 on ket indices.  The (0, 0) kernel has
+    no index."""
+    m, n_ket = orders
     r = m + n_ket
     if r == 0:
-        return np.zeros(1, dtype=np.intp)
-    n, d = kernel.grid.n, kernel.grid.dim
+        return []
+    n, d = grid.n, grid.dim
     signs = [1] * m + [-1] * n_ket
     ndim = 1 + d * (r - 1)
 
@@ -271,8 +273,17 @@ def _sector_index(kernel: MomentKernel, ks: np.ndarray) -> np.ndarray:
     k = ks.reshape((d, -1) + (1,) * (ndim - 1))
     sites.append([signs[-1] * (k[j] - sum(
         s * site[j] for s, site in zip(signs, sites))) % n for j in range(d)])
-    flat = np.zeros((1,) * ndim, dtype=np.intp)
-    for site in sites:
+    return sites
+
+
+def _sector_index(kernel: MomentKernel, ks: np.ndarray) -> np.ndarray:
+    """Flat full-tensor position of every sector-layout element of kernel,
+    sector k with the total frequency ks[:, k]: its _sector_sites in
+    row-major order.  The shape is (S,) + (n,) * D(r-1); the (0, 0) kernel
+    is one sector of one element."""
+    n = kernel.grid.n
+    flat = np.zeros(1, dtype=np.intp)
+    for site in _sector_sites(kernel.orders, kernel.grid, ks):
         for axis in site:
             flat = flat * n + axis
     return flat
@@ -325,9 +336,10 @@ class KernelGenerator:
     A generator keeps only what the sweep reads: the index, mult, the
     scalar decay (minus the real part of diag) and, built when first
     needed, exp(dz/2 diag) and exp(dz mult) for the last dz and sector
-    count evolved.  diag and partners recompute the site-local factor and
-    the bra <-> ket partners from the index when needed, a _CHUNK_ELEMENTS
-    slice at a time, so neither is kept.
+    count evolved.  diag recomputes the site-local factor when needed from
+    the lattice sites the index is folded from (_sector_sites), a chunk of
+    whole sectors at a time, and partners the bra <-> ket partners from
+    the index, a _CHUNK_ELEMENTS slice at a time, so neither is kept.
     """
 
     index: np.ndarray = field(repr=False)
@@ -392,8 +404,8 @@ class KernelGenerator:
 
     def _positions(self, sectors: slice):
         """The flat full-layout positions of the given sectors, as views of
-        _CHUNK_ELEMENTS at a time: what diag is computed from, and the
-        half's test, fill and residual derive partners from."""
+        _CHUNK_ELEMENTS at a time: what the half's test, fill and residual
+        derive partners from."""
         flat = self.index[sectors].reshape(-1)
         for lo in range(0, len(flat), _CHUNK_ELEMENTS):
             yield flat[lo:lo + _CHUNK_ELEMENTS]
@@ -465,25 +477,24 @@ class KernelGenerator:
         """The site-local factor i pi lambda (sum_bra |a|^2 - sum_ket
         |a'|^2) - (1/2) k^2 Lambda (m+n) of the first count sectors (every
         sector by default), in sector layout: computed from the lattice
-        indices of the index's positions, _CHUNK_ELEMENTS at a time."""
+        sites the index is folded from (_sector_sites), a chunk of whole
+        sectors at a time: at most _CHUNK_ELEMENTS elements, or one
+        sector if that is larger."""
         grid = self.grid
-        n, d = grid.n, grid.dim
         m, n_ket = self.orders
         asq = grid.freq_sq()
         out = np.empty(self.index[:count].shape, dtype=np.complex128)
-        for lo, flat in zip(range(0, out.size, _CHUNK_ELEMENTS),
-                            self._positions(slice(count))):
-            drift = np.zeros(flat.shape)
-            digits = []  # the lattice index of every axis, last axis first
-            for _ in range(d * (m + n_ket)):
-                flat, digit = np.divmod(flat, n)
-                digits.append(digit)
-            digits.reverse()
+        ks = sector_order(grid)[0][:, :len(out)]
+        per = max(1, _CHUNK_ELEMENTS // self.index[0].size)
+        for lo in range(0, len(out), per):
+            chunk = out[lo:lo + per]
+            sites = _sector_sites(self.orders, grid, ks[:, lo:lo + per])
             # Summed in index order from 0: the same bits at every element.
-            for i, s in enumerate([1] * m + [-1] * n_ket):
-                drift = drift + s * asq[tuple(digits[i * d:(i + 1) * d])]
-            out.reshape(-1)[lo:lo + len(drift)] = (
-                1j * np.pi * grid.wavelength * drift - self.decay)
+            drift = np.zeros(chunk.shape)
+            for s, site in zip([1] * m + [-1] * n_ket, sites):
+                drift += s * asq[tuple(site)]
+            np.multiply(1j * np.pi * grid.wavelength, drift, out=chunk)
+            chunk -= self.decay
         return out
 
     def __call__(self, sectors: np.ndarray) -> np.ndarray:

@@ -403,6 +403,8 @@ def ensemble_moments(s0: Spectrum, plan: PropagationPlan) -> EnsembleStats:
                 sum_d += np.sum(d, axis=0)
                 sum_q += np.sum(q, axis=0)
                 block_products(d, q, sums)
+    # The last chunk's rows and block are not needed to finish.
+    del rows, fields, d, q
 
     # The moments are finished in the buffers of sums and one real
     # (n^D)^2 array.  Each step keeps the bits of the expression in its

@@ -123,35 +123,60 @@ def test_parser_rejects_threads_flag(tmp_path):
                                    "--threads", "2"])
 
 
-@pytest.mark.parametrize("argv", [
-    ["evolve-kernel", "--config", "c.json", "--input", "k.bin", "--orders",
-     "2,2", "--z-list", "0,500,1000", "--out", "o"],
-    ["evolve-kernel", "--conf", "c.json", "--inp=k.bin", "--seed", "3"],
-    ["simulate", "--config", "c.json"],
-    ["validate"],
-    ["screens", "--config", "c.json", "--samples", "5"],
-    ["evolve-kernel", "--config", "c.json", "--input", "k.bin", "--bogus"],
-    ["evolve-kernel", "--config", "c.json", "extra", "--input", "k.bin"],
-    ["evolve-kernel", "--config", "c.json"],
-    ["evolve-kernel", "-h"],
-    ["bogus"],
-    ["-h"],
-    [],
-], ids=["evolve", "abbrev-seed", "simulate", "validate", "samples-few",
-        "unknown-flag", "extra-positional", "missing-input", "sub-help",
-        "unknown-command", "help", "empty"])
-def test_parse_args_matches_the_full_parser(capsys, argv):
-    # main hands a subcommand's arguments straight to its own parser; the
-    # namespace, the exit code and the printed usage or error are the
-    # top-level parser's.
-    def outcome(parse):
-        try:
-            result = parse(list(argv))
-        except SystemExit as exc:
-            result = ("exit", exc.code)
-        return result, capsys.readouterr()
+PARSE_CASES = {
+    "evolve": (["evolve-kernel", "--config", "c.json", "--input", "k.bin",
+                "--orders", "2,2", "--z-list", "0,500,1000", "--out", "o"],
+               {"command": "evolve-kernel", "config": "c.json",
+                "input": "k.bin", "orders": (2, 2),
+                "z_list": [0.0, 500.0, 1000.0], "out": "o", "seed": None}),
+    "abbrev-seed": (["evolve-kernel", "--conf", "c.json", "--inp=k.bin",
+                     "--seed", "3"],
+                    {"config": "c.json", "input": "k.bin", "seed": 3,
+                     "orders": (1, 1)}),
+    "simulate": (["simulate", "--config", "c.json"],
+                 {"command": "simulate", "config": "c.json", "out": None}),
+    "validate": (["validate"], {"command": "validate", "config": None}),
+    "samples-few": (["screens", "--config", "c.json", "--samples", "5"],
+                    (2, "ipfe screens: error: argument --samples: invalid "
+                        "screen_samples value: '5'")),
+    "unknown-flag": (["evolve-kernel", "--config", "c.json", "--input",
+                      "k.bin", "--bogus"],
+                     (2, "ipfe: error: unrecognized arguments: --bogus")),
+    "extra-positional": (["evolve-kernel", "--config", "c.json", "extra",
+                          "--input", "k.bin"],
+                         (2, "ipfe: error: unrecognized arguments: extra")),
+    "missing-input": (["evolve-kernel", "--config", "c.json"],
+                      (2, "ipfe evolve-kernel: error: the following "
+                          "arguments are required: --input")),
+    "sub-help": (["evolve-kernel", "-h"], (0, "usage: ipfe evolve-kernel")),
+    "unknown-command": (["bogus"],
+                        (2, "ipfe: error: argument command: invalid "
+                            "choice: 'bogus'")),
+    "help": (["-h"], (0, "usage: ipfe [-h]")),
+    "empty": ([], (2, "ipfe: error: the following arguments are required: "
+                      "command")),
+}
 
-    assert outcome(cli.parse_args) == outcome(build_parser().parse_args)
+
+@pytest.mark.parametrize("argv, outcome", PARSE_CASES.values(),
+                         ids=PARSE_CASES.keys())
+def test_parse_args_matches_the_full_parser(capsys, argv, outcome):
+    # main parses argv with the command-line parser: a command gets the
+    # parser's namespace, abbreviated flags included; a usage error exits
+    # with status 2 and argparse's message on stderr, and help with status
+    # 0 and the usage on stdout.
+    if isinstance(outcome, dict):
+        args = build_parser().parse_args(argv)
+        assert {key: getattr(args, key) for key in outcome} == outcome
+        assert args.func is getattr(cli, "cmd_"
+                                    + args.command.replace("-", "_"))
+        return
+    status, message = outcome
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == status
+    assert message in (err if status else out)
 
 
 def read_csv(path):
@@ -695,6 +720,32 @@ def test_validate_config_runs_its_own_plan(tmp_path):
     checks = {c["name"]: c for c in report["checks"]}
     assert len(checks) == 16
     assert checks["mutual-coherence/relative-rms"]["passed"] is True
+
+
+@pytest.mark.filterwarnings("ignore:kernel boundary mass")
+def test_json_files_have_the_json_dumps_layout(tmp_path):
+    # Every JSON file evolve-kernel writes (the snapshot sidecars and the
+    # manifest), and the report validate writes, is the text of
+    # json.dumps(indent=2, sort_keys=True) with a final newline.
+    cfg = write_config(tmp_path)
+    grid = FrequencyGrid(1, 8, 0.25, 1.55e-6)
+    kernel_path = tmp_path / "init.bin"
+    write_array(kernel_path, np.diag(np.exp(-grid.freq_sq())).astype(complex)
+                * grid.delta_weight)
+    out = tmp_path / "evolve"
+    assert main(["evolve-kernel", "--config", str(cfg), "--input",
+                 str(kernel_path), "--z-list", "0,500", "--out",
+                 str(out)]) == 0
+    assert main(["validate", "--config", str(cfg), "--out",
+                 str(out / "val")]) in (0, 1)
+    paths = sorted(out.rglob("*.json"))
+    assert [p.relative_to(out).as_posix() for p in paths] == [
+        "kernel_z0.bin.json", "kernel_z500.bin.json", "manifest.json",
+        "val/validation_report.json"]
+    for path in paths:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n"
 
 
 @pytest.mark.filterwarnings("ignore:kernel boundary mass")

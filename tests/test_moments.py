@@ -642,8 +642,6 @@ def full_tensor_generator(kernel, model):
     m, n = kernel.orders
     grid = kernel.grid
     k = grid.wavenumber
-    diag = (1j * np.pi * grid.wavelength * full_tensor_drift(kernel)
-            - 0.5 * k ** 2 * lambda_grid(model, grid) * (m + n))
     axes = index_axes(kernel)
     c = shift_coefficients(psd_lattice(model, grid))
     scatter = np.zeros(kernel.values.shape, dtype=np.complex128)
@@ -652,7 +650,15 @@ def full_tensor_generator(kernel, model):
         scatter += sign * pair_multiplier(c, scatter.ndim, axes[i], axes[j],
                                           sign)
     scatter *= k ** 2 * grid.cell
-    return diag, scatter
+    return full_tensor_diag(kernel, model), scatter
+
+
+def full_tensor_diag(kernel, model):
+    """The site-local factor of every full-tensor element."""
+    grid = kernel.grid
+    return (1j * np.pi * grid.wavelength * full_tensor_drift(kernel)
+            - 0.5 * grid.wavenumber ** 2 * lambda_grid(model, grid)
+            * sum(kernel.orders))
 
 
 def full_tensor_rhs(kernel, model):
@@ -1066,8 +1072,7 @@ def test_generator_keeps_no_full_size_diag_or_partners():
     # A generator's arrays are its index, mult and, once evolved, the
     # exponentials: no complex array with one entry per full-tensor
     # element, and no partner index, kept after the half's test, fill and
-    # residual have run.  diag is recomputed from the index, with the bits
-    # of the site-local factor over the full tensor.
+    # residual have run.
     kernel = gaussian_kernel(1, 16, (2, 2))
     gen = KernelGenerator.build(kernel, MODEL)
     assert gen.holds_half(kernel.values)
@@ -1089,8 +1094,30 @@ def test_generator_keeps_no_full_size_diag_or_partners():
     assert not [a for a in kept if np.iscomplexobj(a)
                 and a.size == kernel.values.size]
     assert [a for a in kept if a.dtype.kind in "iu"] == [gen.index]
-    diag = full_tensor_generator(kernel, MODEL)[0]
-    assert same_bits(gen.diag(), diag.reshape(-1)[gen.index])
+
+
+DIAG_CASES = [(1, 64, (0, 0)), (1, 64, (1, 0)), (1, 64, (2, 0)),
+              (1, 64, (0, 2)), (1, 16, (3, 1)), (1, 64, (1, 1)),
+              (2, 8, (1, 1)), (2, 16, (1, 1)), (1, 8, (2, 2)),
+              (1, 16, (2, 2)), (1, 32, (2, 2))]
+
+
+@pytest.mark.parametrize("count", [None, "held", "own"])
+@pytest.mark.parametrize("dim, n, orders", DIAG_CASES,
+                         ids=[f"{d}d-n{n}-{o[0]}-{o[1]}"
+                              for d, n, o in DIAG_CASES])
+def test_diag_has_the_bits_of_the_full_tensor_factor(dim, n, orders, count):
+    # diag, recomputed from the index's lattice sites, is the site-local
+    # factor over the full tensor gathered through the index, bit for bit:
+    # of every sector, of the Hermitian half and of the self-conjugate
+    # sectors.  At delta_a = 0.3 the |a|^2 are inexact, so the sums' order
+    # shows in the bits.
+    kernel = MomentKernel(orders, FrequencyGrid(dim, n, 0.3, 1.55e-6),
+                          np.zeros((n,) * (dim * sum(orders)), complex))
+    gen = KernelGenerator.build(kernel, MODEL)
+    count = getattr(gen, count) if count else None
+    want = full_tensor_diag(kernel, MODEL).reshape(-1)[gen.index[:count]]
+    assert same_bits(gen.diag(count), want)
 
 
 def test_one_chunk_kernel_starts_no_thread(monkeypatch):
