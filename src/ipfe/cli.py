@@ -554,9 +554,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run the command argv (sys.argv[1:] by default) names, parsed by the
-    command-line parser, and return its exit status: 2 for a configuration
-    error.  A usage error exits with status 2 and argparse's message."""
+    """Run the command that argv (sys.argv[1:] by default) names, as the
+    command-line parser reads it, and return its exit status: 2 for a
+    configuration error.  A usage error exits with status 2 and argparse's
+    message."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
