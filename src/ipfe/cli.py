@@ -11,8 +11,8 @@ evolve-kernel   integrate a moment kernel read from a binary tensor file;
                 and the diagnostics of every snapshot)
 states          Fock-state Wigner/generating-function sweep (CSV), or the
                 Gaussian stationarity residual table with --stationarity
-screens         screen-statistics tables (per-mode variance, cross-mode
-                covariance) as CSV
+screens         exact screen-statistics tables (per-mode variance,
+                cross-mode covariance) as CSV
 spectrum-table  CSV of the transverse PSD over a log-spaced range
 validate        full cross-validation suite on the reference plan, or on
                 the plan and source of --config; JSON + text report
@@ -42,7 +42,7 @@ from .grid import FrequencyGrid, Spectrum
 from .moments import (KernelInputError, MomentKernel, evolve_kernel,
                       kernel_diagnostics, kernel_trace, step_guard,
                       step_guard_values)
-from .phase_screen import MIN_SAMPLES, as_u64, screen_statistics
+from .phase_screen import as_u64, screen_statistics
 from .spectrum import SpectrumKind, TurbulenceModel, psd_transverse
 from .splitstep import PropagationPlan, ensemble_moments
 
@@ -104,8 +104,12 @@ class RunConfig:
 
 def _check_type(value, expected, path):
     if expected is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
+        # NaN compares false, and an int beyond the float range is refused
+        # before float() could overflow.
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not abs(value) <= sys.float_info.max):
+            raise ConfigError(
+                f"{path}: expected a finite number, got {value!r}")
         return float(value)
     if expected is int:
         if not isinstance(value, int) or isinstance(value, bool):
@@ -133,7 +137,9 @@ def load_config(path) -> RunConfig:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from exc
+    except ValueError as exc:  # bad JSON or UTF-8, an int over 4300 digits
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -144,6 +150,8 @@ def load_config(path) -> RunConfig:
     for section, keys in _REQUIRED.items():
         if section not in raw:
             raise ConfigError(f"{section}: required section missing")
+        if not isinstance(raw[section], dict):
+            raise ConfigError(f"{section}: expected an object")
         for key in keys:
             if key not in raw[section]:
                 raise ConfigError(f"{section}.{key}: required field missing")
@@ -157,6 +165,8 @@ def load_config(path) -> RunConfig:
     if source_raw.get("type", "gaussian") != "gaussian":
         raise ConfigError(f"source.type: unknown type "
                           f"{source_raw['type']!r}; expected 'gaussian'")
+    if source_raw.get("sigma_a", 1.0) <= 0.0:
+        raise ConfigError("source.sigma_a: must be > 0")
 
     try:
         grid = FrequencyGrid(grid_raw["dim"], grid_raw["n"],
@@ -192,7 +202,8 @@ def load_config(path) -> RunConfig:
         source_sigma_a=source_raw.get("sigma_a",
                                       grid.n * grid.delta_a / 8.0),
         source_amplitude=source_raw.get("amplitude", 1.0),
-        output_dir=raw.get("output_dir", "."),
+        output_dir=_check_type(raw.get("output_dir", "."), str,
+                               "output_dir"),
     )
 
 
@@ -388,28 +399,23 @@ def cmd_screens(args) -> int:
     cfg = _apply_seed(load_config(args.config), args)
     out = _out_dir(args, cfg)
     plan = cfg.plan
-    stats = screen_statistics(plan.model, plan.grid, plan.dz, args.samples,
+    stats = screen_statistics(plan.model, plan.grid, plan.dz,
                               plan.master_seed)
     freqs = plan.grid.axis_frequencies()
     target = stats.target_variance.ravel()
-    sample = stats.sample_variance.ravel()
-    se = stats.variance_se.ravel()
-    rows = []
-    for i in range(target.size):
-        rel = sample[i] / target[i] - 1.0 if target[i] > 0 else 0.0
-        rows.append([i, freqs[i % plan.grid.n], target[i], sample[i],
-                     se[i], rel])
+    variance = stats.variance.ravel()
     _write_csv(out / "screens_variance.csv",
                ["site", "frequency_cyc_per_m", "target_variance_m2",
-                "sample_variance_m2", "standard_error_m2",
-                "relative_deviation"], rows)
+                "exact_variance_m2"],
+               [[i, freqs[i % plan.grid.n], target[i], variance[i]]
+                for i in range(target.size)])
     _write_csv(out / "screens_cross.csv",
-               ["site_a", "site_b", "abs_covariance_m2",
-                "standard_error_m2"],
-               [[a, b, mag, serr] for a, b, mag, serr in stats.cross_pairs])
-    print(f"wrote screen statistics over {stats.n_samples} draws to {out}; "
-          f"max relative variance deviation {stats.max_rel_deviation:.3e}, "
-          f"max cross-mode sigma {stats.max_cross_sigma:.2f}")
+               ["site_a", "site_b", "abs_covariance_m2"],
+               [[a, b, abs(cov)] for a, b, cov in stats.cross_pairs])
+    print(f"wrote exact screen statistics to {out}; relative to the largest "
+          f"target variance, max variance error "
+          f"{stats.max_variance_error:.3e}, max cross-mode covariance "
+          f"{stats.max_cross_covariance:.3e}")
     return 0
 
 
@@ -469,14 +475,6 @@ def distances(text: str) -> list[float]:
     return z
 
 
-def screen_samples(text: str) -> int:
-    """A --samples value: an integer >= MIN_SAMPLES."""
-    samples = int(text)
-    if samples < MIN_SAMPLES:
-        raise ValueError(text)
-    return samples
-
-
 def table_points(text: str) -> int:
     """A --points value: an integer >= 2."""
     points = int(text)
@@ -532,11 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the Gaussian stationarity residual table")
     p.set_defaults(func=cmd_states)
 
-    p = sub.add_parser("screens", help="phase-screen statistics tables (CSV)")
+    p = sub.add_parser("screens",
+                       help="exact phase-screen statistics tables (CSV)")
     _add_common(p)
-    p.add_argument("--samples", type=screen_samples, default=10000,
-                   help=f"number of screens to draw, at least {MIN_SAMPLES} "
-                        "(default 10000)")
     p.set_defaults(func=cmd_screens)
 
     p = sub.add_parser("spectrum-table",

@@ -41,8 +41,8 @@ per block.  The split-step engine draws realization r in slab s at
 (master_seed, s, r), one block per BLOCK realizations, as does
 ``PropagationPlan.slab_screen(r, s)``;
 ``draw_screen(seed)`` is the screen at (seed, 0, 0), and
-``screen_statistics(seed)`` draws screen i at (seed, 0, i) and its site
-pairs from the generator of key (seed, 1).  ``keyed_generator`` builds
+``screen_statistics(seed)`` draws no screen, only its site pairs from the
+generator of key (seed, 1).  ``keyed_generator`` builds
 a generator at a key the same way, for keyed data that are not screens
 (the checks' own test data, ``gaussian_drift``'s probes).
 
@@ -50,32 +50,16 @@ Buffers.  ``draw`` fills the normals and coefficient buffers of
 ``ScreenLattice.work``, drawing every Philox block whole, and writes the
 screens into ``out``, which may be a strided view (the split-step engine
 passes the real part of its screen factor).  A caller that draws range
-after range (the engine per chunk, ``screen_statistics`` per call)
-allocates these buffers once.  ``draw``, ``slab_screen``,
-``draw_screen`` and the engine share this code, and ``irfftn`` written
-to a strided ``out`` keeps its bits.  ``fields`` calls ``irfftn``'s own
-transforms, axis by axis in its order.
-
-``screen_statistics`` reduces its chunks in buffers allocated once per
-call and keeps the bits of the expressions they replace:
-
-- ``flat[:, sites]`` returns a Fortran-ordered (sample, pair) array, so
-  ``np.sum(axis=0)`` adds each pair's samples contiguously, in numpy's
-  pairwise order.  The buffers hold the coefficients and the pair values
-  (site, sample)-ordered and sum each row, which is the same order.  A
-  C-ordered (sample, pair) copy, such as ``np.take(flat, sites, axis=1)``
-  returns, is summed sample by sample instead, and moved
-  ``screens/cross-correlation`` in its last bits.
-- ``a * np.conj(b)`` on those arrays is rounded as conj(b)*a when they
-  reach 256 KiB (a whole 256-screen chunk of 64 pairs), because numpy
-  then computes it in the ``conj`` temporary, and as a*conj(b) on a
-  smaller last chunk.  numpy's complex multiply does not round a*b as
-  b*a, so the buffered product keeps both orders.
+after range (the engine, per chunk) allocates these buffers once.
+``draw``, ``slab_screen``, ``draw_screen`` and the engine share this code,
+and ``irfftn`` written to a strided ``out`` keeps its bits.  ``fields``
+calls ``irfftn``'s own transforms, axis by axis in its order, and
+``screen_statistics`` pushes unit normals through it for the exact
+statistics of what ``draw`` returns.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import threading
 import warnings
@@ -245,46 +229,42 @@ def phase_screen_position(screen: ScreenRealization, k: float) -> np.ndarray:
     return k * screen.n_slab
 
 
-# Screens drawn and reduced at a time by screen_statistics, which bounds its
-# memory whatever n_samples is; whole Philox blocks, so no block is drawn
-# twice.
-_STATISTICS_CHUNK = 4 * BLOCK
+# Unit normals screen_statistics pushes through the screen transform at a
+# time, which bounds its memory by a fixed multiple of the lattice size.
+_STATISTICS_ROWS = BLOCK
 
-# Random site pairs whose cross-covariance screen_statistics reports.
+# Random site pairs whose covariance screen_statistics reports.
 _CROSS_PAIRS = 64
-
-# The size from which numpy computes a binary operation in a temporary
-# operand's buffer (NPY_MIN_ELIDE_BYTES; module docstring).
-_ELIDE_BYTES = 256 * 1024
-
-# Fewest screens screen_statistics draws.
-MIN_SAMPLES = 100
 
 
 @dataclass
 class ScreenStatistics:
-    """Empirical screen statistics from n_samples independent draws."""
+    """Exact second-order statistics of the screens ``ScreenLattice.draw``
+    returns, on the DC-centred lattice, with both errors relative to the
+    largest target variance."""
 
-    n_samples: int
     target_variance: np.ndarray
-    sample_variance: np.ndarray
-    variance_se: np.ndarray
-    max_rel_deviation: float
-    cross_pairs: list  # (site_a, site_b, |cov|, se)
-    max_cross_sigma: float
+    variance: np.ndarray
+    cross_pairs: list  # (site_a, site_b, complex covariance)
+    max_variance_error: float  # max_a |variance(a) - target(a)| / max target
+    max_cross_covariance: float  # max |covariance| / max target
 
 
 def screen_statistics(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
-                      n_samples: int, seed: int) -> ScreenStatistics:
-    """Per-mode sample variance against target, plus cross-mode covariances
-    for a random sample of non-mirror site pairs."""
-    if n_samples < MIN_SAMPLES:
-        raise ValueError(f"n_samples must be >= {MIN_SAMPLES}")
+                      seed: int) -> ScreenStatistics:
+    """The exact per-mode variance of the drawn screens, and their exact
+    covariance at 64 random non-mirror site pairs drawn from Philox key
+    (seed, 1).  A screen is linear in its unit normals, so each normal,
+    pushed through ``ScreenLattice.fields`` and taken to modes as
+    ``grid.to_frequency`` does, gives its response N_r(a), and the screens'
+    statistics are var(a) = sum_r |N_r(a)|^2 and
+    cov(a, b) = sum_r N_r(a) N_r(b)*.  The normals go through in chunks of
+    ``_STATISTICS_ROWS`` and the sums add one normal's response at a time,
+    so the memory is linear in the sites and the bits do not depend on the
+    chunk."""
     lattice = ScreenLattice(model, grid, dz)
     target = lattice.variance
-    axes = tuple(range(1, grid.dim + 1))
 
-    # The pairs are drawn before any screen: the draws move this generator.
     rng = lattice.generator(as_u64(seed, "seed"), 1)
     flat_size = grid.n ** grid.dim
     sites = np.indices(grid.shape).reshape(grid.dim, -1)
@@ -300,93 +280,33 @@ def screen_statistics(model: TurbulenceModel, grid: FrequencyGrid, dz: float,
         pairs = np.concatenate([pairs, draw[keep]])
     sites_a, sites_b = pairs[:_CROSS_PAIRS].T
 
-    def dft_position(flat_sites):  # DC-centred flat site -> DFT flat site
-        centred = np.unravel_index(flat_sites, grid.shape)
-        return np.ravel_multi_index(
-            [(c - grid.n // 2) % grid.n for c in centred], grid.shape)
+    variance = np.zeros(flat_size)
+    cross = np.zeros(_CROSS_PAIRS, dtype=np.complex128)
+    count = 2 * lattice.amplitude.size
+    axes = tuple(range(1, grid.dim + 1))
+    for start in range(0, count, _STATISTICS_ROWS):
+        rows = min(_STATISTICS_ROWS, count - start)
+        normals = np.eye(rows, count, start).reshape(
+            (rows, 2) + lattice.amplitude.shape)
+        # grid.to_frequency of each screen, which is already in DFT order.
+        modes = np.fft.fftshift(np.fft.ifftn(lattice.fields(normals),
+                                             axes=axes), axes=axes)
+        modes = modes.reshape(rows, flat_size) * grid.delta_weight
+        for power in modes.real ** 2 + modes.imag ** 2:
+            variance += power
+        for product in np.multiply(modes[:, sites_a],
+                                   np.conj(modes[:, sites_b])):
+            cross += product
 
-    dft_a, dft_b = dft_position(sites_a), dft_position(sites_b)
-    # The sums are taken in DFT order, the layout the inverse transform
-    # returns, and shifted to the DC-centred layout of target once, after
-    # the last chunk.
-    sum_sq = np.zeros(grid.shape)
-    sum_quad = np.zeros(grid.shape)
-    cross_sum = np.zeros(_CROSS_PAIRS, dtype=np.complex128)
-    cross_sq = np.zeros(_CROSS_PAIRS)
-
-    # Buffers of the first chunk, which no later chunk outgrows, read
-    # through views of their heads.  The coefficients and the pair values
-    # are held (site, sample)-ordered: a pair's values are gathered as
-    # whole rows, and their sums over samples run over contiguous values,
-    # in the pairwise order numpy sums the (sample, pair) arrays of
-    # flat[:, sites] in (module docstring).
-    rows = min(_STATISTICS_CHUNK, n_samples)
-    work = lattice.work(0, rows)
-    coeff_buf = np.empty(flat_size * rows, dtype=np.complex128)
-    pair_buf = np.empty((2, _CROSS_PAIRS * rows), dtype=np.complex128)
-    power_buf = np.empty(max(flat_size, _CROSS_PAIRS) * rows)
-    samples_first = (grid.dim,) + tuple(range(grid.dim))
-
-    def head(buf, *shape):
-        return buf[:math.prod(shape)].reshape(shape)
-
-    for start in range(0, n_samples, _STATISTICS_CHUNK):
-        count = min(_STATISTICS_CHUNK, n_samples - start)
-        by_site = head(coeff_buf, flat_size, count)
-        coeff = by_site.reshape(grid.shape + (count,)).transpose(
-            samples_first)
-        lattice.draw(seed, 0, start, start + count, coeff.real, work)
-        coeff.imag = 0.0
-        # The grid's inverse transform (grid.to_frequency) of each screen,
-        # which is already in DFT order, left unshifted: np.fft.ifftn's
-        # transforms, in its order.
-        for axis in reversed(axes):
-            np.fft.ifft(coeff, axis=axis, out=coeff)
-        coeff *= grid.delta_weight
-        p = np.abs(coeff, out=head(power_buf, count, *grid.shape))
-        np.square(p, out=p)
-        sum_sq += np.sum(p, axis=0)
-        np.square(p, out=p)
-        sum_quad += np.sum(p, axis=0)
-        pair_a, prods = (head(buf, _CROSS_PAIRS, count)
-                         for buf in pair_buf)
-        np.take(by_site, dft_a, axis=0, out=pair_a, mode="clip")
-        np.take(by_site, dft_b, axis=0, out=prods, mode="clip")
-        np.conjugate(prods, out=prods)
-        # flat[:, dft_a] * np.conj(flat[:, dft_b]) in the operand order
-        # numpy rounds it in (module docstring).
-        if prods.nbytes >= _ELIDE_BYTES:
-            np.multiply(prods, pair_a, out=prods)
-        else:
-            np.multiply(pair_a, prods, out=prods)
-        cross_sum += np.sum(prods, axis=1)
-        pair_power = np.abs(prods, out=head(power_buf, _CROSS_PAIRS,
-                                            count))
-        np.square(pair_power, out=pair_power)
-        cross_sq += np.sum(pair_power, axis=1)
-
-    sum_sq = np.fft.fftshift(sum_sq)
-    sum_quad = np.fft.fftshift(sum_quad)
-    var = sum_sq / n_samples
-    var_of_p = np.maximum(sum_quad / n_samples - var ** 2, 0.0)
-    var_se = np.sqrt(var_of_p / n_samples)
-    if np.all(target == 0.0):
-        max_rel = float(np.max(np.abs(var)))
-    else:
-        max_rel = float(np.max(np.abs(var / target - 1.0)))
-
-    cross_mag = np.abs(cross_sum / n_samples)
-    cross_var = np.maximum(cross_sq / n_samples - cross_mag ** 2, 0.0)
-    cross_se = np.sqrt(cross_var / n_samples)
-    sigmas = np.divide(cross_mag, cross_se, out=np.zeros_like(cross_se),
-                       where=cross_se > 0)
+    variance = variance.reshape(grid.shape)
+    # A zero target (cn2 = 0) draws zero screens: the errors are then the
+    # raw values, exactly 0.
+    scale = float(np.max(target)) or 1.0
     return ScreenStatistics(
-        n_samples=n_samples,
         target_variance=target,
-        sample_variance=var,
-        variance_se=var_se,
-        max_rel_deviation=max_rel,
-        cross_pairs=list(zip(sites_a.tolist(), sites_b.tolist(), cross_mag,
-                             cross_se)),
-        max_cross_sigma=float(np.max(sigmas)),
+        variance=variance,
+        cross_pairs=list(zip(sites_a.tolist(), sites_b.tolist(),
+                             cross.tolist())),
+        max_variance_error=float(np.max(np.abs(variance - target))) / scale,
+        max_cross_covariance=float(np.max(np.abs(cross))) / scale,
     )

@@ -82,8 +82,7 @@ numpy 2.4.6 on glibc (x86-64 with AVX-512), these held:
   left is not, numpy computes it in that temporary, so
   ``x * np.conj(y)`` is rounded as conj(y)*x there and as x*conj(y)
   below that size.  ``ensemble_moments`` finishes every product in its
-  expression's operand order, none of which the elision reverses, and
-  ``phase_screen.screen_statistics`` keeps both orders.
+  expression's operand order, none of which the elision reverses.
 """
 
 from __future__ import annotations
@@ -127,6 +126,8 @@ class PropagationPlan:
     def __post_init__(self) -> None:
         if self.n_slabs < 1:
             raise ValueError("n_slabs must be >= 1")
+        if self.n_realizations < 2:
+            raise ValueError("n_realizations must be >= 2")
         if self.z_total < 0.0:
             raise ValueError("z_total must be >= 0")
         as_u64(self.master_seed, "master_seed")
@@ -360,8 +361,6 @@ def ensemble_moments(s0: Spectrum, plan: PropagationPlan) -> EnsembleStats:
     Realizations are propagated in chunks of whole blocks
     (``_run_chunks`` states the worker contract).
     """
-    if plan.n_realizations < 2:
-        raise ValueError("n_realizations must be >= 2")
     size = plan.grid.n ** plan.grid.dim
     estimate = _ENSEMBLE_BYTES_PER_ELEMENT * size ** 2
     if estimate > MAX_ENSEMBLE_BYTES:

@@ -518,21 +518,22 @@ def check_wigner_formulas(plan: PropagationPlan = REFERENCE
 
 
 def check_screens(plan: PropagationPlan = REFERENCE) -> list[CheckResult]:
-    """Per-mode screen variance and cross-mode decorrelation."""
+    """Exact per-mode variance and cross-mode covariance of the drawn
+    screens, relative to the largest target variance."""
     grid = FrequencyGrid(1, 32, plan.grid.delta_a, plan.grid.wavelength)
     t0 = time.perf_counter()
-    stats = screen_statistics(plan.model, grid, plan.dz, 10000,
+    stats = screen_statistics(plan.model, grid, plan.dz,
                               (plan.master_seed + 8) % 2 ** 64)
     elapsed = time.perf_counter() - t0
     results = [
         _bound("screens/variance",
-               "per-mode sample variance vs target, max relative deviation "
-               "over 10^4 screens",
-               stats.max_rel_deviation, 0.05),
+               "exact per-mode variance of the drawn screens vs target, max "
+               "deviation over the largest target",
+               stats.max_variance_error, 1e-12),
         _bound("screens/cross-correlation",
-               "cross-mode covariance in standard errors (max over 64 "
-               "random pairs)",
-               stats.max_cross_sigma, 4.0),
+               "exact cross-mode covariance of the drawn screens (max over "
+               "64 random non-mirror pairs) over the largest target",
+               stats.max_cross_covariance, 1e-12),
     ]
     for r in results:
         r.elapsed_s = elapsed / len(results)

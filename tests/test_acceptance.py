@@ -14,7 +14,7 @@ import ipfe
 from ipfe import moments, splitstep
 from ipfe.arrayio import read_array, write_array
 from ipfe.grid import FrequencyGrid, Spectrum
-from ipfe.phase_screen import screen_statistics
+from ipfe.phase_screen import ScreenLattice, screen_statistics
 from ipfe.validation import (REFERENCE, REFERENCE_SOURCE_SIGMA_A,
                              check_conservation, check_duality,
                              check_first_moment, check_free_space,
@@ -47,6 +47,10 @@ CHECK_NAMES = [
     "wigner/fock-generating", "wigner/fock-central-negativity",
     "screens/variance", "screens/cross-correlation", "duality",
 ]
+
+# The lattice check_screens computes the screens' statistics on.
+SCREEN_GRID = FrequencyGrid(1, 32, REFERENCE.grid.delta_a,
+                            REFERENCE.grid.wavelength)
 
 # The reference source; every plan below but the 2-D one shares its grid.
 SOURCE = Spectrum.gaussian(REFERENCE.grid, REFERENCE_SOURCE_SIGMA_A)
@@ -171,15 +175,75 @@ def test_phase_screen_statistics():
 
 
 def test_screen_check_runs_at_the_largest_seed():
-    # check_screens draws at master_seed + 8 modulo 2^64, so every seed a
-    # plan accepts validates; 2^64 - 1 wraps to seed 7.
+    # check_screens draws its site pairs at master_seed + 8 modulo 2^64, so
+    # every seed a plan accepts validates; 2^64 - 1 wraps to seed 7.
     results = check_screens(replace(REFERENCE, master_seed=2 ** 64 - 1))
     report(results)
-    grid = FrequencyGrid(1, 32, REFERENCE.grid.delta_a,
-                         REFERENCE.grid.wavelength)
-    stats = screen_statistics(REFERENCE.model, grid, REFERENCE.dz, 10000, 7)
-    assert [r.measured for r in results] == [stats.max_rel_deviation,
-                                             stats.max_cross_sigma]
+    stats = screen_statistics(REFERENCE.model, SCREEN_GRID, REFERENCE.dz, 7)
+    assert [r.measured for r in results] == [stats.max_variance_error,
+                                             stats.max_cross_covariance]
+
+
+@pytest.mark.parametrize("inner_scale", [0.0, 1.0, 3.0, 5.0])
+def test_screen_checks_pass_at_every_inner_scale(inner_scale):
+    # Both errors are relative to the largest target variance, so modes
+    # that the inner-scale rolloff drives to the rounding floor (a target
+    # of 1.8e-87 at the 3-m edge mode) read at the rounding of the largest
+    # modes, not as a failure.
+    plan = replace(REFERENCE, model=replace(REFERENCE.model,
+                                            inner_scale=inner_scale))
+    results = check_screens(plan)
+    report(results)
+    assert all(r.measured <= 1e-15 for r in results)
+
+
+def screen_verdicts(monkeypatch, name, replacement):
+    """check_screens' verdicts, by name, with ScreenLattice.<name>
+    replaced."""
+    monkeypatch.setattr(ScreenLattice, name, replacement)
+    return {r.name: r.passed for r in check_screens()}
+
+
+@pytest.mark.parametrize("fault", ["amplitude-1.01", "no-sqrt2-planes"])
+def test_screen_variance_check_sees_a_wrong_amplitude(monkeypatch, fault):
+    # The amplitude 1% high, or without the sqrt(2) on the last axis's 0
+    # and n/2 planes (where irfftn keeps only the Hermitian part).
+    init = ScreenLattice.__init__
+
+    def faulty(self, model, grid, dz):
+        init(self, model, grid, dz)
+        if fault == "amplitude-1.01":
+            self.amplitude *= 1.01
+        else:
+            self.amplitude[..., [0, grid.n // 2]] /= np.sqrt(2.0)
+
+    assert not screen_verdicts(monkeypatch, "__init__",
+                               faulty)["screens/variance"]
+
+
+def test_screen_cross_check_sees_a_leaked_coefficient(monkeypatch):
+    # One half-lattice coefficient leaks, at 1e-6 of its value, into the
+    # next mode up, for an adjacent pair of non-negative frequencies that
+    # the check samples (DC-centred sites 22 and 23 at the reference seed).
+    seed = (REFERENCE.master_seed + 8) % 2 ** 64
+    stats = screen_statistics(REFERENCE.model, SCREEN_GRID, REFERENCE.dz,
+                              seed)
+    half = SCREEN_GRID.n // 2
+    low = next(min(a, b) - half for a, b, _ in stats.cross_pairs
+               if abs(a - b) == 1 and min(a, b) >= half)
+    fields = ScreenLattice.fields
+
+    def leaky(self, normals, coeff=None, out=None):
+        out = fields(self, normals, coeff, out)
+        leak = np.zeros((len(normals), half + 1), dtype=np.complex128)
+        leak[:, low + 1] = 1e-6 * self.amplitude[low] * (
+            normals[:, 0, low] + 1j * normals[:, 1, low])
+        out += np.fft.irfft(leak, SCREEN_GRID.n) * (SCREEN_GRID.n
+                                                   * SCREEN_GRID.cell)
+        return out
+
+    assert not screen_verdicts(monkeypatch, "fields",
+                               leaky)["screens/cross-correlation"]
 
 
 def test_characteristic_transform_duality():

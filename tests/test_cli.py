@@ -97,6 +97,16 @@ def test_load_config_rejects_unknown_and_bad_fields(tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
         load_config(bad)
+    # A missing file and an integer longer than Python converts from text
+    # ended in tracebacks.
+    with pytest.raises(ConfigError, match="missing.json: cannot read"):
+        load_config(tmp_path / "missing.json")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"grid": ' + "1" * (limit + 1) + "}")
+        with pytest.raises(ConfigError, match="huge.json: not valid JSON"):
+            load_config(huge)
 
 
 def test_load_config_guard_violation(tmp_path):
@@ -136,9 +146,9 @@ PARSE_CASES = {
     "simulate": (["simulate", "--config", "c.json"],
                  {"command": "simulate", "config": "c.json", "out": None}),
     "validate": (["validate"], {"command": "validate", "config": None}),
+    # The screens statistics are exact: --samples is no longer an option.
     "samples-few": (["screens", "--config", "c.json", "--samples", "5"],
-                    (2, "ipfe screens: error: argument --samples: invalid "
-                        "screen_samples value: '5'")),
+                    (2, "ipfe: error: unrecognized arguments: --samples 5")),
     "unknown-flag": (["evolve-kernel", "--config", "c.json", "--input",
                       "k.bin", "--bogus"],
                      (2, "ipfe: error: unrecognized arguments: --bogus")),
@@ -213,12 +223,18 @@ def test_states_commands(tmp_path):
 def test_screens_command(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "scr"
-    assert main(["screens", "--config", str(cfg), "--out", str(out),
-                 "--samples", "200"]) == 0
+    assert main(["screens", "--config", str(cfg), "--out", str(out)]) == 0
     rows = read_csv(out / "screens_variance.csv")
+    assert rows[0] == ["site", "frequency_cyc_per_m", "target_variance_m2",
+                       "exact_variance_m2"]
     assert len(rows) == 9
+    for row in rows[1:]:
+        target, variance = float(row[2]), float(row[3])
+        assert abs(variance - target) <= 1e-15 * target
     cross = read_csv(out / "screens_cross.csv")
+    assert cross[0] == ["site_a", "site_b", "abs_covariance_m2"]
     assert len(cross) == 65
+    assert "max variance error" in capsys.readouterr().out
 
 
 @pytest.mark.filterwarnings("ignore:kernel boundary mass")
@@ -622,6 +638,38 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+# Configurations that ran to NaN outputs or ended in a traceback before
+# the schema refused them.
+BAD_CONFIGS = {
+    "cn2-nan": ({"model": {"cn2": float("nan")}},
+                "model.cn2: expected a finite number, got nan"),
+    "delta-a-nan": ({"grid": {"delta_a": float("nan")}},
+                    "grid.delta_a: expected a finite number, got nan"),
+    "z-total-nan": ({"plan": {"z_total": float("nan")}},
+                    "plan.z_total: expected a finite number, got nan"),
+    "sigma-a-zero": ({"source": {"sigma_a": 0.0}},
+                     "source.sigma_a: must be > 0"),
+    "sigma-a-nan": ({"source": {"sigma_a": float("nan")}},
+                    "source.sigma_a: expected a finite number, got nan"),
+    "grid-not-object": ({"grid": 5}, "grid: expected an object"),
+    "one-realization": ({"plan": {"n_realizations": 1}},
+                        "plan: n_realizations must be >= 2"),
+    "output-dir-int": ({"output_dir": 5}, "output_dir: expected str, got 5"),
+}
+
+
+@pytest.mark.parametrize("overrides, message", BAD_CONFIGS.values(),
+                         ids=BAD_CONFIGS.keys())
+def test_bad_configurations_are_configuration_errors(tmp_path, capsys,
+                                                     overrides, message):
+    path = write_config(tmp_path, **overrides)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
 def test_seed_must_be_u64(tmp_path, monkeypatch, capsys):
     # A seed outside [0, 2^64) would wrap silently in a Philox key: the
     # configuration refuses it as a ConfigError and --seed as a usage error
@@ -653,7 +701,7 @@ def test_seed_must_be_u64(tmp_path, monkeypatch, capsys):
     ("evolve-kernel", ["--z-list=-5,0"], "argument --z-list"),
     # An 8x8 (1, 1) kernel file read as a (2, 2) kernel.
     ("evolve-kernel", ["--orders", "2,2"], "configuration error: .*shape"),
-    ("screens", ["--samples", "5"], "argument --samples"),
+    ("screens", ["--samples", "5"], "unrecognized arguments: --samples"),
     ("spectrum-table", ["--points", "-1"], "argument --points"),
     ("spectrum-table", ["--points", "0"], "argument --points"),
 ], ids=["orders-three", "orders-text", "orders-rank5", "orders-negative",
