@@ -29,8 +29,7 @@ import io
 import json
 import sys
 import time
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,55 +50,46 @@ class ConfigError(ValueError):
     """Schema or guard violation in a run configuration."""
 
 
+# Each field's (type, default), a default of MISSING making it required.
+# A section with no required field may be left out.  A value's own rules
+# (ranges, kinds, the plan's guards) belong to the type it builds, whose
+# refusal reads "section: <its message>".
 _SCHEMA = {
     "grid": {
-        "dim": int,
-        "n": int,
-        "delta_a": float,
-        "wavelength": float,
+        "dim": (int, MISSING),
+        "n": (int, MISSING),
+        "delta_a": (float, MISSING),
+        "wavelength": (float, MISSING),
     },
     "model": {
-        "kind": str,
-        "cn2": float,
-        "outer_scale": float,
-        "inner_scale": float,
+        "kind": (str, MISSING),
+        "cn2": (float, MISSING),
+        "outer_scale": (float, None),
+        "inner_scale": (float, 0.0),
     },
     "plan": {
-        "z_total": float,
-        "n_slabs": int,
-        "n_realizations": int,
-        "master_seed": int,
+        "z_total": (float, MISSING),
+        "n_slabs": (int, 64),
+        "n_realizations": (int, 500),
+        "master_seed": (int, 0),
     },
     "source": {
-        "type": str,
-        "sigma_a": float,
-        "amplitude": float,
+        "type": (str, "gaussian"),
+        "sigma_a": (float, None),  # None: n * delta_a / 8
+        "amplitude": (float, 1.0),
     },
-    "output_dir": str,
+    "output_dir": (str, "."),
 }
-
-_REQUIRED = {
-    "grid": ("dim", "n", "delta_a", "wavelength"),
-    "model": ("kind", "cn2"),
-    "plan": ("z_total",),
-}
-
-_PLAN_DEFAULTS = {"n_slabs": 64, "n_realizations": 500, "master_seed": 0}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A loaded configuration: the guard-checked propagation plan, the
-    Gaussian source, and where outputs go."""
+    """A loaded configuration: the propagation plan (which meets its
+    guards), the Gaussian source, and where outputs go."""
 
     plan: PropagationPlan
-    source_sigma_a: float
-    source_amplitude: float
-    output_dir: str = "."
-
-    def source(self) -> Spectrum:
-        return Spectrum.gaussian(self.plan.grid, self.source_sigma_a,
-                                 self.source_amplitude)
+    source: Spectrum
+    output_dir: str
 
 
 def _check_type(value, expected, path):
@@ -121,15 +111,40 @@ def _check_type(value, expected, path):
     return value
 
 
-def _check_section(data, schema, path):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected an object")
-    out = {}
-    for key, value in data.items():
+def _check_section(data, schema, prefix=""):
+    """data checked against a _SCHEMA table: unknown and missing required
+    fields refused, each value's type checked, and the defaults filled
+    in."""
+    for key in data:
         if key not in schema:
-            raise ConfigError(f"{path}.{key}: unknown field")
-        out[key] = _check_type(value, schema[key], f"{path}.{key}")
+            raise ConfigError(f"{prefix}{key}: unknown field")
+    out = {}
+    for key, spec in schema.items():
+        path = prefix + key
+        if isinstance(spec, dict):
+            if key not in data and any(default is MISSING
+                                       for _, default in spec.values()):
+                raise ConfigError(f"{path}: required section missing")
+            section = data.get(key, {})
+            if not isinstance(section, dict):
+                raise ConfigError(f"{path}: expected an object")
+            out[key] = _check_section(section, spec, path + ".")
+        elif key in data:
+            out[key] = _check_type(data[key], spec[0], path)
+        elif spec[1] is MISSING:
+            raise ConfigError(f"{path}: required field missing")
+        else:
+            out[key] = spec[1]
     return out
+
+
+def _build(section, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError a configuration error of
+    section."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def load_config(path) -> RunConfig:
@@ -143,67 +158,25 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    cfg = _check_section(raw, _SCHEMA)
 
-    for key in raw:
-        if key not in _SCHEMA:
-            raise ConfigError(f"{key}: unknown field")
-    for section, keys in _REQUIRED.items():
-        if section not in raw:
-            raise ConfigError(f"{section}: required section missing")
-        if not isinstance(raw[section], dict):
-            raise ConfigError(f"{section}: expected an object")
-        for key in keys:
-            if key not in raw[section]:
-                raise ConfigError(f"{section}.{key}: required field missing")
-
-    grid_raw = _check_section(raw["grid"], _SCHEMA["grid"], "grid")
-    model_raw = _check_section(raw["model"], _SCHEMA["model"], "model")
-    plan_raw = dict(_PLAN_DEFAULTS)
-    plan_raw.update(_check_section(raw["plan"], _SCHEMA["plan"], "plan"))
-    source_raw = _check_section(raw.get("source", {}), _SCHEMA["source"],
-                                "source")
-    if source_raw.get("type", "gaussian") != "gaussian":
+    grid = _build("grid", FrequencyGrid, **cfg["grid"])
+    model = cfg["model"]
+    model["kind"] = _build("model", SpectrumKind, model["kind"])
+    model = _build("model", TurbulenceModel, **model)
+    plan = _build("plan", PropagationPlan, grid, model, **cfg["plan"])
+    source = cfg["source"]
+    if source["type"] != "gaussian":
         raise ConfigError(f"source.type: unknown type "
-                          f"{source_raw['type']!r}; expected 'gaussian'")
-    if source_raw.get("sigma_a", 1.0) <= 0.0:
-        raise ConfigError("source.sigma_a: must be > 0")
-
-    try:
-        grid = FrequencyGrid(grid_raw["dim"], grid_raw["n"],
-                             grid_raw["delta_a"], grid_raw["wavelength"])
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-
-    kinds = {k.value: k for k in SpectrumKind}
-    if model_raw["kind"] not in kinds:
-        raise ConfigError(
-            f"model.kind: unknown kind {model_raw['kind']!r}; expected one "
-            f"of {sorted(kinds)}")
-    if model_raw["cn2"] < 0.0:
-        raise ConfigError("model.cn2: must be >= 0")
-    try:
-        model = TurbulenceModel(kinds[model_raw["kind"]], model_raw["cn2"],
-                                model_raw.get("outer_scale"),
-                                model_raw.get("inner_scale", 0.0))
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-    if (model.kind is SpectrumKind.VON_KARMAN
-            and model.outer_scale > 1.0 / grid.delta_a):
-        warnings.warn("outer scale exceeds grid support (L0 > 1/delta_a)",
-                      stacklevel=2)
-
-    try:
-        plan = PropagationPlan(grid, model, **plan_raw)
-        plan.check_guards()
-    except ValueError as exc:
-        raise ConfigError(f"plan: {exc}") from exc
+                          f"{source['type']!r}; expected 'gaussian'")
+    sigma_a = source["sigma_a"]
+    if sigma_a is None:
+        sigma_a = grid.n * grid.delta_a / 8.0
     return RunConfig(
         plan=plan,
-        source_sigma_a=source_raw.get("sigma_a",
-                                      grid.n * grid.delta_a / 8.0),
-        source_amplitude=source_raw.get("amplitude", 1.0),
-        output_dir=_check_type(raw.get("output_dir", "."), str,
-                               "output_dir"),
+        source=_build("source", Spectrum.gaussian, grid, sigma_a,
+                      source["amplitude"]),
+        output_dir=cfg["output_dir"],
     )
 
 
@@ -244,7 +217,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args, cfg)
     plan = cfg.plan
     t1 = time.perf_counter()
-    stats = ensemble_moments(cfg.source(), plan)
+    stats = ensemble_moments(cfg.source, plan)
     ensemble_s = time.perf_counter() - t1
 
     meta = grid_metadata(plan.grid, master_seed=plan.master_seed)
@@ -286,10 +259,8 @@ def cmd_evolve_kernel(args) -> int:
         raise ConfigError(f"{args.input}: {exc}") from exc
 
     z_values = args.z_list
-    # Every span's steps, checked before any file is written.  A step no
-    # longer than plan.dz meets the guards load_config checked (both are
-    # linear in the step); with plan.z_total 0 a span is one step, which
-    # no check has seen.
+    # Every span's step, checked before any file is written (each distinct
+    # step once, in span order); with plan.z_total 0 a span is one step.
     spans = []
     z_prev = 0.0
     for z in z_values:
@@ -298,13 +269,11 @@ def cmd_evolve_kernel(args) -> int:
         if span > 0:
             dz_cfg = plan.dz if plan.z_total > 0 else span
             steps = max(1, int(np.ceil(span / dz_cfg)))
-            if span / steps > plan.dz:
-                try:
-                    step_guard(plan.grid, plan.model, span / steps)
-                except ValueError as exc:
-                    raise ConfigError(f"plan: {exc}") from exc
         spans.append((z, span, steps))
         z_prev = z
+    for dz in dict.fromkeys(span / steps for _, span, steps in spans
+                            if steps):
+        _build("plan", step_guard, plan.grid, plan.model, dz)
     rows = []
     snapshots = []
     trace0 = kernel_trace(current).real if m == n else None
@@ -379,7 +348,7 @@ def cmd_states(args) -> int:
         print(f"wrote stationarity table to {out}")
         return 0
 
-    fock = states.FockSpec.normalized(grid, cfg.source().values)
+    fock = states.FockSpec.normalized(grid, cfg.source.values)
     rows = []
     for r in np.linspace(0.0, 2.0, 101):
         alpha = Spectrum(grid, r * fock.profile)
@@ -401,13 +370,18 @@ def cmd_screens(args) -> int:
     plan = cfg.plan
     stats = screen_statistics(plan.model, plan.grid, plan.dz,
                               plan.master_seed)
-    freqs = plan.grid.axis_frequencies()
+    grid = plan.grid
+    freqs = grid.axis_frequencies()
     target = stats.target_variance.ravel()
     variance = stats.variance.ravel()
+    # One frequency column per grid axis, the site's DC-centred lattice
+    # coordinates (a 1-D table keeps its one column's name).
+    axes = (["frequency_cyc_per_m"] if grid.dim == 1 else
+            [f"frequency_{axis}_cyc_per_m" for axis in "xy"[:grid.dim]])
+    coords = np.unravel_index(np.arange(target.size), grid.shape)
     _write_csv(out / "screens_variance.csv",
-               ["site", "frequency_cyc_per_m", "target_variance_m2",
-                "exact_variance_m2"],
-               [[i, freqs[i % plan.grid.n], target[i], variance[i]]
+               ["site", *axes, "target_variance_m2", "exact_variance_m2"],
+               [[i, *(freqs[c[i]] for c in coords), target[i], variance[i]]
                 for i in range(target.size)])
     _write_csv(out / "screens_cross.csv",
                ["site_a", "site_b", "abs_covariance_m2"],
@@ -437,7 +411,7 @@ def cmd_spectrum_table(args) -> int:
 def cmd_validate(args) -> int:
     if args.config is not None:
         cfg = _apply_seed(load_config(args.config), args)
-        plan, source = cfg.plan, cfg.source()
+        plan, source = cfg.plan, cfg.source
     else:
         cfg, source = None, None
         plan = (validation.REFERENCE if args.seed is None

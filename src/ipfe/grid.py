@@ -93,9 +93,15 @@ class Spectrum:
     @classmethod
     def gaussian(cls, grid: FrequencyGrid, sigma_a: float,
                  amplitude: float = 1.0) -> "Spectrum":
-        """amplitude * exp(-|a|^2 / (2 sigma_a^2)), centred on a = 0."""
-        return cls(grid, amplitude
-                   * np.exp(-grid.freq_sq() / (2.0 * sigma_a ** 2)))
+        """amplitude * exp(-|a|^2 / (2 sigma_a^2)), centred on a = 0, for
+        a finite sigma_a > 0 whose 2 sigma_a^2 does not underflow (a zero
+        denominator gives NaN at a = 0, and a negative width would be read
+        as its magnitude)."""
+        width = 2.0 * sigma_a ** 2
+        if not (sigma_a > 0.0 and 0.0 < width < np.inf):
+            raise ValueError(f"sigma_a must be finite and > 0 (2 sigma_a^2 "
+                             f"too), got {sigma_a!r}")
+        return cls(grid, amplitude * np.exp(-grid.freq_sq() / width))
 
     @property
     def norm_sq(self) -> float:

@@ -62,13 +62,12 @@ from __future__ import annotations
 
 import operator
 import threading
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import FrequencyGrid
-from .spectrum import SpectrumKind, TurbulenceModel, psd_lattice
+from .spectrum import TurbulenceModel, psd_lattice
 
 # Screens per Philox block of the stream contract.
 BLOCK = 64
@@ -109,14 +108,9 @@ class ScreenLattice:
                  dz: float) -> None:
         if dz <= 0.0:
             raise ValueError("dz must be positive")
-        if (model.kind is SpectrumKind.VON_KARMAN
-                and model.outer_scale > 1.0 / grid.delta_a):
-            warnings.warn(
-                "outer scale exceeds grid support (L0 > 1/delta_a); screen "
-                "statistics will miss the largest eddies", stacklevel=2)
         self.grid = grid
         # Per-site E|N~(a)|^2, DC-centred; psd_lattice refuses a divergent
-        # (Kolmogorov) spectrum.
+        # (Kolmogorov) spectrum and warns about an unresolved outer scale.
         self.variance = psd_lattice(model, grid) * dz * grid.delta_weight
         half = np.fft.ifftshift(self.variance)[..., :grid.n // 2 + 1]
         self.amplitude = np.sqrt(half / 2.0)

@@ -14,6 +14,7 @@ with ``kappa0 = 2*pi/L0``.  An optional Gaussian inner-scale rolloff
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -154,8 +155,7 @@ def lambda_total_1d(model: TurbulenceModel) -> float:
     return _radial_quadrature(model, lambda a: 2.0)
 
 
-def psd_lattice(model: TurbulenceModel, grid) -> np.ndarray:
-    """Phi_n(a, 0) sampled on the grid's frequency lattice (shape (n,)*D)."""
+def _sampled_psd(model: TurbulenceModel, grid) -> np.ndarray:
     _require_finite_lambda(model)
     axis = grid.axis_frequencies()
     if grid.dim == 1:
@@ -166,11 +166,25 @@ def psd_lattice(model: TurbulenceModel, grid) -> np.ndarray:
     return model.psd_magnitude(2.0 * np.pi * a_mag)
 
 
+def psd_lattice(model: TurbulenceModel, grid) -> np.ndarray:
+    """Phi_n(a, 0) sampled on the grid's frequency lattice (shape (n,)*D),
+    with a warning if the lattice cannot resolve a von Karman outer scale
+    (L0 > 1/delta_a).  The warning is raised here alone, so Python's
+    default filter shows it once per process."""
+    if (model.kind is SpectrumKind.VON_KARMAN
+            and model.outer_scale > 1.0 / grid.delta_a):
+        warnings.warn("outer scale exceeds grid support (L0 > 1/delta_a); "
+                      "the lattice misses the largest eddies")
+    return _sampled_psd(model, grid)
+
+
 def lambda_grid(model: TurbulenceModel, grid) -> float:
     """Lattice-sum realization of the integrated PSD on a specific grid.
 
     This is the value that makes the discrete kernel equations and the
     DFT-periodic split-step oracle share one decay constant exactly; it
-    converges to lambda_total(_1d) as the grid resolves the spectrum.
+    converges to lambda_total(_1d) as the grid resolves the spectrum.  It
+    does not warn about the outer scale: the step guards read it for every
+    plan, including those of commands that never sample the lattice.
     """
-    return float(np.sum(psd_lattice(model, grid))) * grid.cell
+    return float(np.sum(_sampled_psd(model, grid))) * grid.cell

@@ -15,7 +15,8 @@ spectra is carried through all slabs in DFT order (zero frequency first, as
 numpy's FFT stores it), so a slab is two half-step multiplies, one screen
 multiply and a batched FFT pair over the grid axes, with no shifts.  The
 half-step phase and the screen lattice (variances and half-lattice
-amplitude) are computed, and the plan's guards checked, once per engine.
+amplitude) are computed once per engine; the plan checked its guards when
+it was built.
 ``propagate`` is the same engine run on a block of one realization.
 
 The screen of realization r in slab s is the real field at address
@@ -131,6 +132,7 @@ class PropagationPlan:
         if self.z_total < 0.0:
             raise ValueError("z_total must be >= 0")
         as_u64(self.master_seed, "master_seed")
+        self.check_guards()
 
     @property
     def dz(self) -> float:
@@ -143,7 +145,8 @@ class PropagationPlan:
 
     def check_guards(self) -> None:
         """Per-slab sampling and weak-scattering guards (moments.step_guard,
-        the bounds every kernel step meets too)."""
+        the bounds every kernel step meets too), checked when the plan is
+        built, so every plan meets them."""
         if self.z_total > 0.0:
             step_guard(self.grid, self.model, self.dz)
 
@@ -180,7 +183,6 @@ class _BlockEngine:
     """Per-plan constants of the split-step propagation, in DFT order."""
 
     def __init__(self, plan: PropagationPlan) -> None:
-        plan.check_guards()
         grid = plan.grid
         self.plan = plan
         # The grid axes in the order np.fft.fftn and ifftn transform them.

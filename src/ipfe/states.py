@@ -24,8 +24,7 @@ from numpy.polynomial.laguerre import lagval
 from .grid import FrequencyGrid, Spectrum, contract
 from .moments import MomentKernel, hierarchy_rhs
 from .phase_screen import keyed_generator
-from .spectrum import (SpectrumKind, TurbulenceModel, lambda_grid,
-                       psd_lattice)
+from .spectrum import TurbulenceModel, lambda_grid, psd_lattice
 
 # Wigner-functional normalization (the continuum constant is
 # convention-dependent; all shipped checks use ratios or zero crossings).
@@ -163,15 +162,12 @@ def shift_decay(beta0: Spectrum, eta0: Spectrum, model: TurbulenceModel,
     """Closed-form decay of the Gaussian shift spectra.
 
     beta(z) = beta0 exp(i pi lambda z |a|^2 - k^2 Lambda z); eta picks up
-    the conjugate phase and the same decay.  For pure Kolmogorov the decay
-    rate is divergent and the shifts vanish identically for z > 0.
+    the conjugate phase and the same decay.  lambda_grid refuses a pure
+    Kolmogorov spectrum, whose decay rate diverges, for z > 0.
     """
     grid = beta0.grid
     if z == 0.0:
         return beta0.copy(), eta0.copy()
-    if model.kind is SpectrumKind.KOLMOGOROV and model.cn2 != 0.0:
-        zero = np.zeros(grid.shape, dtype=np.complex128)
-        return Spectrum(grid, zero), Spectrum(grid, zero.copy())
     lam = lambda_grid(model, grid)
     phase = grid.free_space_phase(z)
     decay = np.exp(-grid.wavenumber ** 2 * lam * z)
@@ -259,11 +255,11 @@ def evaluate_linear_process(process: LinearProcess,
 
 @dataclass
 class FockSpec:
-    """Fixed-spectrum Fock state: n photons in the normalized profile F."""
+    """Fixed-spectrum Fock state: photons in the normalized profile F (the
+    photon number is the order fock_wigner is given)."""
 
     grid: FrequencyGrid
     profile: np.ndarray = field(repr=False)
-    n: int = 1
 
     def __post_init__(self) -> None:
         self.profile = np.asarray(self.profile, dtype=np.complex128)
@@ -273,14 +269,12 @@ class FockSpec:
                             Spectrum(self.grid, self.profile)))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"profile not normalized: |F|^2 = {norm!r}")
-        if self.n < 0:
-            raise ValueError("photon number must be >= 0")
 
     @classmethod
-    def normalized(cls, grid: FrequencyGrid, values, n: int = 1) -> "FockSpec":
+    def normalized(cls, grid: FrequencyGrid, values) -> "FockSpec":
         values = np.asarray(values, dtype=np.complex128)
         norm = np.sqrt(np.sum(np.abs(values) ** 2) * grid.cell)
-        return cls(grid, values / norm, n)
+        return cls(grid, values / norm)
 
 
 def _overlap(alpha: Spectrum, fock: FockSpec) -> complex:
@@ -288,25 +282,25 @@ def _overlap(alpha: Spectrum, fock: FockSpec) -> complex:
                    * alpha.grid.cell)
 
 
-def fock_generating(eta_param: float, fock: FockSpec, alpha: Spectrum,
-                    n0: float = DEFAULT_N0) -> complex:
+def fock_generating(eta_param: float, fock: FockSpec,
+                    alpha: Spectrum) -> complex:
     """Generating function N0/(1+eta) exp(-2||alpha||^2
     + 4 eta/(1+eta) |<alpha, F>|^2) for the Fock Wigner values."""
     if eta_param == -1.0:
         raise ZeroDivisionError("generating function pole at eta = -1")
     overlap_sq = abs(_overlap(alpha, fock)) ** 2
     norm_sq = alpha.norm_sq
-    return complex(n0 / (1.0 + eta_param)
+    return complex(DEFAULT_N0 / (1.0 + eta_param)
                    * np.exp(-2.0 * norm_sq
                             + 4.0 * eta_param / (1.0 + eta_param)
                             * overlap_sq))
 
 
-def fock_wigner(n: int, fock: FockSpec, alpha: Spectrum,
-                n0: float = DEFAULT_N0) -> float:
+def fock_wigner(n: int, fock: FockSpec, alpha: Spectrum) -> float:
     """Wigner value N0 (-1)^n L_n(4 |<alpha, F>|^2) exp(-2 ||alpha||^2)."""
     if n < 0:
         raise ValueError("photon number must be >= 0")
     overlap_sq = abs(_overlap(alpha, fock)) ** 2
-    return float(n0 * (-1.0) ** n * lagval(4.0 * overlap_sq, [0] * n + [1])
+    return float(DEFAULT_N0 * (-1.0) ** n
+                 * lagval(4.0 * overlap_sq, [0] * n + [1])
                  * np.exp(-2.0 * alpha.norm_sq))

@@ -261,11 +261,15 @@ def check_first_moment(plan: PropagationPlan, source: Spectrum,
     return results
 
 
-def _core_sites(h_diag: np.ndarray, fraction: float = 0.99) -> np.ndarray:
+# Share of the kernel's trace the mutual-coherence checks compare on.
+_CORE_TRACE_FRACTION = 0.99
+
+
+def _core_sites(h_diag: np.ndarray) -> np.ndarray:
     mags = np.abs(h_diag)
     order = np.argsort(mags)[::-1]
     cum = np.cumsum(mags[order])
-    count = int(np.searchsorted(cum, fraction * cum[-1])) + 1
+    count = int(np.searchsorted(cum, _CORE_TRACE_FRACTION * cum[-1])) + 1
     return np.sort(order[:count])
 
 
@@ -489,7 +493,7 @@ def check_wigner_formulas(plan: PropagationPlan = REFERENCE
 
     t0 = time.perf_counter()
     prof = np.exp(-grid.freq_sq()).astype(np.complex128)
-    fock = states.FockSpec.normalized(grid, prof, 1)
+    fock = states.FockSpec.normalized(grid, prof)
     alpha = Spectrum(grid, 0.3 * prof + 0.1j)
     gen = lambda e: states.fock_generating(e, fock, alpha)  # noqa: E731
     h1, h2 = 1e-5, 1e-4

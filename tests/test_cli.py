@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from ipfe.arrayio import read_array, write_array
 from ipfe.cli import ConfigError, build_parser, load_config, main
 from ipfe.grid import FrequencyGrid, Spectrum
 from ipfe.moments import step_guard_values
+from ipfe.spectrum import psd_lattice
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" \
     / "reference.json"
@@ -57,7 +59,9 @@ def test_load_config_minimal_defaults(tmp_path):
     assert cfg.plan.n_realizations == 500
     assert cfg.plan.master_seed == 0
     assert cfg.output_dir == "."
-    assert cfg.source_sigma_a == pytest.approx(8 * 0.25 / 8.0)
+    # The default width is n * delta_a / 8, the width of the built source.
+    assert np.array_equal(cfg.source.values,
+                          Spectrum.gaussian(cfg.plan.grid, 0.25).values)
 
 
 def test_reference_config_is_the_validation_reference():
@@ -65,14 +69,17 @@ def test_reference_config_is_the_validation_reference():
     assert cfg.plan == validation.REFERENCE
     source = Spectrum.gaussian(validation.REFERENCE.grid,
                                validation.REFERENCE_SOURCE_SIGMA_A)
-    assert np.array_equal(cfg.source().values, source.values)
+    assert np.array_equal(cfg.source.values, source.values)
 
 
 def test_load_config_rejects_unknown_and_bad_fields(tmp_path):
     with pytest.raises(ConfigError, match="model.bogus: unknown field"):
         load_config(write_config(tmp_path, model={"bogus": 1}))
-    with pytest.raises(ConfigError, match="model.cn2"):
+    with pytest.raises(ConfigError, match="model: cn2 must be >= 0"):
         load_config(write_config(tmp_path, model={"cn2": -1.0}))
+    with pytest.raises(ConfigError,
+                       match="model: 'kolmo' is not a valid SpectrumKind"):
+        load_config(write_config(tmp_path, model={"kind": "kolmo"}))
     with pytest.raises(ConfigError, match="grid.n: expected an integer"):
         load_config(write_config(tmp_path, grid={"n": 8.5}))
     # task and tolerances were never read, so they are refused.
@@ -83,8 +90,10 @@ def test_load_config_rejects_unknown_and_bad_fields(tmp_path):
             tmp_path, tolerances={"mutual-coherence/monte-carlo": 0.001}))
     with pytest.raises(ConfigError, match="source.type"):
         load_config(write_config(tmp_path, source={"type": "flat"}))
-    assert load_config(write_config(
-        tmp_path, source={"type": "gaussian"})).source_sigma_a == 0.5
+    assert np.array_equal(
+        load_config(write_config(tmp_path,
+                                 source={"type": "gaussian"})).source.values,
+        Spectrum.gaussian(FrequencyGrid(1, 8, 0.25, 1.55e-6), 0.5).values)
     no_z = tmp_path / "no_z.json"
     no_z.write_text(json.dumps({
         "grid": {"dim": 1, "n": 8, "delta_a": 0.25, "wavelength": 1.55e-6},
@@ -116,12 +125,47 @@ def test_load_config_guard_violation(tmp_path):
         load_config(path)
 
 
+def outer_scale_warnings(run):
+    """The outer-scale warnings run() shows under Python's default filter
+    (each warning location once), with a fresh registry."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        run()
+    return [w for w in caught if "outer scale" in str(w.message)]
+
+
 def test_load_config_outer_scale_warning(tmp_path):
+    # The configuration loads without the warning: spectrum.psd_lattice
+    # raises it, and loading reads only the lattice sum of the guards.
     # tiny cn2 keeps the weak-scattering guard satisfied at this big L0
     path = write_config(tmp_path, model={"outer_scale": 100.0,
                                          "cn2": 1e-22})
-    with pytest.warns(UserWarning, match="outer scale"):
-        load_config(path)
+    assert outer_scale_warnings(lambda: load_config(path)) == []
+    plan = load_config(path).plan
+    assert len(outer_scale_warnings(
+        lambda: psd_lattice(plan.model, plan.grid))) == 1
+
+
+@pytest.mark.filterwarnings("ignore:kernel boundary mass")
+@pytest.mark.parametrize("command, flags, count", [
+    ("simulate", [], 1),
+    ("evolve-kernel", ["--z-list", "0,500,1000"], 1),
+    ("validate", [], 1),
+    ("spectrum-table", [], 0),
+    ("states", [], 0),
+])
+def test_outer_scale_warning_once_from_commands_that_form_the_lattice(
+        tmp_path, command, flags, count):
+    path = write_config(tmp_path, model={"outer_scale": 100.0,
+                                         "cn2": 1e-22})
+    grid = FrequencyGrid(1, 8, 0.25, 1.55e-6)
+    kernel = tmp_path / "init.bin"
+    write_array(kernel, np.diag(np.exp(-grid.freq_sq())).astype(complex))
+    if command == "evolve-kernel":
+        flags = flags + ["--input", str(kernel)]
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "o")]
+    caught = outer_scale_warnings(lambda: main(argv + flags))
+    assert len(caught) == count
 
 
 def test_parser_rejects_threads_flag(tmp_path):
@@ -235,6 +279,26 @@ def test_screens_command(tmp_path, capsys):
     assert cross[0] == ["site_a", "site_b", "abs_covariance_m2"]
     assert len(cross) == 65
     assert "max variance error" in capsys.readouterr().out
+
+
+def test_screens_command_2d_frequency_columns(tmp_path):
+    # One frequency column per grid axis, from the site's lattice
+    # coordinates: sites 0 and 8 of a 2-D n=8 grid are rows 0 and 1.
+    cfg = write_config(tmp_path, grid={"dim": 2},
+                       plan={"n_slabs": 64, "z_total": 1000.0})
+    out = tmp_path / "scr"
+    assert main(["screens", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = read_csv(out / "screens_variance.csv")
+    assert rows[0] == ["site", "frequency_x_cyc_per_m",
+                       "frequency_y_cyc_per_m", "target_variance_m2",
+                       "exact_variance_m2"]
+    assert len(rows) == 65
+    grid = FrequencyGrid(2, 8, 0.25, 1.55e-6)
+    freqs = grid.axis_frequencies()
+    assert rows[1][1:3] != rows[9][1:3]
+    for row in rows[1:]:
+        i, j = np.unravel_index(int(row[0]), grid.shape)
+        assert [float(row[1]), float(row[2])] == [freqs[i], freqs[j]]
 
 
 @pytest.mark.filterwarnings("ignore:kernel boundary mass")
@@ -648,7 +712,8 @@ BAD_CONFIGS = {
     "z-total-nan": ({"plan": {"z_total": float("nan")}},
                     "plan.z_total: expected a finite number, got nan"),
     "sigma-a-zero": ({"source": {"sigma_a": 0.0}},
-                     "source.sigma_a: must be > 0"),
+                     ("source: sigma_a must be finite and > 0 "
+                      "(2 sigma_a^2 too), got 0.0")),
     "sigma-a-nan": ({"source": {"sigma_a": float("nan")}},
                     "source.sigma_a: expected a finite number, got nan"),
     "grid-not-object": ({"grid": 5}, "grid: expected an object"),
@@ -834,7 +899,7 @@ def test_commands_run_every_config_the_guards_accept(tmp_path):
     guards = loaded.plan.guard_values()
     assert 0.1 < guards["sampling"] < np.pi / 4
     assert guards["weak_scattering"] < 0.1
-    source = loaded.source().values
+    source = loaded.source.values
     kernel_path = tmp_path / "init.bin"
     write_array(kernel_path, np.multiply.outer(source, np.conj(source)))
     assert main(["evolve-kernel", "--config", str(cfg),

@@ -120,3 +120,12 @@ def test_spectrum_shape_check():
         Spectrum(GRID, np.ones((8, 8)))
     with pytest.raises(ValueError, match="shape"):
         to_frequency(GRID, np.ones(16))
+
+
+@pytest.mark.parametrize("sigma_a", [0.0, -1.0, float("nan"), float("inf"),
+                                     1e-170])
+def test_gaussian_refuses_a_width_that_is_not_finite_and_positive(sigma_a):
+    # sigma 0, or one whose square underflows, would give NaN at a = 0, and
+    # a negative sigma would be read as |sigma|.
+    with pytest.raises(ValueError, match="sigma_a must be finite and > 0"):
+        Spectrum.gaussian(GRID, sigma_a)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -129,11 +130,15 @@ def test_propagate_norm_and_determinism():
 
 
 def test_guards():
+    # A plan is refused when it is built, so every plan meets its guards.
     with pytest.raises(ValueError, match="sampling guard"):
-        PropagationPlan(GRID, MODEL, 1e9, 2, 2, 0).check_guards()
+        PropagationPlan(GRID, MODEL, 1e9, 2, 2, 0)
     strong = TurbulenceModel(SpectrumKind.VON_KARMAN, 1e-11, 1.0)
     with pytest.raises(ValueError, match="weak-scattering guard"):
-        PropagationPlan(GRID, strong, 1000.0, 32, 2, 0).check_guards()
+        PropagationPlan(GRID, strong, 1000.0, 32, 2, 0)
+    plan = PropagationPlan(GRID, MODEL, 1000.0, 32, 2, 0)
+    with pytest.raises(ValueError, match="weak-scattering guard"):
+        replace(plan, model=strong)
     with pytest.raises(ValueError, match="n_slabs"):
         PropagationPlan(GRID, MODEL, 1000.0, 0, 2, 0)
 
@@ -330,7 +335,12 @@ def test_ensemble_memory_does_not_grow_with_realizations(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= peaks[0]
+    # A chunk is one block here, whose output rows take 64 x 256 x 16 B
+    # (256 KiB).  2000 realizations run 24 chunks more than 500, so keeping
+    # even one more chunk's rows would exceed the bound; caches in numpy
+    # and CPython move the peak by a few hundred bytes either way.
+    chunk_rows = BLOCK * grid.n ** grid.dim * 16
+    assert peaks[1] - peaks[0] <= chunk_rows // 8
     # The 2000 realizations are 32 one-block chunks.  Three workers are the
     # calling thread and a pool of two, which has at most two of them
     # submitted and not yet taken while the caller runs its own: one chunk
@@ -395,9 +405,10 @@ def test_consumer_that_stops_early_leaves_no_thread(monkeypatch):
 
 def test_ensemble_memory_guard_refuses_before_allocating():
     # 2-D n=128: (128^2)^2 moment elements at 120 B each, about 30 GiB.
+    # 64 slabs meet the weak-scattering guard there (32 do not).
     grid = FrequencyGrid(2, 128, 0.25, 1.55e-6)
     s0 = Spectrum.gaussian(grid, 0.5)
-    plan = PropagationPlan(grid, MODEL, 1000.0, 32, 2, 0)
+    plan = PropagationPlan(grid, MODEL, 1000.0, 64, 2, 0)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError,

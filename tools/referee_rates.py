@@ -1,4 +1,4 @@
-"""False-alarm rate of the validation suite on correct code.
+"""False-alarm rate and power of the validation suite on correct code.
 
 Usage (from the root of a checkout):
 
@@ -9,12 +9,22 @@ Runs ``ipfe.validation.run_validate`` at the reference plan for master
 seeds 0-299, with the ``ipfe`` package of ``--src`` (default: this
 checkout's ``src``), and records, per check, how many seeds fail it and
 which.  Every failure is a false alarm, since the code under test is the
-code the suite referees.  The record also names the host, the Python and
+code the suite referees.
+
+For the power, each seed's reference ensemble (one
+``splitstep.ensemble_moments``, the bits ``run_validate`` draws) is
+checked by ``check_first_moment`` and ``check_mutual_coherence`` against
+plans whose cn2 is the reference's times 0.9, 0.95, 1.05 and 1.1.  A
+failure there is a detection of the wrong cn2; the record gives, per
+factor, the failures and failing seeds of each check and of each check
+function as a whole (any of its checks failing).
+
+The record also names the host, the Python and
 numpy versions, the git commit of ``--src`` (with a flag for uncommitted
 changes) and the sha256 of its ``ipfe/*.py`` files, and is stored under
 ``--label`` in ``--out``: other labels already in that file are kept, so
-two trees can be recorded side by side.  About 0.2 s per seed on a
-2-vCPU host.
+two trees can be recorded side by side.  About 0.15-0.2 s per seed on
+a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -33,6 +43,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = 300
+# cn2 factors of the plans the power checks compare the ensemble with.
+FACTORS = (0.9, 0.95, 1.05, 1.1)
 
 
 def git(src: Path, *args: str) -> str | None:
@@ -53,32 +65,71 @@ def source_record(src: Path) -> dict:
             "src_sha256": digest.hexdigest()}
 
 
-def rates() -> dict:
-    from ipfe.validation import REFERENCE, run_validate
+def failure_record(failing: dict, names) -> dict:
+    return {name: {"failures": len(failing.get(name, [])),
+                   "failing_seeds": failing.get(name, [])}
+            for name in names}
 
+
+def power_results(plan, source, stats):
+    """(check function, its results) of the ensemble stats against plan."""
+    from ipfe import validation
+
+    yield ("check_first_moment",
+           validation.check_first_moment(plan, source, stats))
+    # check_mutual_coherence also returns its kernels.
+    yield ("check_mutual_coherence",
+           validation.check_mutual_coherence(plan, source, stats)[0])
+
+
+def rates() -> dict:
+    from ipfe.grid import Spectrum
+    from ipfe.splitstep import ensemble_moments
+    from ipfe.validation import (REFERENCE, REFERENCE_SOURCE_SIGMA_A,
+                                 run_validate)
+
+    source = Spectrum.gaussian(REFERENCE.grid, REFERENCE_SOURCE_SIGMA_A)
     failing: dict[str, list[int]] = {}
+    # factor -> check or check function -> failing seeds, and the names.
+    detected = {f: {} for f in FACTORS}
+    power_names: list[str] = []
     suite = []
     names = None
     t0 = time.perf_counter()
     for seed in range(SEEDS):
+        plan = replace(REFERENCE, master_seed=seed)
         with warnings.catch_warnings():
             # Every reference run warns about the kernels' boundary mass.
             warnings.simplefilter("ignore")
-            report = run_validate(replace(REFERENCE, master_seed=seed))
+            report = run_validate(plan)
+            stats = ensemble_moments(source, plan)
+            power = {f: list(power_results(
+                replace(plan, model=replace(plan.model,
+                                            cn2=plan.model.cn2 * f)),
+                source, stats)) for f in FACTORS}
         names = names or [c.name for c in report.checks]
         for check in report.checks:
             if check.applicable and not check.passed:
                 failing.setdefault(check.name, []).append(seed)
         if not report.passed:
             suite.append(seed)
+        for f, by_function in power.items():
+            power_names = []
+            for function, results in by_function:
+                verdicts = [(r.name, r.passed) for r in results]
+                verdicts.insert(0, (function, all(p for _, p in verdicts)))
+                power_names += [name for name, _ in verdicts]
+                for name, passed in verdicts:
+                    if not passed:
+                        detected[f].setdefault(name, []).append(seed)
     return {
         "seeds": [0, SEEDS - 1],
         "sweep_s": round(time.perf_counter() - t0, 2),
         "suite": {"failures": len(suite), "rate": len(suite) / SEEDS,
                   "failing_seeds": suite},
-        "checks": {name: {"failures": len(failing.get(name, [])),
-                          "failing_seeds": failing.get(name, [])}
-                   for name in names},
+        "checks": failure_record(failing, names),
+        "power": {f"cn2x{f:g}": failure_record(detected[f], power_names)
+                  for f in FACTORS},
     }
 
 
@@ -118,6 +169,9 @@ def main(argv=None) -> int:
                          if c["failures"])
     print(f"{args.label}: {record['suite']['failures']} of {SEEDS} "
           f"seeds fail; by check: {by_check or 'none'}")
+    for factor, detected in record["power"].items():
+        print(f"  {factor}: " + ", ".join(
+            f"{name} {c['failures']}" for name, c in detected.items()))
     return 0
 
 
