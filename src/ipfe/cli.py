@@ -147,8 +147,9 @@ def _build(section, make, *args, **kwargs):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-def load_config(path) -> RunConfig:
-    """Load and validate a JSON run configuration (strict schema)."""
+def load_config(path, seed=None) -> RunConfig:
+    """Load and validate a JSON run configuration (strict schema); a seed
+    not None then replaces the master seed the file's plan was built with."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -165,6 +166,8 @@ def load_config(path) -> RunConfig:
     model["kind"] = _build("model", SpectrumKind, model["kind"])
     model = _build("model", TurbulenceModel, **model)
     plan = _build("plan", PropagationPlan, grid, model, **cfg["plan"])
+    if seed is not None:
+        plan = replace(plan, master_seed=seed)
     source = cfg["source"]
     if source["type"] != "gaussian":
         raise ConfigError(f"source.type: unknown type "
@@ -193,12 +196,6 @@ def _out_dir(args, cfg: RunConfig | None) -> Path:
     return path
 
 
-def _apply_seed(cfg: RunConfig, args) -> RunConfig:
-    if args.seed is None:
-        return cfg
-    return replace(cfg, plan=replace(cfg.plan, master_seed=args.seed))
-
-
 def _write_csv(path, header, rows) -> None:
     # The csv module's own line ends (\r\n), written in one piece.
     text = io.StringIO(newline="")
@@ -211,14 +208,11 @@ def _write_csv(path, header, rows) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, cfg: RunConfig, out: Path) -> int:
     t0 = time.perf_counter()
-    cfg = _apply_seed(load_config(args.config), args)
-    out = _out_dir(args, cfg)
     plan = cfg.plan
-    t1 = time.perf_counter()
     stats = ensemble_moments(cfg.source, plan)
-    ensemble_s = time.perf_counter() - t1
+    ensemble_s = time.perf_counter() - t0
 
     meta = grid_metadata(plan.grid, master_seed=plan.master_seed)
     write_array(out / "mean_field.bin", stats.mean_field, meta)
@@ -245,10 +239,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_evolve_kernel(args) -> int:
+def cmd_evolve_kernel(args, cfg: RunConfig, out: Path) -> int:
     t0 = time.perf_counter()
-    cfg = _apply_seed(load_config(args.config), args)
-    out = _out_dir(args, cfg)
     plan = cfg.plan
     m, n = args.orders
     # The input is held as current alone, so the first span's output
@@ -331,9 +323,7 @@ def cmd_evolve_kernel(args) -> int:
     return 0
 
 
-def cmd_states(args) -> int:
-    cfg = _apply_seed(load_config(args.config), args)
-    out = _out_dir(args, cfg)
+def cmd_states(args, cfg: RunConfig, out: Path) -> int:
     grid = cfg.plan.grid
 
     if args.stationarity:
@@ -364,9 +354,7 @@ def cmd_states(args) -> int:
     return 0
 
 
-def cmd_screens(args) -> int:
-    cfg = _apply_seed(load_config(args.config), args)
-    out = _out_dir(args, cfg)
+def cmd_screens(args, cfg: RunConfig, out: Path) -> int:
     plan = cfg.plan
     stats = screen_statistics(plan.model, plan.grid, plan.dz,
                               plan.master_seed)
@@ -393,9 +381,7 @@ def cmd_screens(args) -> int:
     return 0
 
 
-def cmd_spectrum_table(args) -> int:
-    cfg = _apply_seed(load_config(args.config), args)
-    out = _out_dir(args, cfg)
+def cmd_spectrum_table(args, cfg: RunConfig, out: Path) -> int:
     grid = cfg.plan.grid
     a_lo = grid.delta_a / 10.0
     a_hi = 10.0 * grid.n * grid.delta_a / 2.0
@@ -408,15 +394,13 @@ def cmd_spectrum_table(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    if args.config is not None:
-        cfg = _apply_seed(load_config(args.config), args)
+def cmd_validate(args, cfg: RunConfig | None, out: Path) -> int:
+    if cfg is not None:
         plan, source = cfg.plan, cfg.source
     else:
-        cfg, source = None, None
-        plan = (validation.REFERENCE if args.seed is None
-                else replace(validation.REFERENCE, master_seed=args.seed))
-    out = _out_dir(args, cfg)
+        plan, source = validation.REFERENCE, None
+        if args.seed is not None:
+            plan = replace(plan, master_seed=args.seed)
     report = validation.run_validate(plan, source)
     write_json(out / "validation_report.json", report.to_json_dict())
     text = report.to_text()
@@ -494,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "1,1)")
     p.add_argument("--z-list", type=distances, default="0,500,1000",
                    dest="z_list",
-                   help="comma-separated snapshot distances in meters")
+                   help="comma-separated snapshot distances in meters "
+                        "(a leading -0 needs the = form: --z-list=-0,500)")
     p.set_defaults(func=cmd_evolve_kernel)
 
     p = sub.add_parser("states",
@@ -527,10 +512,13 @@ def main(argv=None) -> int:
     """Run the command that argv (sys.argv[1:] by default) names, as the
     command-line parser reads it, and return its exit status: 2 for a
     configuration error.  A usage error exits with status 2 and argparse's
-    message."""
+    message.  main loads --config with --seed (None for validate without
+    --config) and makes the output directory, and hands both to the command."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = (None if args.config is None
+               else load_config(args.config, args.seed))
+        return args.func(args, cfg, _out_dir(args, cfg))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

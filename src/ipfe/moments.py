@@ -153,17 +153,6 @@ class MomentKernel:
                 f"values shape {self.values.shape}, expected {expected} "
                 f"for orders {self.orders} on a {self.grid.dim}-D grid")
 
-    @property
-    def rank(self) -> int:
-        return sum(self.orders)
-
-    def conjugate_transpose(self) -> "MomentKernel":
-        """H_{n,m} derived from H_{m,n} by conjugation and bra/ket swap."""
-        m, n = self.orders
-        return MomentKernel((n, m), self.grid,
-                            _bra_ket_dual(self.values, m * self.grid.dim),
-                            self.z)
-
 
 def _bra_ket_dual(values: np.ndarray, bra_axes: int) -> np.ndarray:
     """The conjugate of values with its first bra_axes axes (the bra

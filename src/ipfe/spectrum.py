@@ -93,12 +93,6 @@ class TurbulenceModel:
         return value[()]
 
 
-def psd_3d(model: TurbulenceModel, k) -> float:
-    """PSD Phi_n(k) for a 3-vector k of angular frequency (rad/m)."""
-    k = np.asarray(k, dtype=float)
-    return model.psd_magnitude(np.sqrt(np.sum(k * k, axis=-1)))
-
-
 def psd_transverse(model: TurbulenceModel, a) -> float:
     """Markov transverse slice Phi_n(a, 0) with a in cycles/m (scalar |a|,
     a D-vector, or an array of D-vectors along the last axis)."""

@@ -162,8 +162,10 @@ def shift_decay(beta0: Spectrum, eta0: Spectrum, model: TurbulenceModel,
     """Closed-form decay of the Gaussian shift spectra.
 
     beta(z) = beta0 exp(i pi lambda z |a|^2 - k^2 Lambda z); eta picks up
-    the conjugate phase and the same decay.  lambda_grid refuses a pure
-    Kolmogorov spectrum, whose decay rate diverges, for z > 0.
+    the same phase p = exp(i pi lambda z |a|^2) as beta, as in
+    free_space_gaussian (W's eta* . alpha term needs it when free space
+    moves alpha to alpha p), and the same decay.  lambda_grid refuses a
+    pure Kolmogorov spectrum, whose decay rate diverges, for z > 0.
     """
     grid = beta0.grid
     if z == 0.0:

@@ -301,6 +301,24 @@ def test_screens_command_2d_frequency_columns(tmp_path):
         assert [float(row[1]), float(row[2])] == [freqs[i], freqs[j]]
 
 
+def test_screens_seed_flag_is_the_configured_seed(tmp_path):
+    # --seed 11 on a seed-7 file writes the bytes a seed-11 file writes;
+    # the cross-mode site pairs are drawn from the seed.
+    flagged = write_config(tmp_path)
+    (tmp_path / "b").mkdir()
+    configured = write_config(tmp_path / "b", plan={"master_seed": 11})
+    runs = {"flag": ["--config", str(flagged), "--seed", "11"],
+            "file": ["--config", str(configured)],
+            "seed7": ["--config", str(flagged)]}
+    for name, flags in runs.items():
+        assert main(["screens", *flags, "--out", str(tmp_path / name)]) == 0
+    for table in ("screens_variance.csv", "screens_cross.csv"):
+        assert (tmp_path / "flag" / table).read_bytes() \
+            == (tmp_path / "file" / table).read_bytes()
+    assert (tmp_path / "flag" / "screens_cross.csv").read_bytes() \
+        != (tmp_path / "seed7" / "screens_cross.csv").read_bytes()
+
+
 @pytest.mark.filterwarnings("ignore:kernel boundary mass")
 def test_evolve_kernel_command(tmp_path):
     cfg = write_config(tmp_path)
@@ -810,6 +828,12 @@ def test_validate_exit_codes(tmp_path, monkeypatch):
     assert main(["validate", "--out", str(out), "--seed", "123"]) == 0
     assert fake_run.seen == (replace(validation.REFERENCE, master_seed=123),
                              None)
+    cfg = write_config(tmp_path)
+    assert main(["validate", "--config", str(cfg), "--seed", "123", "--out",
+                 str(out)]) == 0
+    loaded = load_config(cfg)
+    assert fake_run.seen[0] == replace(loaded.plan, master_seed=123)
+    assert np.array_equal(fake_run.seen[1].values, loaded.source.values)
     assert json.loads((out / "validation_report.json").read_text()) \
         == {"passed": True}
     assert "[PASS]" in (out / "validation_report.txt").read_text()

@@ -7,21 +7,20 @@ import pytest
 from ipfe.grid import FrequencyGrid
 from ipfe.spectrum import (DivergentLambdaError, SpectrumKind,
                            TurbulenceModel, lambda_grid, lambda_total,
-                           lambda_total_1d, psd_3d, psd_lattice,
-                           psd_transverse)
+                           lambda_total_1d, psd_lattice, psd_transverse)
 
 KOL = TurbulenceModel(SpectrumKind.KOLMOGOROV, 1e-14)
 VK = TurbulenceModel(SpectrumKind.VON_KARMAN, 1e-14, 10.0)
 
 
 def test_kolmogorov_power_law_ratio():
-    ratio = (psd_3d(KOL, [0.0, 0.0, 2.0]) / psd_3d(KOL, [0.0, 0.0, 1.0]))
+    ratio = KOL.psd_magnitude(2.0) / KOL.psd_magnitude(1.0)
     assert ratio == pytest.approx(2.0 ** (-11.0 / 3.0), rel=1e-12)
 
 
 def test_zero_cn2_is_zero_everywhere():
     model = TurbulenceModel(SpectrumKind.KOLMOGOROV, 0.0)
-    assert psd_3d(model, [0.3, -1.2, 0.7]) == 0.0
+    assert model.psd_magnitude(1.4) == 0.0
     assert psd_transverse(model, 0.0) == 0.0
     vk0 = TurbulenceModel(SpectrumKind.VON_KARMAN, 0.0, 10.0)
     assert lambda_total(vk0) == 0.0
@@ -35,14 +34,14 @@ def test_von_karman_value_mpmath_oracle():
     kappa0 = 2 * mpmath.pi / 10
     expected = (mpmath.mpf("0.033") * (2 * mpmath.pi) ** 3 * cn2
                 * (1 + kappa0 ** 2) ** (mpmath.mpf(-11) / 6))
-    got = psd_3d(VK, [1.0, 0.0, 0.0])
+    got = VK.psd_magnitude(1.0)
     assert got == pytest.approx(float(expected), rel=1e-13)
 
 
 def test_transverse_is_3d_slice():
     for a in (0.1, 0.8, 3.0):
         assert psd_transverse(KOL, a) == pytest.approx(
-            psd_3d(KOL, [2.0 * np.pi * a, 0.0, 0.0]), rel=1e-14)
+            KOL.psd_magnitude(2.0 * np.pi * a), rel=1e-14)
 
 
 def test_von_karman_finite_at_dc():
@@ -53,7 +52,7 @@ def test_von_karman_finite_at_dc():
 
 def test_kolmogorov_singular_at_origin():
     with pytest.raises(ValueError, match="singular at zero frequency"):
-        psd_3d(KOL, [0.0, 0.0, 0.0])
+        KOL.psd_magnitude(0.0)
 
 
 def test_lambda_divergent_for_kolmogorov():
@@ -108,9 +107,10 @@ def test_lambda_total_1d_mpmath_oracle(dim, outer_scale, l0_name):
 def test_isotropy_random_rotations():
     rng = np.random.default_rng(7)
     for _ in range(100):
-        k = rng.standard_normal(3)
-        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        assert psd_3d(VK, k) == pytest.approx(psd_3d(VK, q @ k), rel=1e-12)
+        a = rng.standard_normal(2)
+        q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        assert psd_transverse(VK, a) == pytest.approx(
+            psd_transverse(VK, q @ a), rel=1e-12)
 
 
 def test_von_karman_monotonic_in_k():

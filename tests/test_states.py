@@ -190,6 +190,22 @@ def test_shift_decay_closed_form():
                        rtol=1e-12)
 
 
+def test_shift_decay_without_turbulence_is_free_space():
+    # At cn2 = 0 both closed forms give beta and eta the one phase
+    # exp(i pi lambda z |a|^2), so they agree bit for bit.
+    rng = np.random.default_rng(4)
+    state = GaussianState.vacuum(GRID)
+    state.beta = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    state.eta = rng.standard_normal(8) - 1j * rng.standard_normal(8)
+    still = TurbulenceModel(SpectrumKind.VON_KARMAN, 0.0, 1.0)
+    for z in (0.0, 700.0):
+        moved = free_space_gaussian(state, z)
+        b, e = shift_decay(Spectrum(GRID, state.beta),
+                           Spectrum(GRID, state.eta), still, z)
+        assert b.values.tobytes() == moved.beta.tobytes(), z
+        assert e.values.tobytes() == moved.eta.tobytes(), z
+
+
 def test_shift_decay_kolmogorov_limit():
     # The decay rate diverges: lambda_grid refuses it for z > 0, as it does
     # for every other Lambda user; z = 0 still returns copies.
